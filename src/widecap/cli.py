@@ -8,7 +8,9 @@ Commands:
     verify    Monte-Carlo verification suite (exit 1 on any failed check)
 
 Output is data only (CSV or JSON, never plots).  Frequencies are emitted in
-hertz unless ``--unit mhz`` rescales the display.  Exit codes: 0 success,
+hertz unless ``--unit mhz`` rescales the display.  ``bounds`` evaluates its
+grid in fixed blocks of points, one kernel call per block, and writes each
+block's rows as it goes, so its memory does not grow with the grid size.  Exit codes: 0 success,
 1 verification failure, 2 usage or scenario errors.
 """
 
@@ -78,23 +80,18 @@ class SweepSpec:
             raise ValueError("single-point mode excludes grid axes")
         if self.point is None and not plane and self.occupancy_axis is None:
             raise ValueError("no sweep axes given")
-
-    def rows(self):
-        """Yield (delta, bandwidth) pairs in grid order."""
-        if self.point is not None:
-            yield self.point
-            return
-        if self.occupancy_axis is not None:
-            for occupancy in self.occupancy_axis.values():
-                yield 1.0, float(occupancy)
-            return
-        deltas = self.delta_axis.values() if self.delta_axis else np.array([1.0])
-        bands = self.bandwidth_axis.values() if self.bandwidth_axis else None
-        if bands is None:
+        if self.delta_axis is not None and self.bandwidth_axis is None:
             raise ValueError("a delta grid needs a bandwidth grid")
-        for delta in deltas:
-            for bandwidth in bands:
-                yield float(delta), float(bandwidth)
+
+    def axes(self):
+        """(delta, bandwidth) axis arrays; the sweep is their product in row-major order."""
+        if self.point is not None:
+            delta, bandwidth = self.point
+            return np.array([delta], dtype=float), np.array([bandwidth], dtype=float)
+        if self.occupancy_axis is not None:
+            return np.ones(1), self.occupancy_axis.values()
+        deltas = self.delta_axis.values() if self.delta_axis else np.ones(1)
+        return deltas, self.bandwidth_axis.values()
 
 
 def _parse_axis(text: str) -> GridAxis:
@@ -135,7 +132,7 @@ def _write_rows(out, header, rows, fmt: str):
         for row in rows:
             out.write(",".join(_render(value) for value in row) + "\n")
     else:
-        payload = [dict(zip(header, (_json_value(v) for v in row))) for row in rows]
+        payload = [dict(zip(header, row)) for row in rows]
         out.write(json.dumps(payload, indent=2) + "\n")
 
 
@@ -147,14 +144,47 @@ def _render(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+# json spells repr's non-finite floats differently.  Only values follow ": ",
+# so the replacements cannot touch a key such as "C_inf".
+_JSON_NONFINITE = ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity"))
+
+
+def _write_blocks(out, header, blocks, fmt: str):
+    """Stream 2-D float blocks (rows x columns) as CSV, or as JSON with the
+    bytes of ``json.dumps(list_of_row_dicts, indent=2)``."""
+    if fmt == "csv":
+        out.write(",".join(header) + "\n")
+        row, sep, lead, end = ",".join(["%r"] * len(header)) + "\n", "", "", ""
+    else:
+        fields = ",\n".join(f"    {json.dumps(name)}: %r" for name in header)
+        row, sep, lead, end = "  {\n" + fields + "\n  }", ",\n", "[\n", "\n]\n"
+    for block in blocks:
+        # One string per row, joined: formatting a whole block in one % call
+        # grows its buffer by reallocation, which fragments the heap and
+        # raised peak RSS.
+        text = sep.join([row % tuple(values) for values in block.tolist()])
+        if fmt == "json":
+            for old, new in _JSON_NONFINITE:
+                text = text.replace(old, new)
+        out.write(lead + text)
+        lead = sep
+    out.write(end)
 
 
 def _freq_scale(unit: str) -> float:
     return 1e-6 if unit == "mhz" else 1.0
+
+
+def _penalty_factor(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError("penalty_factor must be in (0, 1]")
+    return value
+
+
+# Grid points per kernel call and per write.  Small enough that the memory of
+# a block stays well below the interpreter's, whatever the grid size.
+_BLOCK = 512
 
 
 def cmd_bounds(args) -> int:
@@ -169,6 +199,13 @@ def cmd_bounds(args) -> int:
             bandwidth_axis=args.b_grid,
             occupancy_axis=args.db_grid,
         )
+    deltas, bands = spec.axes()
+    # Rounding is monotone, so delta*B over the product grid is smallest at a
+    # corner of the axis ranges: checking the corners checks every point
+    # before any output is opened.
+    corners = np.multiply.outer([deltas.min(), deltas.max()], [bands.min(), bands.max()])
+    if not np.all(corners > 0):
+        raise ValueError("occupancy must be > 0")
     rayleigh = scenario.fading.kind == "rayleigh"
     header = ["delta", "B", "deltaB", "R_LB", "R_LB_plot"]
     if rayleigh:
@@ -176,20 +213,26 @@ def cmd_bounds(args) -> int:
     header += ["C_inf", "gap"]
     scale = _freq_scale(args.unit)
     c_inf = scenario.wideband_limit
+    points = deltas.size * bands.size
 
-    def rows():
-        for delta, bandwidth in spec.rows():
+    def blocks():
+        for start in range(0, points, _BLOCK):
+            index = np.arange(start, min(start + _BLOCK, points))
+            delta = deltas[index // bands.size]
+            bandwidth = bands[index % bands.size]
             occupancy = delta * bandwidth
-            lower = float(bounds.rate_lower_bound(scenario, occupancy))
-            row = [delta, bandwidth * scale, occupancy * scale, lower, max(lower, 0.0)]
+            lower = bounds.rate_lower_bound(scenario, occupancy)
+            # max(lower, 0.0) of each row: keeps nan and -0.0.
+            columns = [delta, bandwidth * scale, occupancy * scale, lower,
+                       np.where(0.0 > lower, 0.0, lower)]
             if rayleigh:
-                row.append(float(bounds.rate_upper_bound(scenario, occupancy, args.penalty_factor)))
-            row += [c_inf, 1.0 - lower / c_inf]
-            yield row
+                columns.append(bounds.rate_upper_bound(scenario, occupancy, args.penalty_factor))
+            columns += [np.full(index.size, c_inf), 1.0 - lower / c_inf]
+            yield np.column_stack(columns)
 
     out, close = _open_out(args.out)
     try:
-        _write_rows(out, header, rows(), args.format)
+        _write_blocks(out, header, blocks(), args.format)
     finally:
         if close:
             out.close()
@@ -349,7 +392,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--delta", type=float, default=None, help="single-point duty cycle")
     p_bounds.add_argument("--bandwidth", type=float, default=None,
                           help="single-point bandwidth in Hz")
-    p_bounds.add_argument("--penalty-factor", type=float, default=1.0)
+    p_bounds.add_argument("--penalty-factor", type=_penalty_factor, default=1.0,
+                          help="penalty factor in (0, 1] of the Rayleigh upper bound")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_crit = sub.add_parser("critical", help="critical-occupancy report")

@@ -1,9 +1,13 @@
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
-from widecap.cli import GridAxis, SweepSpec, main
+from widecap.bounds import rate_lower_bound, rate_upper_bound
+from widecap.cli import _BLOCK, GridAxis, SweepSpec, main
+from widecap.scenario import parse_scenario
 
 FLAT_2X2 = """
 snr_density_hz = 1e7
@@ -65,6 +69,8 @@ class TestGridAxis:
                 occupancy_axis=GridAxis(1.0, 2.0, 2),
                 bandwidth_axis=GridAxis(1.0, 2.0, 2),
             )
+        with pytest.raises(ValueError, match="a delta grid needs a bandwidth grid"):
+            SweepSpec(delta_axis=GridAxis(0.1, 1.0, 2))
 
 
 class TestBoundsCommand:
@@ -139,6 +145,140 @@ class TestBoundsCommand:
         _, rows_mhz = csv_rows(mhz)
         assert float(rows_mhz[0]["B"]) == pytest.approx(1.2e8 * 1e-6)
         assert rows_mhz[0]["R_LB"] == rows_hz[0]["R_LB"]
+
+
+def scalar_table(scenario_text, pairs, fmt, scale=1.0, penalty_factor=1.0):
+    """The bounds table built one point at a time from scalar kernel calls."""
+    scenario = parse_scenario(scenario_text)
+    rayleigh = scenario.fading.kind == "rayleigh"
+    c_inf = scenario.wideband_limit
+    header = ["delta", "B", "deltaB", "R_LB", "R_LB_plot"]
+    header += ["R_UB"] if rayleigh else []
+    header += ["C_inf", "gap"]
+    rows = []
+    for delta, bandwidth in pairs:
+        occupancy = delta * bandwidth
+        lower = float(rate_lower_bound(scenario, occupancy))
+        row = [delta, bandwidth * scale, occupancy * scale, lower, max(lower, 0.0)]
+        if rayleigh:
+            row.append(float(rate_upper_bound(scenario, occupancy, penalty_factor)))
+        rows.append(row + [c_inf, 1.0 - lower / c_inf])
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def grid(lo, hi, n, log=True):
+    return ((np.geomspace if log else np.linspace)(lo, hi, n)).tolist()
+
+
+def plane(deltas, bands):
+    return list(itertools.product(deltas, bands))
+
+
+def occupancies(values):
+    return [(1.0, b) for b in values]
+
+
+# Longer than one block and not a multiple of the block size.
+LONG = 2 * _BLOCK + 37
+HALF = _BLOCK // 2 + 5
+
+BYTE_IDENTITY_CASES = [
+    pytest.param("rayleigh", ["--delta-grid", "0.0625:1:5", "--b-grid", "1e7:1.6e9:7"],
+                 plane(grid(0.0625, 1, 5), grid(1e7, 1.6e9, 7)), {}, id="plane"),
+    pytest.param("rice", ["--delta-grid", "0.1:1:4:lin", "--b-grid", "1e4:1e10:6"],
+                 plane(grid(0.1, 1, 4, log=False), grid(1e4, 1e10, 6)), {}, id="plane-rice"),
+    pytest.param("rayleigh", ["--b-grid", "1e4:1e10:6"],
+                 plane([1.0], grid(1e4, 1e10, 6)), {}, id="b-grid-only"),
+    pytest.param("rayleigh", ["--db-grid", "1e6:1e10:9"],
+                 occupancies(grid(1e6, 1e10, 9)), {}, id="dbgrid"),
+    pytest.param("rice", ["--db-grid", "1e6:1e10:9"],
+                 occupancies(grid(1e6, 1e10, 9)), {}, id="dbgrid-rice"),
+    pytest.param("rayleigh", ["--delta", "0.5", "--bandwidth", "2.4e8"],
+                 [(0.5, 2.4e8)], {}, id="point"),
+    pytest.param("rayleigh", ["--delta", "0.5", "--bandwidth", "2.4e8", "--unit", "mhz"],
+                 [(0.5, 2.4e8)], {"scale": 1e-6}, id="point-mhz"),
+    pytest.param("rayleigh", ["--db-grid", "1e4:1e12:11", "--unit", "mhz"],
+                 occupancies(grid(1e4, 1e12, 11)), {"scale": 1e-6}, id="dbgrid-mhz"),
+    pytest.param("rayleigh", ["--db-grid", "1e4:1e12:11", "--penalty-factor", "0.5"],
+                 occupancies(grid(1e4, 1e12, 11)), {"penalty_factor": 0.5}, id="penalty-factor"),
+    pytest.param("rayleigh", ["--db-grid", f"1e2:1e14:{LONG}"],
+                 occupancies(grid(1e2, 1e14, LONG)), {}, id="long-dbgrid"),
+    pytest.param("rice", ["--delta-grid", "1e-3:1:3", "--b-grid", f"1e2:1e12:{HALF}"],
+                 plane(grid(1e-3, 1, 3), grid(1e2, 1e12, HALF)), {}, id="long-plane-rice"),
+    pytest.param("rayleigh", ["--db-grid", "1e-320:1e-300:3"],
+                 occupancies(grid(1e-320, 1e-300, 3)), {}, id="subnormal",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+]
+
+
+class TestBoundsByteIdentity:
+    """Block-wise output equals the point-by-point table, byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fading, options, pairs, kwargs", BYTE_IDENTITY_CASES)
+    def test_matches_scalar_table(self, tmp_path, fading, options, pairs, kwargs, fmt):
+        text = FLAT_2X2.replace("rayleigh", "rice:1.0") if fading == "rice" else FLAT_2X2
+        path = tmp_path / "scenario.txt"
+        path.write_text(text)
+        code, out = run(tmp_path, "bounds", "--scenario", str(path), *options, "--format", fmt)
+        assert code == 0
+        assert out == scalar_table(text, pairs, fmt, **kwargs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_subnormal_grid_spells_non_finite_values(self, tmp_path, scenario_file):
+        argv = ["bounds", "--scenario", scenario_file, "--db-grid", "1e-320:1e-300:3"]
+        _, csv_text = run(tmp_path, *argv)
+        _, rows = csv_rows(csv_text)
+        assert (rows[0]["R_LB"], rows[0]["R_UB"], rows[0]["gap"]) == ("-inf", "nan", "inf")
+        _, json_text = run(tmp_path, *argv, "--format", "json")
+        assert '"R_LB": -Infinity' in json_text
+        assert '"R_UB": NaN' in json_text
+        assert '"gap": Infinity' in json_text
+        assert '"C_inf": 20000000.0' in json_text
+
+
+class TestBoundsUsageErrors:
+    @pytest.mark.parametrize("options", [
+        ["--delta-grid", "0:1:3:lin", "--b-grid", "1:1e6:3"],
+        ["--delta-grid=-1:1:3:lin", "--b-grid", "1:1e6:3"],
+        ["--delta", "1e-200", "--bandwidth", "1e-200"],  # delta*B underflows to 0
+        ["--delta", "nan", "--bandwidth", "1e6"],
+        ["--delta-grid", "1e-3:1:3"],
+        ["--delta", "0.5"],
+    ])
+    def test_no_output_on_error(self, tmp_path, scenario_file, options, capsys):
+        out = tmp_path / "never.csv"
+        code = main(["bounds", "--scenario", scenario_file, *options, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nonpositive_occupancy_message(self, tmp_path, scenario_file, capsys):
+        main(["bounds", "--scenario", scenario_file, "--delta-grid", "0:1:3:lin",
+              "--b-grid", "1:1e6:3", "--out", str(tmp_path / "x.csv")])
+        assert capsys.readouterr().err == "error: occupancy must be > 0\n"
+
+    @pytest.mark.parametrize("fading", ["rayleigh", "rice:1.0", "nakagami:2.0"])
+    @pytest.mark.parametrize("factor", ["5", "0", "-0.5", "nan", "abc"])
+    def test_penalty_factor_checked_for_every_fading(self, tmp_path, fading, factor, capsys):
+        path = tmp_path / "scenario.txt"
+        path.write_text(FLAT_2X2.replace("rayleigh", fading))
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["bounds", "--scenario", str(path), "--db-grid", "1e7:1e9:3",
+                  "--penalty-factor", factor, "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+        assert "--penalty-factor" in capsys.readouterr().err
+
+    def test_penalty_factor_range_message(self, tmp_path, scenario_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["bounds", "--scenario", scenario_file, "--db-grid", "1e7:1e9:3",
+                  "--penalty-factor", "5"])
+        assert "penalty_factor must be in (0, 1]" in capsys.readouterr().err
 
 
 class TestCriticalCommand:
