@@ -57,10 +57,11 @@ __all__ = [
 
 LN_PI = math.log(math.pi)
 
-# Log-occupancy search window around the closed-form optimum, and golden
-# section tolerance (absolute on ln(dB), i.e. relative on dB).
-_SEARCH_DECADES = 100.0
-_GOLDEN_TOL = 1e-9
+# Smallest relative excess of Bc*Tc over K = kappa-2+Nt+Nr that optimal_occupancy
+# accepts.  At Bc*Tc = (1+d)*K the rounding of the float64 slope moves the
+# maximizer by about 1e-15/d**2 relative (1e-7 here), and below about d = 1e-6
+# it can fake a sign change anywhere in the bracket.
+_MIN_SHAPE_EXCESS = 1e-4
 
 
 class OccupancyAboveOptimalWarning(UserWarning):
@@ -70,6 +71,37 @@ class OccupancyAboveOptimalWarning(UserWarning):
 def _require_positive_occupancy(occupancy):
     if not np.all(np.asarray(occupancy) > 0):
         raise ValueError("occupancy must be > 0")
+
+
+def _shape(scenario: ChannelScenario) -> float:
+    """K = kappa-2+Nt+Nr, the fourth-moment factor of the coherent term."""
+    return kurtosis(scenario.fading) - 2.0 + scenario.nt + scenario.nr
+
+
+def _coherent_term(scenario: ChannelScenario, occupancy):
+    """Coherent term C_inf * [1 - P*K/(2*dB*Nt*N0)] of the lower bound.
+
+    It is the quadratic expansion of dB * E[ln det(I + P/(dB*Nt*N0) * H H^H)],
+    which the Monte-Carlo suite checks as ``coherent_quadratic_lower``.
+    """
+    s = scenario.snr_density
+    return scenario.wideband_limit * (1.0 - s * _shape(scenario) / (2.0 * occupancy * scenario.nt))
+
+
+def _penalty_cap(scenario: ChannelScenario, occupancy, log1p=np.log1p):
+    """Channel-uncertainty penalty cap dB*Nt*Nr/(Bc*Tc) * ln(1 + P*Bc*Tc/(dB*Nt*N0)).
+
+    ``log1p`` is ``np.log1p`` for arrays; scalar callers pass ``math.log1p``,
+    whose last bit can differ from numpy's.
+    """
+    nt, lc = scenario.nt, scenario.coherence_product
+    return (occupancy * nt * scenario.nr / lc) * log1p(scenario.snr_density * lc / (occupancy * nt))
+
+
+def _closed_form_optimum(scenario: ChannelScenario) -> float:
+    """(dB)* ~= P/(N0*Nt) * sqrt(Bc*Tc/ln(Bc*Tc) * K)."""
+    lc = scenario.coherence_product
+    return (scenario.snr_density / scenario.nt) * math.sqrt(lc / math.log(lc) * _shape(scenario))
 
 
 def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float:
@@ -82,13 +114,7 @@ def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float:
     and decays to zero as dB -> infinity.
     """
     _require_positive_occupancy(occupancy)
-    s = scenario.snr_density
-    nt, nr = scenario.nt, scenario.nr
-    kap = kurtosis(scenario.fading)
-    lc = scenario.coherence_product
-    coherent = scenario.wideband_limit * (1.0 - s * (kap - 2.0 + nt + nr) / (2.0 * occupancy * nt))
-    penalty = (occupancy * nt * nr / lc) * np.log1p(s * lc / (occupancy * nt))
-    return coherent - penalty
+    return _coherent_term(scenario, occupancy) - _penalty_cap(scenario, occupancy)
 
 
 def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float = 1.0) -> float:
@@ -196,8 +222,7 @@ def peak_gap(scenario: ChannelScenario) -> float:
     as the coherence product grows and does not depend on P/N0.
     """
     lc = scenario.coherence_product
-    kap = kurtosis(scenario.fading)
-    return math.sqrt(math.log(lc) / lc * (kap - 2.0 + scenario.nt + scenario.nr) * LN_PI)
+    return math.sqrt(math.log(lc) / lc * _shape(scenario) * LN_PI)
 
 
 def rate_derivative_terms(scenario: ChannelScenario, occupancy: float):
@@ -207,10 +232,9 @@ def rate_derivative_terms(scenario: ChannelScenario, occupancy: float):
     """
     s = scenario.snr_density
     nt = scenario.nt
-    kap = kurtosis(scenario.fading)
     lc = scenario.coherence_product
     x = occupancy
-    t1 = s * (kap - 2.0 + nt + scenario.nr) / (2.0 * x * x * nt)
+    t1 = s * _shape(scenario) / (2.0 * x * x * nt)
     t2 = (nt / (s * lc)) * math.log1p(s * lc / (x * nt))
     t3 = 1.0 / (x * (1.0 + s * lc / (nt * x)))
     return t1, t2, t3
@@ -222,97 +246,64 @@ def stationarity_residual(scenario: ChannelScenario, occupancy: float) -> float:
     return abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3))
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of f on [lo, hi]; ties resolve to the left."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:  # keep the left interval so plateaus yield the smallest maximizer
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _refine_stationary(scenario: ChannelScenario, u: float) -> float:
-    """Polish a log-occupancy estimate by bisecting the derivative sign change.
-
-    Function values near the peak are flat at float64 resolution, which caps
-    what value comparisons alone can localize; the derivative terms stay
-    well-scaled there, so bisection on their sign recovers the stationary
-    point to near machine precision.
-    """
-
-    def slope(v: float) -> float:
-        t1, t2, t3 = rate_derivative_terms(scenario, math.exp(v))
-        return t1 - t2 + t3
-
-    width = 1e-8
-    lo, hi = u - width, u + width
-    while slope(lo) <= 0 and width < 1.0:
-        width *= 4.0
-        lo = u - width
-    while slope(hi) >= 0 and width < 1.0:
-        width *= 4.0
-        hi = u + width
-    s_lo = slope(lo)
-    if s_lo <= 0 or slope(hi) >= 0:
-        return u  # no sign change found; keep the golden-section estimate
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        s_mid = slope(mid)
-        if s_mid == 0.0:
-            return mid
-        if s_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def optimal_occupancy(scenario: ChannelScenario) -> CriticalBracket:
     """Occupancy maximizing the lower bound, closed form and exact, plus peak rate.
 
-    Closed form: (dB)* ~= P/(N0*Nt) * sqrt(Bc*Tc/ln(Bc*Tc) * (kappa-2+Nt+Nr)).
-    The exact maximizer comes from a bracketed golden-section search on
-    R_LB over ln(dB) in [ln((dB)*/100), ln((dB)**100)], polished by a
-    derivative bisection so the stationarity residual is far below 1e-8.
+    Closed form: (dB)* ~= P/(N0*Nt) * sqrt(Bc*Tc/ln(Bc*Tc) * K), K = kappa-2+Nt+Nr.
+
+    Exact: with y = P*Bc*Tc/(dB*Nt*N0), the slope t1 - t2 + t3 of R_LB (see
+    :func:`rate_derivative_terms`) has the sign of
+    f(y) = K*y^2/(2*Bc*Tc) - ln(1+y) + y/(1+y), which changes sign once.
+    Since ln(1+y) < y, f > 0 at dB = P*K/(2*Nt*N0); since
+    ln(1+y) - y/(1+y) >= y^2/2 - 2*y^3/3 for y < 1, f < 0 at
+    dB = 4*P*(Bc*Tc)^2/(3*Nt*N0*(Bc*Tc - K)).  The maximizer is found by
+    bisecting the sign of the slope in ln(dB) on that bracket until the
+    midpoint meets an end, so the stationarity residual is at float64
+    resolution.  An interior maximum exists only when Bc*Tc > K (otherwise
+    R_LB rises monotonically).  ``ValueError`` is raised when Bc*Tc <= K, and
+    also when Bc*Tc <= (1 + 1e-4)*K, where the float64 slope places the
+    maximizer no better than about 1e-7 relative.
+
     Peak rate: C_inf * (1 - Delta) with Delta from :func:`peak_gap`.
     """
     lc = scenario.coherence_product
     if not lc > math.e:
         raise ValueError("coherence product must exceed e")
-    s = scenario.snr_density
-    nt, nr = scenario.nt, scenario.nr
-    kap = kurtosis(scenario.fading)
-    approx = (s / nt) * math.sqrt(lc / math.log(lc) * (kap - 2.0 + nt + nr))
+    shape = _shape(scenario)
+    if not lc > shape * (1.0 + _MIN_SHAPE_EXCESS):
+        raise ValueError(
+            f"coherence product {lc:g} must exceed kappa-2+Nt+Nr = {shape:g} by more "
+            f"than {_MIN_SHAPE_EXCESS:g} relative: R_LB has no interior maximum at or "
+            "below it, and float64 cannot place one just above it"
+        )
+    s, nt = scenario.snr_density, scenario.nt
 
-    def objective(u: float) -> float:
-        return float(rate_lower_bound(scenario, math.exp(u)))
+    def slope(u: float) -> float:
+        t1, t2, t3 = rate_derivative_terms(scenario, math.exp(u))
+        return t1 - t2 + t3
 
-    half_span = math.log(_SEARCH_DECADES)
-    u0 = math.log(approx)
-    u = _golden_max(objective, u0 - half_span, u0 + half_span, _GOLDEN_TOL)
-    exact = math.exp(_refine_stationary(scenario, u))
+    lo = math.log(s * shape / (2.0 * nt))
+    hi = math.log(4.0 * s * lc * lc / (3.0 * nt * (lc - shape)))
+    if not slope(lo) > 0.0 > slope(hi):
+        raise ValueError("R_LB slope does not change sign on the closed-form bracket")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        slope_mid = slope(mid)
+        if slope_mid == 0.0:
+            break
+        if slope_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
-    peak = scenario.wideband_limit * (1.0 - peak_gap(scenario))
     return CriticalBracket(
         nt=nt,
-        nr=nr,
-        occupancy_optimal=approx,
-        occupancy_optimal_exact=exact,
-        peak_rate_lower=peak,
+        nr=scenario.nr,
+        occupancy_optimal=_closed_form_optimum(scenario),
+        occupancy_optimal_exact=math.exp(mid),
+        peak_rate_lower=scenario.wideband_limit * (1.0 - peak_gap(scenario)),
     )
 
 
@@ -381,16 +372,13 @@ def sublinear_rate_bound(scenario: ChannelScenario, bandwidth: float, alpha: flo
         raise ValueError("per-dof SNR must be < 1 for the duty-cycle substitution")
     delta = snr ** (1.0 - alpha)
     occupancy = delta * bandwidth
-    if occupancy > optimal_occupancy(scenario).occupancy_optimal:
+    if occupancy > _closed_form_optimum(scenario):
         warnings.warn(
             "implied occupancy exceeds the optimal occupancy; bound hypothesis violated",
             OccupancyAboveOptimalWarning,
             stacklevel=2,
         )
-    kap = kurtosis(scenario.fading)
-    return scenario.wideband_limit * (
-        1.0 - snr**alpha * (kap - 2.0 + scenario.nt + scenario.nr) / scenario.nt
-    )
+    return scenario.wideband_limit * (1.0 - snr**alpha * _shape(scenario) / scenario.nt)
 
 
 @dataclass(frozen=True)

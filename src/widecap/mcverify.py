@@ -9,9 +9,8 @@ identities) into pass/fail records consumed by the CLI.
 
 Sampling is chunked with a fixed chunk size; every chunk draws from its own
 seed derived from (base_seed, check tag, chunk start), so results are
-bit-identical regardless of how chunks would be scheduled and the advisory
-``parallel_width`` never affects values.  Reductions use numpy's pairwise
-summation over arrays assembled in trial order.
+bit-identical regardless of how chunks would be scheduled.  Reductions use
+numpy's pairwise summation over arrays assembled in trial order.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
+from .bounds import _coherent_term as coherent_quadratic_lower
 from .channel import (
     DiscreteChannel,
     FilterBankCodeword,
@@ -49,7 +49,6 @@ __all__ = [
     "trace_identity_check",
     "coherent_term_mc",
     "coherent_quadratic_lower",
-    "penalty_term_mc",
     "penalty_sandwich",
     "bound_sandwich_sweep",
     "run_verification_suite",
@@ -69,21 +68,14 @@ _TAG_CHANNEL = 6
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial budget and seeding for the Monte-Carlo checks.
-
-    ``parallel_width`` is advisory only: estimates are chunk-seeded and do
-    not depend on it.
-    """
+    """Trial budget and seeding for the Monte-Carlo checks."""
 
     trials: int
     base_seed: int = 0
-    parallel_width: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.parallel_width < 1:
-            raise ValueError("parallel_width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -178,15 +170,6 @@ def coherent_block_values(blocks: np.ndarray, rho: float, occupancy: float) -> n
     return occupancy * np.sum(np.log1p(rho * eig), axis=-1)
 
 
-def coherent_quadratic_lower(scenario: ChannelScenario, occupancy: float) -> float:
-    """Closed-form quadratic expansion the coherent term must dominate."""
-    s = scenario.snr_density
-    kap = kurtosis(scenario.fading)
-    return scenario.wideband_limit * (
-        1.0 - s * (kap - 2.0 + scenario.nt + scenario.nr) / (2.0 * occupancy * scenario.nt)
-    )
-
-
 def coherent_term_mc(
     scenario: ChannelScenario, occupancy: float, cfg: McConfig, tag=_TAG_COHERENT
 ) -> McEstimate:
@@ -255,7 +238,7 @@ def penalty_sandwich(
     rho = s / (occupancy * nt)
     prefactor = occupancy / k_samples  # delta/Tc with K = B*Tc
     chain_scale = occupancy * nt * nr / lc
-    cap = chain_scale * math.log1p(s * lc / (occupancy * nt))
+    cap = bounds._penalty_cap(scenario, occupancy, math.log1p)
 
     jj = np.arange(cols)
     gram_index = (jj[:, None] - jj[None, :]) % k_samples
@@ -290,13 +273,6 @@ def penalty_sandwich(
     )
 
 
-def penalty_term_mc(
-    scenario: ChannelScenario, occupancy: float, k_samples: int, cfg: McConfig
-) -> McEstimate:
-    """Estimate of the penalty term alone; see :func:`penalty_sandwich`."""
-    return penalty_sandwich(scenario, occupancy, k_samples, cfg).estimate
-
-
 @dataclass(frozen=True)
 class SandwichPoint:
     """One occupancy of the lower/MC/upper rate sandwich."""
@@ -325,11 +301,7 @@ def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
     for index, occupancy in enumerate(grid):
         occupancy = float(occupancy)
         coherent = coherent_term_mc(scenario, occupancy, cfg, tag=(_TAG_SWEEP, index))
-        lc = scenario.coherence_product
-        cap = (occupancy * scenario.nt * scenario.nr / lc) * math.log1p(
-            scenario.snr_density * lc / (occupancy * scenario.nt)
-        )
-        mc_value = coherent.mean - cap
+        mc_value = coherent.mean - bounds._penalty_cap(scenario, occupancy, math.log1p)
         rate_lower = float(bounds.rate_lower_bound(scenario, occupancy))
         rate_upper = float(bounds.rate_upper_bound(scenario, occupancy, 1.0))
         snr_dof = scenario.snr_density / occupancy

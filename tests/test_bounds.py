@@ -1,8 +1,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from widecap.bounds import (
@@ -21,13 +24,14 @@ from widecap.bounds import (
     normalize_per_symbol_rate,
     optimal_occupancy,
     peak_gap,
+    rate_derivative_terms,
     rate_lower_bound,
     rate_upper_bound,
     stationarity_residual,
     sublinear_rate_bound,
     sublinear_support_range,
 )
-from widecap.scenario import ChannelScenario, FadingFamily, OccupancyPoint
+from widecap.scenario import ChannelScenario, FadingFamily, OccupancyPoint, kurtosis
 
 # Frozen 50-digit reference evaluations of the closed forms.
 RLB_100_1X1_LC1E3_AT_100 = -0.69087547793152205852
@@ -36,6 +40,13 @@ OPT_2X2_1E7_LC1E3 = 120318256.01340967847
 OPT_2X2_1E7_LC1E5 = 931981203.56931215059
 GAP_2X2_LC1E3 = 0.17784840636884900917
 GAP_2X2_LC1E5 = 0.022960130533869376939
+
+FADINGS = [
+    FadingFamily.rayleigh(),
+    FadingFamily.rice(1.0),
+    FadingFamily.nakagami(2.0),
+    FadingFamily.nakagami(0.5),
+]
 
 
 def scenario(snr=100.0, nt=1, nr=1, lc=1e3, fading=None):
@@ -58,6 +69,35 @@ def brent_maximizer(s, lo, hi):
         options={"xatol": 1e-12},
     )
     return math.exp(result.x)
+
+
+def shape(s):
+    return kurtosis(s.fading) - 2.0 + s.nt + s.nr
+
+
+def closed_form_bracket(s):
+    """Occupancies where the R_LB slope is provably positive and negative."""
+    lc, k = s.coherence_product, shape(s)
+    low = s.snr_density * k / (2.0 * s.nt)
+    high = 4.0 * s.snr_density * lc * lc / (3.0 * s.nt * (lc - k))
+    return low, high
+
+
+def slope(s, occupancy):
+    t1, t2, t3 = rate_derivative_terms(s, occupancy)
+    return t1 - t2 + t3
+
+
+def mpmath_maximizer(s):
+    """50-digit root of K*y^2/(2*Lc) - ln(1+y) + y/(1+y), mapped to dB = P*Lc/(Nt*N0*y)."""
+    with mpmath.workdps(50):
+        lc, k = mpmath.mpf(s.coherence_product), mpmath.mpf(kurtosis(s.fading)) - 2 + s.nt + s.nr
+        y = mpmath.findroot(
+            lambda y: k * y * y / (2 * lc) - mpmath.log1p(y) + y / (1 + y),
+            (mpmath.mpf(3) / 4 * (1 - k / lc), 2 * lc / k),
+            solver="anderson",
+        )
+        return float(mpmath.mpf(s.snr_density) * lc / (s.nt * y))
 
 
 class TestRateLowerBound:
@@ -208,6 +248,74 @@ class TestOptimalOccupancy:
         with pytest.raises(ValueError):
             optimal_occupancy(scenario(lc=2.0))
 
+    # Regression pins: at Lc >= 1e3 the float64 maximizer does not depend on
+    # the bracket the bisection starts from, so these bits move only when the
+    # slope arithmetic does.
+    @pytest.mark.parametrize("kwargs,bits", [
+        (dict(snr=1e7, nt=2, nr=2, lc=1e3), "0x1.0616e72ae6566p+27"),
+        (dict(snr=1e7, nt=2, nr=2, lc=1e5), "0x1.d1b1843c1dc86p+29"),
+        (dict(snr=100.0, lc=1e4), "0x1.2babfd1ab08d9p+12"),
+        (dict(snr=1e9, nt=8, nr=4, lc=1e8, fading=FadingFamily.rice(1.0)),
+         "0x1.e2d24a8ee80e8p+39"),
+        (dict(snr=1e3, nt=1, nr=8, lc=1e12, fading=FadingFamily.nakagami(0.5)),
+         "0x1.24507266e8f78p+29"),
+    ])
+    def test_exact_pinned_bits(self, kwargs, bits):
+        assert optimal_occupancy(scenario(**kwargs)).occupancy_optimal_exact.hex() == bits
+
+    @pytest.mark.parametrize("fading", FADINGS, ids=lambda f: f.label)
+    @pytest.mark.parametrize("lc_spec", [1.001, 1.01, 2.0, 10.0, "1e4", "1e9", "1e15"])
+    def test_closed_form_bracket(self, fading, lc_spec):
+        # Numbers are Lc/K ratios, strings absolute coherence products.
+        for nt in (1, 2, 4, 8):
+            for nr in (1, 2, 4, 8):
+                k = kurtosis(fading) - 2.0 + nt + nr
+                lc = float(lc_spec) if isinstance(lc_spec, str) else lc_spec * k
+                if lc <= math.e:
+                    continue  # below the e floor every solver call rejects
+                for snr in (1e-3, 1.0, 1e6, 1e12):
+                    s = scenario(snr=snr, nt=nt, nr=nr, lc=lc, fading=fading)
+                    low, high = closed_form_bracket(s)
+                    assert slope(s, low) > 0.0 > slope(s, high), (nt, nr, lc, snr)
+                    exact = optimal_occupancy(s).occupancy_optimal_exact
+                    assert low < exact < high
+                    assert stationarity_residual(s, exact) < 1e-8
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        nt=st.integers(1, 8),
+        nr=st.integers(1, 8),
+        fading=st.sampled_from(FADINGS),
+        log_ratio=st.floats(math.log10(1.001), 12.0),
+        log_snr=st.floats(-3.0, 12.0),
+    )
+    def test_bracket_property(self, nt, nr, fading, log_ratio, log_snr):
+        lc = max(10.0 ** log_ratio * (kurtosis(fading) - 2.0 + nt + nr), 3.0)
+        s = scenario(snr=10.0 ** log_snr, nt=nt, nr=nr, lc=lc, fading=fading)
+        low, high = closed_form_bracket(s)
+        assert slope(s, low) > 0.0 > slope(s, high)
+        exact = optimal_occupancy(s).occupancy_optimal_exact
+        assert stationarity_residual(s, exact) < 1e-8
+
+    @pytest.mark.parametrize("ratio", [1.0002, 1.001, 1.01])
+    @pytest.mark.parametrize("nt,nr", [(2, 2), (8, 8), (1, 4)])
+    def test_maximum_just_above_shape(self, ratio, nt, nr):
+        # The maximizer lies hundreds of times the closed form away, outside
+        # any fixed window around it; the bisection still finds it.
+        s = scenario(snr=1e6, nt=nt, nr=nr, lc=ratio * (nt + nr))
+        bracket = optimal_occupancy(s)
+        assert bracket.occupancy_optimal_exact > 100.0 * bracket.occupancy_optimal
+        assert stationarity_residual(s, bracket.occupancy_optimal_exact) < 1e-8
+        assert bracket.occupancy_optimal_exact == pytest.approx(mpmath_maximizer(s), rel=1e-6)
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.00005])
+    def test_no_interior_maximum_raises(self, ratio):
+        # Lc <= K: R_LB rises monotonically.  Lc just above K: the float64
+        # slope's rounding can fake a sign change, so no value is made up.
+        s = scenario(snr=1e6, nt=8, nr=8, lc=ratio * 16.0)
+        with pytest.raises(ValueError, match="kappa-2\\+Nt\\+Nr"):
+            optimal_occupancy(s)
+
     def test_bell_shape_of_lower_bound(self):
         s = scenario()
         opt = optimal_occupancy(s).occupancy_optimal
@@ -315,6 +423,19 @@ class TestSublinearRateBound:
         s = scenario(snr=100.0)
         with pytest.warns(OccupancyAboveOptimalWarning):
             sublinear_rate_bound(s, 1e9, 0.9)
+
+    def test_defined_without_interior_maximum(self):
+        # Lc = 10 < K = 16: optimal_occupancy raises, but the polynomial
+        # bound only compares against the closed-form (dB)* ~= 104.2.
+        s = scenario(snr=100.0, nt=8, nr=8, lc=10.0)
+        with pytest.raises(ValueError):
+            optimal_occupancy(s)
+        with pytest.warns(OccupancyAboveOptimalWarning):
+            assert sublinear_rate_bound(s, 1e4, 0.5).hex() == "0x1.4000000000000p+9"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OccupancyAboveOptimalWarning)
+            value = sublinear_rate_bound(s, 1e3, 0.01)  # occupancy ~= 102.3
+        assert value == s.wideband_limit * (1.0 - 0.1**0.01 * 16.0 / 8)
 
 
 class TestAlphaBrackets:

@@ -312,6 +312,17 @@ class TestCriticalCommand:
             assert b[key] == pytest.approx(10 * a[key], rel=1e-12)
         assert b["gap_delta"] == a["gap_delta"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_interior_maximum_is_usage_error(self, tmp_path, fmt, capsys):
+        # 8x8 Rayleigh: kappa-2+Nt+Nr = 16 exceeds Bc*Tc = 10.
+        path = tmp_path / "s.txt"
+        path.write_text(FLAT_2X2.replace("1e6", "1e4").replace("= 2", "= 8"))
+        out = tmp_path / "out.txt"
+        code = main(["critical", "--scenario", str(path), "--format", fmt, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "kappa-2+Nt+Nr = 16" in capsys.readouterr().err
+
     def test_csv_header(self, tmp_path, scenario_file):
         _, text = run(tmp_path, "critical", "--scenario", scenario_file)
         header, rows = csv_rows(text)

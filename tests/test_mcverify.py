@@ -15,7 +15,6 @@ from widecap.mcverify import (
     kurtosis_check,
     kurtosis_estimate,
     penalty_sandwich,
-    penalty_term_mc,
     run_verification_suite,
     trace_identity_check,
     trace_identity_expected,
@@ -171,11 +170,6 @@ class TestPenaltySandwich:
         with pytest.raises(ValueError):
             penalty_sandwich(bad, occupancy=32.0, k_samples=32, cfg=SMALL)
 
-    def test_estimate_wrapper(self):
-        est = penalty_term_mc(desk_scenario(), 32.0, 32, SMALL)
-        full = penalty_sandwich(desk_scenario(), 32.0, 32, SMALL)
-        assert est == full.estimate
-
 
 class TestBoundSandwichSweep:
     def test_three_point_grid(self):
@@ -203,15 +197,6 @@ class TestDeterminism:
         a = empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
         b = empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
         assert a == b
-
-    def test_parallel_width_is_advisory(self):
-        wide = McConfig(trials=20_000, base_seed=42, parallel_width=8)
-        assert empirical_kurtosis(FadingFamily.rayleigh(), SMALL) == empirical_kurtosis(
-            FadingFamily.rayleigh(), wide
-        )
-        assert coherent_term_mc(scenario(), 1000.0, SMALL) == coherent_term_mc(
-            scenario(), 1000.0, wide
-        )
 
     def test_seed_changes_estimate(self):
         a = empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
