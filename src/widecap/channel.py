@@ -26,6 +26,7 @@ __all__ = [
     "FilterBankCodeword",
     "sample_taps",
     "frequency_response",
+    "pilot_spectrum",
     "circulant_eigenvalues",
     "block_idft_matrix",
     "filterbank_equivalence_check",
@@ -206,16 +207,27 @@ class PilotCirculant:
         return circulant.conj().T @ circulant
 
 
+def pilot_spectrum(signal: np.ndarray, cols: int) -> np.ndarray:
+    """|sum_k x[k] e^(-j2*pi*k*m/cols)|^2 for m = 0..cols-1, along the last axis.
+
+    The phase depends on k only modulo cols, so this is the cols-point FFT of
+    the signal folded modulo cols, zero-padded when cols does not divide K.
+    Leading axes are batch axes.
+    """
+    pad = -signal.shape[-1] % cols
+    if pad:
+        signal = np.pad(signal, [(0, 0)] * (signal.ndim - 1) + [(0, pad)])
+    folded = signal.reshape(*signal.shape[:-1], -1, cols).sum(axis=-2)
+    return np.abs(np.fft.fft(folded, axis=-1)) ** 2
+
+
 def circulant_eigenvalues(pilot: PilotCirculant):
     """Pilot Gram spectrum lambda_m = |sum_k x[k] e^(-j2*pi*k*m/cols)|^2 and psi.
 
     Returns (eigenvalues, psi) with psi = min_m lambda_m / K, the normalized
     worst eigenvalue entering the channel-uncertainty penalty.
     """
-    k = np.arange(pilot.k_rows)
-    m = np.arange(pilot.cols)
-    phases = np.exp(-2j * np.pi * np.outer(k, m) / pilot.cols)
-    eigenvalues = np.abs(pilot.base_signal @ phases) ** 2
+    eigenvalues = pilot_spectrum(pilot.base_signal, pilot.cols)
     return eigenvalues, float(eigenvalues.min() / pilot.k_rows)
 
 

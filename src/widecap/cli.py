@@ -25,8 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds, mcverify
-from .scenario import ChannelScenario, FadingFamily, ScenarioError, parse_scenario
+from . import __version__, bounds, mcverify
+from .scenario import (
+    ChannelScenario,
+    FadingFamily,
+    ScenarioError,
+    parse_scenario,
+    serialize_scenario,
+)
 
 __all__ = ["GridAxis", "SweepSpec", "main"]
 
@@ -345,6 +351,9 @@ def cmd_verify(args) -> int:
     cfg = mcverify.McConfig(trials=args.trials, base_seed=args.seed)
     records = mcverify.run_verification_suite(scenario, cfg)
     report = {
+        "version": __version__,
+        "numpy_version": np.__version__,
+        "scenario": serialize_scenario(scenario),
         "seed": args.seed,
         "trials": args.trials,
         "checks": [record.as_dict() for record in records],

@@ -7,6 +7,13 @@ channel-uncertainty penalty term against its closed-form chain ends.
 :func:`run_verification_suite` bundles them (plus the deterministic channel
 identities) into pass/fail records consumed by the CLI.
 
+No Monte-Carlo log-det needs an eigendecomposition.  The penalty's
+ln det(I + T) with T Hermitian Toeplitz is a batched Levinson-Durbin
+recursion (:func:`toeplitz_logdet`); the coherent ln det(I + rho H H^H) is a
+batched elimination on the smaller of H H^H and H^H H (:func:`coherent_block_values`).
+Both sum log1p of pivots minus one, never log of the pivots, so they keep
+full relative accuracy at low SNR.
+
 Sampling is chunked with a fixed chunk size; every chunk draws from its own
 seed derived from (base_seed, check tag, chunk start), so results are
 bit-identical regardless of how chunks would be scheduled.  Reductions use
@@ -33,6 +40,7 @@ from .channel import (
     circulant_eigenvalues,
     filterbank_equivalence_check,
     integer_coherence_length,
+    pilot_spectrum,
     unit_fading_samples,
 )
 from .scenario import ChannelScenario, FadingFamily, kurtosis
@@ -163,11 +171,55 @@ def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate
     return _estimate(values)
 
 
+def toeplitz_logdet(column: np.ndarray) -> np.ndarray:
+    """Per-row ln det(I + T) for stacked Hermitian Toeplitz T given by first columns.
+
+    ``column`` has shape (n, size) with T[a, b] = column[a - b] for a >= b
+    and a real lag-0 entry.  A Levinson-Durbin recursion over the size steps,
+    vectorized over the rows, carries the forward predictor and
+    d_k = E_k - 1, the k-th prediction-error power minus one, updated as
+    d_k = d_(k-1) - (1 + d_(k-1)) |kappa_k|^2.  The log-det is sum log1p(d_k),
+    which keeps full relative accuracy when T is tiny against I.
+    """
+    n, size = column.shape
+    d = column[:, 0].real.copy()
+    total = np.log1p(d)
+    predictor = np.zeros((n, size), dtype=complex)
+    predictor[:, 0] = 1.0
+    for k in range(1, size):
+        delta = np.sum(predictor[:, :k] * column[:, k:0:-1], axis=1)
+        kappa = -delta / (1.0 + d)
+        predictor[:, :k + 1] += kappa[:, None] * predictor[:, k::-1].conj()
+        d = d - (1.0 + d) * (kappa.real**2 + kappa.imag**2)
+        total += np.log1p(d)
+    return total
+
+
 def coherent_block_values(blocks: np.ndarray, rho: float, occupancy: float) -> np.ndarray:
-    """Per-realization occupancy * ln det(I + rho * H H^H) for stacked blocks."""
-    gram = blocks @ blocks.conj().swapaxes(-1, -2)
-    eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-    return occupancy * np.sum(np.log1p(rho * eig), axis=-1)
+    """Per-realization occupancy * ln det(I + rho * H H^H) for stacked blocks H.
+
+    By Sylvester's identity the log-det equals ln det(I + rho * H^H H), so the
+    smaller of the two Grams is used: min(Nt, Nr) steps of a batched
+    elimination on M = rho * G.  Each pivot p adds log1p(p) and removes
+    col col^H / (1 + p) from the trailing block.
+    """
+    herm = blocks.conj().swapaxes(-1, -2)
+    gram = herm @ blocks if blocks.shape[-2] > blocks.shape[-1] else blocks @ herm
+    m = rho * gram
+    total = np.zeros(m.shape[:-2])
+    for p in range(m.shape[-1]):
+        pivot = m[..., p, p].real
+        total += np.log1p(pivot)
+        col = m[..., p + 1:, p]
+        m[..., p + 1:, p + 1:] -= (
+            col[..., :, None] * col[..., None, :].conj() / (1.0 + pivot)[..., None, None]
+        )
+    return occupancy * total
+
+
+def _require_occupancy(occupancy: float):
+    if not (math.isfinite(occupancy) and occupancy > 0):
+        raise ValueError("occupancy must be finite and > 0")
 
 
 def coherent_term_mc(
@@ -179,8 +231,7 @@ def coherent_term_mc(
     :func:`coherent_quadratic_lower` up to Monte-Carlo error.
     """
     _require_trials(cfg)
-    if not occupancy > 0:
-        raise ValueError("occupancy must be > 0")
+    _require_occupancy(occupancy)
     nt, nr = scenario.nt, scenario.nr
     rho = scenario.snr_density / (occupancy * nt)
     values = np.empty(cfg.trials)
@@ -216,15 +267,19 @@ def penalty_sandwich(
 ) -> PenaltySandwich:
     """Estimate the channel-uncertainty penalty and bracket it.
 
-    Per trial a unit-power Gaussian pilot is drawn, the tall-circulant Gram
-    is materialized through its cyclic autocorrelation, and the penalty is
+    Per trial a unit-power Gaussian pilot is drawn and the penalty is
     (delta/Tc) * sum_v ln det(I + rho * Gram * Lambda_v) with Lambda the
-    uniform tap-gain profile.  The lower chain evaluates the worst-eigenvalue
-    form with the sampled minimum tap power g_min and the pilot's normalized
-    minimum Gram eigenvalue psi; the upper chain is the deterministic
-    trace/Jensen cap.
+    uniform tap-gain profile.  I + (rho/m) * Gram is Hermitian Toeplitz with
+    first column (rho/m) times the pilot's cyclic autocorrelation (one FFT
+    pair) plus one at lag 0, so :func:`toeplitz_logdet` gets its log-det by a
+    Levinson-Durbin recursion; the Gram itself is never formed.  The lower
+    chain evaluates the worst-eigenvalue form with the sampled minimum tap
+    power g_min and the pilot's normalized minimum spectrum value psi
+    (:func:`~widecap.channel.pilot_spectrum`, an FFT of the folded pilot); the
+    upper chain is the deterministic trace/Jensen cap.
     """
     _require_trials(cfg)
+    _require_occupancy(occupancy)
     if scenario.fading.kind != "rayleigh":
         raise ValueError("penalty sandwich is defined for Rayleigh fading")
     l_c = integer_coherence_length(scenario.coherence_product)
@@ -240,11 +295,8 @@ def penalty_sandwich(
     chain_scale = occupancy * nt * nr / lc
     cap = bounds._penalty_cap(scenario, occupancy, math.log1p)
 
-    jj = np.arange(cols)
-    gram_index = (jj[:, None] - jj[None, :]) % k_samples
-    k_range = np.arange(k_samples)
-    spectrum_phases = np.exp(-2j * np.pi * np.outer(k_range, jj) / cols)
-
+    # Gram[a, b] = autocorr[(a - b) mod K]: Toeplitz with these first-column lags.
+    lags = np.arange(cols) % k_samples
     penalties = np.empty(cfg.trials)
     lowers = np.empty(cfg.trials)
     offset = 0
@@ -252,14 +304,12 @@ def penalty_sandwich(
         x = (rng.standard_normal((n, k_samples)) + 1j * rng.standard_normal((n, k_samples)))
         x *= np.sqrt(k_samples / np.sum(np.abs(x) ** 2, axis=1, keepdims=True))
         autocorr = np.fft.ifft(np.abs(np.fft.fft(x, axis=1)) ** 2, axis=1)
-        gram = autocorr[:, gram_index]
-        eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
         penalties[offset:offset + n] = (
-            prefactor * nr * np.sum(np.log1p(rho * eig / m), axis=1)
+            prefactor * nr * toeplitz_logdet((rho / m) * autocorr[:, lags])
         )
         taps = unit_fading_samples(rng, scenario.fading, (n, nr, nt, m)) / math.sqrt(m)
         g_min = np.min(np.abs(taps) ** 2, axis=(1, 2, 3))
-        psi = np.min(np.abs(x @ spectrum_phases) ** 2, axis=1) / k_samples
+        psi = np.min(pilot_spectrum(x, cols), axis=1) / k_samples
         lowers[offset:offset + n] = chain_scale * np.log1p(
             s * lc * g_min * psi / (occupancy * nt)
         )

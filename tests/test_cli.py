@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import widecap
 from widecap.bounds import rate_lower_bound, rate_upper_bound
 from widecap.cli import _BLOCK, GridAxis, SweepSpec, main
 from widecap.scenario import parse_scenario
@@ -436,6 +437,27 @@ class TestVerifyCommand:
         main(["verify", "--seed", "7", "--trials", "12000", "--out", str(out_a)])
         main(["verify", "--seed", "7", "--trials", "12000", "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_2x2_rayleigh_scenario_byte_identical(self, tmp_path, scenario_file):
+        # The default scenario is 1x1; a 2x2 file reaches the 8x8 pilot
+        # Toeplitz of the penalty check and the 2x2 coherent Gram.
+        out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (out_a, out_b):
+            argv = ["verify", "--scenario", scenario_file, "--trials", "12000", "--out", str(out)]
+            assert main(argv) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+        assert json.loads(out_a.read_text())["all_pass"] is True
+
+    def test_report_provenance(self, tmp_path, scenario_file):
+        out = tmp_path / "report.json"
+        main(["verify", "--scenario", scenario_file, "--trials", "12000", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report["version"] == widecap.__version__
+        assert report["numpy_version"] == np.__version__
+        assert parse_scenario(report["scenario"]) == parse_scenario(FLAT_2X2)
+        assert list(report) == [
+            "version", "numpy_version", "scenario", "seed", "trials", "checks", "all_pass",
+        ]
 
     def test_scenario_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from widecap import mcverify
 from widecap.mcverify import (
     McConfig,
     McEstimate,
@@ -16,10 +18,12 @@ from widecap.mcverify import (
     kurtosis_estimate,
     penalty_sandwich,
     run_verification_suite,
+    toeplitz_logdet,
     trace_identity_check,
     trace_identity_expected,
 )
 from widecap.bounds import optimal_occupancy, rate_lower_bound
+from widecap.channel import pilot_spectrum
 from widecap.scenario import ChannelScenario, FadingFamily, kurtosis
 
 CFG = McConfig(trials=100_000, base_seed=42)
@@ -47,6 +51,20 @@ def desk_scenario(nt=1, nr=1, snr=None):
         nr=nr,
         fading=FadingFamily.rayleigh(),
     )
+
+
+def unit_pilots(rng, n, k_samples):
+    x = rng.standard_normal((n, k_samples)) + 1j * rng.standard_normal((n, k_samples))
+    return x * np.sqrt(k_samples / np.sum(np.abs(x) ** 2, axis=1, keepdims=True))
+
+
+def mp_logdet(a, c=1.0, gram=False) -> float:
+    """ln det(I + c A) at 50 digits, with A = a, or A = a a^H when ``gram``."""
+    with mpmath.workdps(50):
+        a = mpmath.matrix(a.tolist())
+        if gram:
+            a = a * a.H
+        return float(mpmath.re(mpmath.log(mpmath.det(mpmath.eye(a.rows) + c * a))))
 
 
 def assert_within(estimate: McEstimate, expected: float, sigmas: float = 4.0):
@@ -152,6 +170,17 @@ class TestPenaltySandwich:
         assert abs(result.lower_chain.mean) < 1e-10
         assert abs(result.upper_chain) < 1e-10
 
+    @pytest.mark.parametrize("nt", [2, 9])
+    def test_first_order_term_is_the_gram_trace(self, nt):
+        # At vanishing SNR the penalty is (delta/Tc) * nr * (rho/m) * tr(Gram)
+        # = nr * snr: every one of the m * nt Gram diagonal entries is K.
+        # nt = 9 gives 36 pilot columns against K = 32, so lags wrap modulo K.
+        snr = 1e-9
+        result = penalty_sandwich(
+            desk_scenario(nt=nt, nr=2, snr=snr), occupancy=32.0, k_samples=32, cfg=SMALL
+        )
+        assert result.estimate.mean == pytest.approx(2 * snr, rel=1e-7)
+
     def test_cap_decreases_when_log_is_sublinear(self):
         # Doubling Bc*Tc at fixed occupancy raises the log argument but
         # halves the prefactor; in the saturated-log regime the cap drops.
@@ -169,6 +198,85 @@ class TestPenaltySandwich:
         bad = ChannelScenario(1.0, 1.0, 8.0, 1, 1, FadingFamily.rice(1.0))
         with pytest.raises(ValueError):
             penalty_sandwich(bad, occupancy=32.0, k_samples=32, cfg=SMALL)
+
+
+class TestLogDetKernels:
+    """Both log-det kernels against 50-digit mpmath ln det(I + c A)."""
+
+    SCALES = (1e-10, 1e-4, 1 / 16, 1e3, 1e8)
+
+    @pytest.mark.parametrize("c", SCALES)
+    @pytest.mark.parametrize("k_samples,cols", [(32, 8), (32, 12)])
+    def test_toeplitz_levinson(self, c, k_samples, cols):
+        x = unit_pilots(np.random.default_rng(11), 3, k_samples)
+        autocorr = np.fft.ifft(np.abs(np.fft.fft(x, axis=1)) ** 2, axis=1)[:, :cols]
+        autocorr[:, 0] = autocorr[:, 0].real
+        column = c * autocorr
+        lag = np.subtract.outer(np.arange(cols), np.arange(cols))
+        for row, value in zip(column, toeplitz_logdet(column)):
+            toeplitz = np.where(lag >= 0, row[np.abs(lag)], row[np.abs(lag)].conj())
+            exact = mp_logdet(toeplitz)
+            assert abs(value - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("c", SCALES)
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 3), (3, 2), (2, 2)])
+    def test_gram_elimination(self, c, shape):
+        rng = np.random.default_rng(12)
+        blocks = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        self.assert_gram_exact(blocks, c)
+
+    def test_tall_block_at_huge_snr(self):
+        # H H^H is 4x4 of rank one here: a full-size eigendecomposition puts
+        # rounding-size eigenvalues where zeros belong, and rho = 1e12 turns
+        # them into relative errors up to about 1e-4.  H^H H is the exact 1x1 norm.
+        rng = np.random.default_rng(13)
+        blocks = rng.standard_normal((3, 4, 1)) + 1j * rng.standard_normal((3, 4, 1))
+        self.assert_gram_exact(blocks, 1e12)
+
+    @staticmethod
+    def assert_gram_exact(blocks, c):
+        for block, value in zip(blocks, coherent_block_values(blocks, c, 1.0)):
+            exact = mp_logdet(block, c, gram=True)
+            assert abs(value - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("nt", [2, 3])
+    def test_psi_fold_fft_matches_phase_product(self, nt):
+        # K = 32 samples at integer coherence length 8: cols = 4 * nt, which
+        # divides K for nt = 2 (cols 8) and does not for nt = 3 (cols 12).
+        k_samples, cols = 32, 4 * nt
+        x = unit_pilots(np.random.default_rng(14), 256, k_samples)
+        phases = np.exp(-2j * np.pi * np.outer(np.arange(k_samples), np.arange(cols)) / cols)
+        product = np.min(np.abs(x @ phases) ** 2, axis=1) / k_samples
+        psi = np.min(pilot_spectrum(x, cols), axis=1) / k_samples
+        np.testing.assert_allclose(psi, product, rtol=1e-12)
+
+    def test_no_eigendecomposition_on_mc_paths(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh on a Monte-Carlo path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        cfg = McConfig(trials=10_000, base_seed=1)
+        coherent_term_mc(scenario(nt=2, nr=3), 1e3, cfg)
+        penalty_sandwich(desk_scenario(nt=2, nr=2), occupancy=32.0, k_samples=32, cfg=cfg)
+
+
+class TestOccupancyDomain:
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before validating the occupancy")
+
+        monkeypatch.setattr(mcverify, "_chunk_rngs", refuse)
+
+    @pytest.mark.parametrize("occupancy", [math.inf, math.nan, 0.0, -1.0])
+    def test_penalty_sandwich(self, occupancy):
+        with pytest.raises(ValueError, match=r"occupancy must be finite and > 0"):
+            penalty_sandwich(desk_scenario(), occupancy=occupancy, k_samples=32, cfg=SMALL)
+
+    @pytest.mark.parametrize("occupancy", [math.inf, math.nan, 0.0, -1.0])
+    def test_coherent_term(self, occupancy):
+        with pytest.raises(ValueError, match=r"occupancy must be finite and > 0"):
+            coherent_term_mc(scenario(), occupancy, SMALL)
 
 
 class TestBoundSandwichSweep:
