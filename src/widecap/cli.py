@@ -10,7 +10,9 @@ Commands:
 Output is data only (CSV or JSON, never plots).  Frequencies are emitted in
 hertz unless ``--unit mhz`` rescales the display.  ``bounds`` evaluates its
 grid in fixed blocks of points, one kernel call per block, and writes each
-block's rows as it goes, so its memory does not grow with the grid size.  Exit codes: 0 success,
+block's rows as it goes, so its memory does not grow with the grid size.  It
+formats each distinct delta, B and C_inf value once, not once per row; the
+bytes are those of formatting every cell.  Exit codes: 0 success,
 1 verification failure, 2 usage or scenario errors.
 """
 
@@ -56,6 +58,8 @@ class GridAxis:
     log: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("grid bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError("grid bounds must be strictly increasing")
         if self.points < 2:
@@ -143,36 +147,37 @@ def _write_rows(out, header, rows, fmt: str):
 
 
 def _render(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-# json spells repr's non-finite floats differently.  Only values follow ": ",
-# so the replacements cannot touch a key such as "C_inf".
-_JSON_NONFINITE = ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity"))
+# How json spells the non-finite floats that repr writes as nan, inf and -inf.
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _reprs(values: np.ndarray, fmt: str) -> list:
+    """repr of each float in ``values``, in json's spelling when ``fmt`` is json."""
+    text = list(map(repr, values.tolist()))
+    if fmt == "json" and not np.isfinite(values).all():
+        text = [_JSON_SPELLING.get(value, value) for value in text]
+    return text
 
 
 def _write_blocks(out, header, blocks, fmt: str):
-    """Stream 2-D float blocks (rows x columns) as CSV, or as JSON with the
-    bytes of ``json.dumps(list_of_row_dicts, indent=2)``."""
+    """Stream blocks of string columns (one list per header name) as CSV, or as
+    JSON with the bytes of ``json.dumps(list_of_row_dicts, indent=2)``."""
     if fmt == "csv":
         out.write(",".join(header) + "\n")
-        row, sep, lead, end = ",".join(["%r"] * len(header)) + "\n", "", "", ""
+        row, sep, lead, end = ",".join(["%s"] * len(header)) + "\n", "", "", ""
     else:
-        fields = ",\n".join(f"    {json.dumps(name)}: %r" for name in header)
+        fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in header)
         row, sep, lead, end = "  {\n" + fields + "\n  }", ",\n", "[\n", "\n]\n"
-    for block in blocks:
+    for columns in blocks:
         # One string per row, joined: formatting a whole block in one % call
         # grows its buffer by reallocation, which fragments the heap and
         # raised peak RSS.
-        text = sep.join([row % tuple(values) for values in block.tolist()])
-        if fmt == "json":
-            for old, new in _JSON_NONFINITE:
-                text = text.replace(old, new)
-        out.write(lead + text)
+        out.write(lead + sep.join([row % values for values in zip(*columns)]))
         lead = sep
     out.write(end)
 
@@ -206,39 +211,64 @@ def cmd_bounds(args) -> int:
             occupancy_axis=args.db_grid,
         )
     deltas, bands = spec.axes()
-    # Rounding is monotone, so delta*B over the product grid is smallest at a
-    # corner of the axis ranges: checking the corners checks every point
-    # before any output is opened.
-    corners = np.multiply.outer([deltas.min(), deltas.max()], [bands.min(), bands.max()])
+    # Rounding is monotone, so delta*B over the product grid is smallest and
+    # largest at corners of the axis ranges: checking the corners checks every
+    # point before any output is opened.  Overflow is reported below, not warned.
+    with np.errstate(all="ignore"):
+        corners = np.multiply.outer([deltas.min(), deltas.max()], [bands.min(), bands.max()])
     if not np.all(corners > 0):
         raise ValueError("occupancy must be > 0")
+    if not np.all(np.isfinite(corners)):
+        raise ValueError("occupancy must be finite")
     rayleigh = scenario.fading.kind == "rayleigh"
     header = ["delta", "B", "deltaB", "R_LB", "R_LB_plot"]
     if rayleigh:
         header.append("R_UB")
     header += ["C_inf", "gap"]
+    fmt = args.format
     scale = _freq_scale(args.unit)
     c_inf = scenario.wideband_limit
-    points = deltas.size * bands.size
+    nb = bands.size
+    points = deltas.size * nb
+    # Each distinct delta, B and C_inf is formatted once.  The B strings are
+    # kept for the whole axis only when it repeats (more than one delta): a
+    # long dB axis kept whole would outweigh the rest of the program.
+    delta_text = np.array(_reprs(deltas, fmt), dtype=object)
+    band_text = np.array(_reprs(bands * scale, fmt), dtype=object) if deltas.size > 1 else None
+    # delta = 1.0 makes delta*B*scale equal B*scale bit for bit.
+    unit_delta = bool(np.all(deltas == 1.0))
+    c_inf_text = _reprs(np.array([c_inf]), fmt)[0]
 
     def blocks():
         for start in range(0, points, _BLOCK):
             index = np.arange(start, min(start + _BLOCK, points))
-            delta = deltas[index // bands.size]
-            bandwidth = bands[index % bands.size]
-            occupancy = delta * bandwidth
+            row, col = index // nb, index % nb
+            bandwidth = bands[col]
+            occupancy = deltas[row] * bandwidth
             lower = bounds.rate_lower_bound(scenario, occupancy)
-            # max(lower, 0.0) of each row: keeps nan and -0.0.
-            columns = [delta, bandwidth * scale, occupancy * scale, lower,
-                       np.where(0.0 > lower, 0.0, lower)]
+            if band_text is None:
+                band = _reprs(bandwidth * scale, fmt)
+            else:
+                band = band_text[col].tolist()
+            lower_text = _reprs(lower, fmt)
+            columns = [
+                delta_text[row].tolist(),
+                band,
+                band if unit_delta else _reprs(occupancy * scale, fmt),
+                lower_text,
+                # max(lower, 0.0) of each row: keeps nan and -0.0.
+                ["0.0" if clamp else text
+                 for clamp, text in zip((0.0 > lower).tolist(), lower_text)],
+            ]
             if rayleigh:
-                columns.append(bounds.rate_upper_bound(scenario, occupancy, args.penalty_factor))
-            columns += [np.full(index.size, c_inf), 1.0 - lower / c_inf]
-            yield np.column_stack(columns)
+                upper = bounds.rate_upper_bound(scenario, occupancy, args.penalty_factor)
+                columns.append(_reprs(upper, fmt))
+            columns += [[c_inf_text] * index.size, _reprs(1.0 - lower / c_inf, fmt)]
+            yield columns
 
     out, close = _open_out(args.out)
     try:
-        _write_blocks(out, header, blocks(), args.format)
+        _write_blocks(out, header, blocks(), fmt)
     finally:
         if close:
             out.close()

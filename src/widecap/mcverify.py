@@ -277,6 +277,14 @@ def penalty_sandwich(
     power g_min and the pilot's normalized minimum spectrum value psi
     (:func:`~widecap.channel.pilot_spectrum`, an FFT of the folded pilot); the
     upper chain is the deterministic trace/Jensen cap.
+
+    psi is the minimum of the folded-pilot (circulant) spectrum divided by K,
+    not lambda_min / K of the literal tall Gram that the penalty uses.  The two
+    differ: over 2000 unit-power Gaussian pilots of length K = 32, K * psi
+    exceeded lambda_min of the Gram for 53 pilots at cols = 8 and 55 at
+    cols = 12.  So the lower chain is the circulant approximation's
+    worst-eigenvalue form, not a per-trial bound from the Gram's own smallest
+    eigenvalue.
     """
     _require_trials(cfg)
     _require_occupancy(occupancy)

@@ -123,6 +123,13 @@ class TestRateLowerBound:
         with pytest.raises(ValueError):
             rate_lower_bound(scenario(), 0.0)
 
+    @pytest.mark.parametrize("occupancy", [math.inf, np.array([1e6, math.inf])])
+    def test_rejects_nonfinite_occupancy(self, occupancy):
+        with pytest.raises(ValueError, match="occupancy must be finite"):
+            rate_lower_bound(scenario(), occupancy)
+        with pytest.raises(ValueError, match="occupancy must be finite"):
+            rate_upper_bound(scenario(), occupancy)
+
     def test_occupancy_only_dependence(self):
         s = scenario()
         x = 1700.0

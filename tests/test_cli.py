@@ -61,6 +61,9 @@ class TestGridAxis:
             GridAxis(1.0, 2.0, 1)
         with pytest.raises(ValueError):
             GridAxis(0.0, 2.0, 5, log=True)
+        for lo, hi in ((1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="grid bounds must be finite"):
+                GridAxis(lo, hi, 5, log=False)
 
     def test_sweep_spec_validation(self):
         with pytest.raises(ValueError):
@@ -212,6 +215,18 @@ BYTE_IDENTITY_CASES = [
     pytest.param("rayleigh", ["--db-grid", "1e-320:1e-300:3"],
                  occupancies(grid(1e-320, 1e-300, 3)), {}, id="subnormal",
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # The B strings of a repeated B axis are formatted once, after scaling.
+    pytest.param("rayleigh", ["--delta-grid", "0.0625:1:5", "--b-grid", "1e7:1.6e9:7",
+                              "--unit", "mhz"],
+                 plane(grid(0.0625, 1, 5), grid(1e7, 1.6e9, 7)), {"scale": 1e-6},
+                 id="plane-mhz"),
+    # Three blocks; R_LB changes sign inside the first two.
+    pytest.param("rayleigh", ["--delta-grid", "0.01:1:4", "--b-grid", f"1e4:1e10:{HALF}"],
+                 plane(grid(0.01, 1, 4), grid(1e4, 1e10, HALF)), {}, id="long-plane-zero-crossing"),
+    # Non-finite R_LB, R_UB and gap next to the cached delta, B and C_inf strings.
+    pytest.param("rayleigh", ["--delta-grid", "1e-3:1:3", "--b-grid", "1e-318:1e-300:4"],
+                 plane(grid(1e-3, 1, 3), grid(1e-318, 1e-300, 4)), {}, id="subnormal-plane",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ]
 
 
@@ -249,13 +264,27 @@ class TestBoundsUsageErrors:
         ["--delta", "nan", "--bandwidth", "1e6"],
         ["--delta-grid", "1e-3:1:3"],
         ["--delta", "0.5"],
+        ["--delta", "1", "--bandwidth", "inf"],
+        ["--b-grid", "1e6:inf:3"],
+        ["--db-grid", "1e6:1e400:3"],  # the upper bound overflows to inf
     ])
     def test_no_output_on_error(self, tmp_path, scenario_file, options, capsys):
         out = tmp_path / "never.csv"
-        code = main(["bounds", "--scenario", scenario_file, *options, "--out", str(out)])
+        try:
+            code = main(["bounds", "--scenario", scenario_file, *options, "--out", str(out)])
+        except SystemExit as exc:  # the parser rejects a non-finite axis
+            code = exc.code
+            assert capsys.readouterr().err.endswith("error: argument " + options[0]
+                                                    + ": grid bounds must be finite\n")
+        else:
+            assert capsys.readouterr().err.startswith("error: ")
         assert code == 2
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nonfinite_occupancy_message(self, tmp_path, scenario_file, capsys):
+        main(["bounds", "--scenario", scenario_file, "--delta", "1e300",
+              "--bandwidth", "1e300", "--out", str(tmp_path / "x.csv")])
+        assert capsys.readouterr().err == "error: occupancy must be finite\n"
 
     def test_nonpositive_occupancy_message(self, tmp_path, scenario_file, capsys):
         main(["bounds", "--scenario", scenario_file, "--delta-grid", "0:1:3:lin",
