@@ -57,11 +57,14 @@ __all__ = [
 
 LN_PI = math.log(math.pi)
 
-# Smallest relative excess of Bc*Tc over K = kappa-2+Nt+Nr that optimal_occupancy
-# accepts.  At Bc*Tc = (1+d)*K the rounding of the float64 slope moves the
-# maximizer by about 1e-15/d**2 relative (1e-7 here), and below about d = 1e-6
-# it can fake a sign change anywhere in the bracket.
-_MIN_SHAPE_EXCESS = 1e-4
+# The solver's g(y) = ln(1+y) - y/(1+y) loses digits to cancellation at small
+# y.  With u = y/(2+y), ln(1+y) = 2*atanh(u) and y/(1+y) = 2u/(1+u), so
+# g = 2u^2/(1+u) + 2u^3 * S(u^2) with S(v) = sum over n >= 0 of v^n/(2n+3),
+# a sum of positive terms.  Below y = 2 (v < 1/4) these 26 coefficients of S,
+# highest power first for Horner's rule, leave a truncation error under 1e-17
+# relative in g.
+_SERIES_Y = 2.0
+_S_SERIES = tuple(1.0 / (2 * n + 3) for n in range(25, -1, -1))
 
 
 class OccupancyAboveOptimalWarning(UserWarning):
@@ -117,7 +120,10 @@ def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float:
 
     The value is returned raw: it is negative (vacuous) at small occupancy
     and decays to zero as dB -> infinity.  Raises ValueError unless every
-    occupancy is finite and > 0.
+    occupancy is finite and > 0.  Limit: at occupancies so small that
+    P*Bc*Tc/(dB*Nt*N0) overflows float64 (subnormal dB at ordinary P/N0),
+    the value is -inf or nan; this is not checked here, and ``widecap bounds``
+    refuses such grids.
     """
     _check_occupancy(occupancy)
     return _coherent_term(scenario, occupancy) - _penalty_cap(scenario, occupancy)
@@ -133,7 +139,9 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float
     channel-uncertainty penalty; 1.0 is the idealized ceiling, and module
     ``mcverify`` estimates the realized product by simulation.  The vanishing
     o(1/B) remainder is dropped.  Raises ValueError unless every occupancy is
-    finite and > 0.
+    finite and > 0.  Limit: where P*Bc*Tc/(dB*Nt*N0) overflows float64
+    (subnormal dB at ordinary P/N0), the value is nan or -inf; this is not
+    checked here, and ``widecap bounds`` refuses such grids.
     """
     if scenario.fading.kind != RAYLEIGH:
         raise ValueError("upper bound is only available for Rayleigh fading")
@@ -253,6 +261,81 @@ def stationarity_residual(scenario: ChannelScenario, occupancy: float) -> float:
     return abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3))
 
 
+def _optimum_y(shape: float, lc: float) -> float:
+    """Root y* of g(y)/y^2 = K/(2*Lc), g(y) = ln(1+y) - y/(1+y), for Lc > K.
+
+    g(y)/y^2 falls from 1/2 at y = 0 towards 0, so the root is unique.  With
+    c = K/(2*Lc), the iterated function is c - g(y)/y^2 when c <= 1/4 (the
+    root then lies above y = 0.66), and otherwise h(y) - (Lc-K)/(2*Lc) with
+    h = 1/2 - g/y^2, whose right-hand side is exact for Lc < 2K.  Both rise
+    with y.  Below y = 2, g and h come from the series in u = y/(2+y), where
+    h = u*(3-u)/(2*(1+u)) - (1-u)^2*u*S(u^2)/2 needs no subtraction from 1/2.
+    Newton steps start from an estimate of the root; a step that leaves the
+    bracket, which every evaluation shrinks, becomes a bisection step.  The
+    iteration stops at a step within about 2 ulps.
+    """
+    c = shape / (2.0 * lc)
+    d = (lc - shape) / (2.0 * lc)
+    small_root = c > 0.25
+
+    def value_and_slope(y):
+        if y < _SERIES_Y:
+            u = y / (2.0 + y)
+            v = u * u
+            series = 0.0
+            for a in _S_SERIES:
+                series = series * v + a
+            if small_root:
+                h = u * (3.0 - u) / (2.0 * (1.0 + u)) - 0.5 * (1.0 - u) * (1.0 - u) * u * series
+                # h'(y) = (2+y)/(1+y)^2 - 2h/y, without cancellation as y -> 0
+                return h - d, (2.0 + y) / ((1.0 + y) * (1.0 + y)) - 2.0 * h / y
+            q = (2.0 * v / (1.0 + u) + 2.0 * u * v * series) / (y * y)
+        else:
+            q = (math.log1p(y) - y / (1.0 + y)) / (y * y)
+        slope = (2.0 * q - 1.0 / ((1.0 + y) * (1.0 + y))) / y  # -(g/y^2)'
+        return (0.5 - q) - d if small_root else c - q, slope
+
+    # Closed-form bracket: ln(1+y) < y puts the root below 2*Lc/K, and
+    # h(y) < 2y/3 puts it above 3*(Lc-K)/(4*Lc).  The low end used is 2/3 of
+    # that, d itself: within an ulp or two of Lc = K the root lies within
+    # rounding of 3d/2, where the sign of the iterated function is noise.
+    lo, hi = d, 2.0 * lc / shape
+    if not value_and_slope(lo)[0] < 0.0 < value_and_slope(hi)[0]:
+        raise ValueError("R_LB slope does not change sign on the closed-form bracket")
+    if small_root:
+        y = 1.5 * d * (1.0 + 1.6875 * d)  # h(y) = d inverted to second order
+    else:
+        y = math.sqrt(lc * math.log(lc) / shape)  # y of the closed-form optimum
+    while True:
+        value, slope = value_and_slope(y)
+        if value == 0.0:
+            return y
+        if value < 0.0:
+            lo = y
+        else:
+            hi = y
+        step = y - value / slope
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - y) <= 4.5e-16 * y:
+            return step
+        y = step
+
+
+def _exact_optimum(scenario: ChannelScenario) -> float:
+    """The occupancy P*Lc/(Nt*N0*y*) that maximizes R_LB; see optimal_occupancy."""
+    lc = scenario.coherence_product
+    if not lc > math.e:
+        raise ValueError("coherence product must exceed e")
+    shape = _shape(scenario)
+    if not lc > shape:
+        raise ValueError(
+            f"coherence product {lc:g} must exceed kappa-2+Nt+Nr = {shape:g}: "
+            "R_LB has no interior maximum at or below it"
+        )
+    return scenario.snr_density * lc / (scenario.nt * _optimum_y(shape, lc))
+
+
 def optimal_occupancy(scenario: ChannelScenario) -> CriticalBracket:
     """Occupancy maximizing the lower bound, closed form and exact, plus peak rate.
 
@@ -260,56 +343,22 @@ def optimal_occupancy(scenario: ChannelScenario) -> CriticalBracket:
 
     Exact: with y = P*Bc*Tc/(dB*Nt*N0), the slope t1 - t2 + t3 of R_LB (see
     :func:`rate_derivative_terms`) has the sign of
-    f(y) = K*y^2/(2*Bc*Tc) - ln(1+y) + y/(1+y), which changes sign once.
-    Since ln(1+y) < y, f > 0 at dB = P*K/(2*Nt*N0); since
-    ln(1+y) - y/(1+y) >= y^2/2 - 2*y^3/3 for y < 1, f < 0 at
-    dB = 4*P*(Bc*Tc)^2/(3*Nt*N0*(Bc*Tc - K)).  The maximizer is found by
-    bisecting the sign of the slope in ln(dB) on that bracket until the
-    midpoint meets an end, so the stationarity residual is at float64
-    resolution.  An interior maximum exists only when Bc*Tc > K (otherwise
-    R_LB rises monotonically).  ``ValueError`` is raised when Bc*Tc <= K, and
-    also when Bc*Tc <= (1 + 1e-4)*K, where the float64 slope places the
-    maximizer no better than about 1e-7 relative.
+    f(y) = K*y^2/(2*Bc*Tc) - g(y), g(y) = ln(1+y) - y/(1+y).  So the
+    maximizer depends on the scenario only through c = K/(2*Bc*Tc): it is
+    (dB)* = P*Bc*Tc/(Nt*N0*y*) with y* the one root of g(y)/y^2 = c.  That
+    root is found by a bracketed Newton iteration on a form chosen to be well
+    conditioned (a series without cancellation at small y), so it is accurate
+    to a few ulps for every Bc*Tc > K.  An interior maximum exists only then
+    (otherwise R_LB rises monotonically), and ``ValueError`` is raised when
+    Bc*Tc <= K.
 
     Peak rate: C_inf * (1 - Delta) with Delta from :func:`peak_gap`.
     """
-    lc = scenario.coherence_product
-    if not lc > math.e:
-        raise ValueError("coherence product must exceed e")
-    shape = _shape(scenario)
-    if not lc > shape * (1.0 + _MIN_SHAPE_EXCESS):
-        raise ValueError(
-            f"coherence product {lc:g} must exceed kappa-2+Nt+Nr = {shape:g} by more "
-            f"than {_MIN_SHAPE_EXCESS:g} relative: R_LB has no interior maximum at or "
-            "below it, and float64 cannot place one just above it"
-        )
-    s, nt = scenario.snr_density, scenario.nt
-
-    def slope(u: float) -> float:
-        t1, t2, t3 = rate_derivative_terms(scenario, math.exp(u))
-        return t1 - t2 + t3
-
-    lo = math.log(s * shape / (2.0 * nt))
-    hi = math.log(4.0 * s * lc * lc / (3.0 * nt * (lc - shape)))
-    if not slope(lo) > 0.0 > slope(hi):
-        raise ValueError("R_LB slope does not change sign on the closed-form bracket")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        slope_mid = slope(mid)
-        if slope_mid == 0.0:
-            break
-        if slope_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
     return CriticalBracket(
-        nt=nt,
+        nt=scenario.nt,
         nr=scenario.nr,
         occupancy_optimal=_closed_form_optimum(scenario),
-        occupancy_optimal_exact=math.exp(mid),
+        occupancy_optimal_exact=_exact_optimum(scenario),
         peak_rate_lower=scenario.wideband_limit * (1.0 - peak_gap(scenario)),
     )
 
@@ -347,15 +396,15 @@ def critical_bracket(scenario: ChannelScenario) -> CriticalBracket:
     lc = scenario.coherence_product
     if lc < math.pi ** (4.0 / (nt + nr)):
         raise ValueError("coherence product below pi**(4/(Nt+Nr))")
-    base = optimal_occupancy(scenario)
+    exact = _exact_optimum(scenario)
     scale = scenario.snr_density * math.sqrt(lc / math.log(lc))
     low_exact, low_approx, high_exact, high_approx = critical_coefficients(nt, nr)
     return CriticalBracket(
         nt=nt,
         nr=nr,
-        occupancy_optimal=base.occupancy_optimal,
-        occupancy_optimal_exact=base.occupancy_optimal_exact,
-        peak_rate_lower=base.peak_rate_lower,
+        occupancy_optimal=_closed_form_optimum(scenario),
+        occupancy_optimal_exact=exact,
+        peak_rate_lower=scenario.wideband_limit * (1.0 - peak_gap(scenario)),
         occupancy_low=scale * low_approx,
         occupancy_high=scale * high_approx,
         occupancy_low_exact=scale * low_exact,

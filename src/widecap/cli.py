@@ -220,6 +220,12 @@ def cmd_bounds(args) -> int:
         raise ValueError("occupancy must be > 0")
     if not np.all(np.isfinite(corners)):
         raise ValueError("occupancy must be finite")
+    # The bounds take ln(1 + P*Lc/(dB*Nt*N0)), a ratio largest at the smallest
+    # corner; where it overflows, R_LB and R_UB are -inf or nan.
+    smallest = float(corners.min())
+    if not math.isfinite(scenario.snr_density * scenario.coherence_product
+                         / (smallest * scenario.nt)):
+        raise ValueError(f"P*Lc/(dB*Nt*N0) overflows at occupancy {smallest!r}")
     rayleigh = scenario.fading.kind == "rayleigh"
     header = ["delta", "B", "deltaB", "R_LB", "R_LB_plot"]
     if rayleigh:

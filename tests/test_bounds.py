@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -89,13 +89,19 @@ def slope(s, occupancy):
 
 
 def mpmath_maximizer(s):
-    """50-digit root of K*y^2/(2*Lc) - ln(1+y) + y/(1+y), mapped to dB = P*Lc/(Nt*N0*y)."""
+    """50-digit root of g(y)/y^2 = K/(2*Lc), g(y) = ln(1+y) - y/(1+y), as dB = P*Lc/(Nt*N0*y).
+
+    K is the float64 value the scenario defines: near Lc = K the root is as
+    sensitive to the last bit of K as to that of Lc.  Ridder's bracketed
+    method converges on the whole closed-form bracket for Lc/K from 1 + 1e-12
+    to 1e14; it agrees with a 100-digit solve to 1e-33.
+    """
     with mpmath.workdps(50):
-        lc, k = mpmath.mpf(s.coherence_product), mpmath.mpf(kurtosis(s.fading)) - 2 + s.nt + s.nr
+        lc, k = mpmath.mpf(s.coherence_product), mpmath.mpf(shape(s))
         y = mpmath.findroot(
-            lambda y: k * y * y / (2 * lc) - mpmath.log1p(y) + y / (1 + y),
+            lambda y: (mpmath.log1p(y) - y / (1 + y)) / (y * y) - k / (2 * lc),
             (mpmath.mpf(3) / 4 * (1 - k / lc), 2 * lc / k),
-            solver="anderson",
+            solver="ridder",
         )
         return float(mpmath.mpf(s.snr_density) * lc / (s.nt * y))
 
@@ -255,17 +261,17 @@ class TestOptimalOccupancy:
         with pytest.raises(ValueError):
             optimal_occupancy(scenario(lc=2.0))
 
-    # Regression pins: at Lc >= 1e3 the float64 maximizer does not depend on
-    # the bracket the bisection starts from, so these bits move only when the
-    # slope arithmetic does.
+    # Regression pins: the root iteration is deterministic, so these bits move
+    # only when its arithmetic does.  Each is within 1.4 ulps of the 50-digit
+    # maximizer.
     @pytest.mark.parametrize("kwargs,bits", [
-        (dict(snr=1e7, nt=2, nr=2, lc=1e3), "0x1.0616e72ae6566p+27"),
-        (dict(snr=1e7, nt=2, nr=2, lc=1e5), "0x1.d1b1843c1dc86p+29"),
-        (dict(snr=100.0, lc=1e4), "0x1.2babfd1ab08d9p+12"),
+        (dict(snr=1e7, nt=2, nr=2, lc=1e3), "0x1.0616e72ae6571p+27"),
+        (dict(snr=1e7, nt=2, nr=2, lc=1e5), "0x1.d1b1843c1dc8cp+29"),
+        (dict(snr=100.0, lc=1e4), "0x1.2babfd1ab08e0p+12"),
         (dict(snr=1e9, nt=8, nr=4, lc=1e8, fading=FadingFamily.rice(1.0)),
-         "0x1.e2d24a8ee80e8p+39"),
+         "0x1.e2d24a8ee80cap+39"),
         (dict(snr=1e3, nt=1, nr=8, lc=1e12, fading=FadingFamily.nakagami(0.5)),
-         "0x1.24507266e8f78p+29"),
+         "0x1.24507266e8f70p+29"),
     ])
     def test_exact_pinned_bits(self, kwargs, bits):
         assert optimal_occupancy(scenario(**kwargs)).occupancy_optimal_exact.hex() == bits
@@ -308,20 +314,55 @@ class TestOptimalOccupancy:
     @pytest.mark.parametrize("nt,nr", [(2, 2), (8, 8), (1, 4)])
     def test_maximum_just_above_shape(self, ratio, nt, nr):
         # The maximizer lies hundreds of times the closed form away, outside
-        # any fixed window around it; the bisection still finds it.
+        # any fixed window around it; the root iteration still finds it.
         s = scenario(snr=1e6, nt=nt, nr=nr, lc=ratio * (nt + nr))
         bracket = optimal_occupancy(s)
         assert bracket.occupancy_optimal_exact > 100.0 * bracket.occupancy_optimal
         assert stationarity_residual(s, bracket.occupancy_optimal_exact) < 1e-8
-        assert bracket.occupancy_optimal_exact == pytest.approx(mpmath_maximizer(s), rel=1e-6)
+        assert bracket.occupancy_optimal_exact == pytest.approx(mpmath_maximizer(s), rel=2e-15)
 
-    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.00005])
+    @pytest.mark.parametrize(
+        "ratio", [1.0 + 2**-52, 1.0 + 2**-51, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.00005])
+    def test_maximum_barely_above_shape(self, ratio):
+        # Lc just above K, down to one and two ulps above K = 16: the series
+        # in y/(2+y) keeps the root well conditioned, so the maximizer is
+        # exact to rounding.
+        s = scenario(snr=1e6, nt=8, nr=8, lc=ratio * 16.0)
+        assert s.coherence_product > 16.0
+        exact = optimal_occupancy(s).occupancy_optimal_exact
+        assert exact == pytest.approx(mpmath_maximizer(s), rel=2e-15)
+
+    @pytest.mark.parametrize("ratio", [1.1, 1.2, 1.3, 1.5, 2.0, 2.05, 3.0])
+    @pytest.mark.parametrize("nt,nr", [(1, 2), (2, 7), (8, 8)])
+    def test_maximum_where_log_terms_cancel(self, ratio, nt, nr):
+        # Lc/K from 1.1 to 3 puts y* between 0.1 and 1, where ln(1+y) and
+        # y/(1+y) nearly cancel and 1/2 - g(y)/y^2 cancels again.
+        s = scenario(snr=1e6, nt=nt, nr=nr, lc=ratio * (nt + nr))
+        exact = optimal_occupancy(s).occupancy_optimal_exact
+        assert exact == pytest.approx(mpmath_maximizer(s), rel=2e-15)
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0])
     def test_no_interior_maximum_raises(self, ratio):
-        # Lc <= K: R_LB rises monotonically.  Lc just above K: the float64
-        # slope's rounding can fake a sign change, so no value is made up.
+        # Lc <= K: R_LB rises monotonically, so there is no maximizer.
         s = scenario(snr=1e6, nt=8, nr=8, lc=ratio * 16.0)
         with pytest.raises(ValueError, match="kappa-2\\+Nt\\+Nr"):
             optimal_occupancy(s)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        nt=st.integers(1, 8),
+        nr=st.integers(1, 8),
+        fading=st.sampled_from(FADINGS),
+        log_excess=st.floats(-12.0, 12.0),
+        log_snr=st.floats(-3.0, 12.0),
+    )
+    def test_maximizer_matches_mpmath(self, nt, nr, fading, log_excess, log_snr):
+        # Lc/K = 1 + 10**log_excess spans 1 + 1e-12 to about 1e12.
+        lc = (1.0 + 10.0 ** log_excess) * (kurtosis(fading) - 2.0 + nt + nr)
+        assume(lc > math.e)
+        s = scenario(snr=10.0 ** log_snr, nt=nt, nr=nr, lc=lc, fading=fading)
+        exact = optimal_occupancy(s).occupancy_optimal_exact
+        assert exact == pytest.approx(mpmath_maximizer(s), rel=2e-15)
 
     def test_bell_shape_of_lower_bound(self):
         s = scenario()

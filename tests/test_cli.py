@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,7 +154,11 @@ class TestBoundsCommand:
 
 
 def scalar_table(scenario_text, pairs, fmt, scale=1.0, penalty_factor=1.0):
-    """The bounds table built one point at a time from scalar kernel calls."""
+    """The bounds table built one point at a time from scalar kernel calls.
+
+    None where P*Lc/(dB*Nt*N0) overflows at some point: the closed forms give
+    -inf or nan there, so no table is written.
+    """
     scenario = parse_scenario(scenario_text)
     rayleigh = scenario.fading.kind == "rayleigh"
     c_inf = scenario.wideband_limit
@@ -162,6 +168,9 @@ def scalar_table(scenario_text, pairs, fmt, scale=1.0, penalty_factor=1.0):
     rows = []
     for delta, bandwidth in pairs:
         occupancy = delta * bandwidth
+        ratio = scenario.snr_density * scenario.coherence_product / (occupancy * scenario.nt)
+        if not math.isfinite(ratio):
+            return None
         lower = float(rate_lower_bound(scenario, occupancy))
         row = [delta, bandwidth * scale, occupancy * scale, lower, max(lower, 0.0)]
         if rayleigh:
@@ -212,9 +221,9 @@ BYTE_IDENTITY_CASES = [
                  occupancies(grid(1e2, 1e14, LONG)), {}, id="long-dbgrid"),
     pytest.param("rice", ["--delta-grid", "1e-3:1:3", "--b-grid", f"1e2:1e12:{HALF}"],
                  plane(grid(1e-3, 1, 3), grid(1e2, 1e12, HALF)), {}, id="long-plane-rice"),
+    # Subnormal occupancies overflow P*Lc/(dB*Nt*N0): no table, exit 2.
     pytest.param("rayleigh", ["--db-grid", "1e-320:1e-300:3"],
-                 occupancies(grid(1e-320, 1e-300, 3)), {}, id="subnormal",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+                 occupancies(grid(1e-320, 1e-300, 3)), {}, id="subnormal"),
     # The B strings of a repeated B axis are formatted once, after scaling.
     pytest.param("rayleigh", ["--delta-grid", "0.0625:1:5", "--b-grid", "1e7:1.6e9:7",
                               "--unit", "mhz"],
@@ -223,10 +232,9 @@ BYTE_IDENTITY_CASES = [
     # Three blocks; R_LB changes sign inside the first two.
     pytest.param("rayleigh", ["--delta-grid", "0.01:1:4", "--b-grid", f"1e4:1e10:{HALF}"],
                  plane(grid(0.01, 1, 4), grid(1e4, 1e10, HALF)), {}, id="long-plane-zero-crossing"),
-    # Non-finite R_LB, R_UB and gap next to the cached delta, B and C_inf strings.
+    # Only the smallest B overflows the ratio; the whole plane is refused.
     pytest.param("rayleigh", ["--delta-grid", "1e-3:1:3", "--b-grid", "1e-318:1e-300:4"],
-                 plane(grid(1e-3, 1, 3), grid(1e-318, 1e-300, 4)), {}, id="subnormal-plane",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+                 plane(grid(1e-3, 1, 3), grid(1e-318, 1e-300, 4)), {}, id="subnormal-plane"),
 ]
 
 
@@ -235,25 +243,21 @@ class TestBoundsByteIdentity:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("fading, options, pairs, kwargs", BYTE_IDENTITY_CASES)
-    def test_matches_scalar_table(self, tmp_path, fading, options, pairs, kwargs, fmt):
+    def test_matches_scalar_table(self, tmp_path, fading, options, pairs, kwargs, fmt, capsys):
         text = FLAT_2X2.replace("rayleigh", "rice:1.0") if fading == "rice" else FLAT_2X2
         path = tmp_path / "scenario.txt"
         path.write_text(text)
+        table = scalar_table(text, pairs, fmt, **kwargs)
+        if table is None:
+            out = tmp_path / "never.out"
+            assert main(["bounds", "--scenario", str(path), *options, "--format", fmt,
+                         "--out", str(out)]) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith("error: P*Lc/(dB*Nt*N0) overflows")
+            return
         code, out = run(tmp_path, "bounds", "--scenario", str(path), *options, "--format", fmt)
         assert code == 0
-        assert out == scalar_table(text, pairs, fmt, **kwargs)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_subnormal_grid_spells_non_finite_values(self, tmp_path, scenario_file):
-        argv = ["bounds", "--scenario", scenario_file, "--db-grid", "1e-320:1e-300:3"]
-        _, csv_text = run(tmp_path, *argv)
-        _, rows = csv_rows(csv_text)
-        assert (rows[0]["R_LB"], rows[0]["R_UB"], rows[0]["gap"]) == ("-inf", "nan", "inf")
-        _, json_text = run(tmp_path, *argv, "--format", "json")
-        assert '"R_LB": -Infinity' in json_text
-        assert '"R_UB": NaN' in json_text
-        assert '"gap": Infinity' in json_text
-        assert '"C_inf": 20000000.0' in json_text
+        assert out == table
 
 
 class TestBoundsUsageErrors:
@@ -280,6 +284,11 @@ class TestBoundsUsageErrors:
             assert capsys.readouterr().err.startswith("error: ")
         assert code == 2
         assert not out.exists()
+
+    def test_subnormal_grid_message(self, tmp_path, scenario_file, capsys):
+        main(["bounds", "--scenario", scenario_file, "--db-grid", "1e-320:1e-300:3",
+              "--out", str(tmp_path / "x.csv")])
+        assert capsys.readouterr().err == "error: P*Lc/(dB*Nt*N0) overflows at occupancy 1e-320\n"
 
     def test_nonfinite_occupancy_message(self, tmp_path, scenario_file, capsys):
         main(["bounds", "--scenario", scenario_file, "--delta", "1e300",
@@ -487,6 +496,13 @@ class TestVerifyCommand:
         assert list(report) == [
             "version", "numpy_version", "scenario", "seed", "trials", "checks", "all_pass",
         ]
+
+    def test_version_matches_pyproject(self):
+        # The report's version is the package's; both change together.
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+        assert declared is not None
+        assert declared.group(1) == widecap.__version__
 
     def test_scenario_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
