@@ -120,10 +120,11 @@ def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float:
 
     The value is returned raw: it is negative (vacuous) at small occupancy
     and decays to zero as dB -> infinity.  Raises ValueError unless every
-    occupancy is finite and > 0.  Limit: at occupancies so small that
+    occupancy is finite and > 0.  Limits: at occupancies so small that
     P*Bc*Tc/(dB*Nt*N0) overflows float64 (subnormal dB at ordinary P/N0),
-    the value is -inf or nan; this is not checked here, and ``widecap bounds``
-    refuses such grids.
+    or so large that dB*Nt*Nr overflows (dB near 1e307 with 8x8 antennas),
+    the value is -inf or nan although the true one is finite; this is not
+    checked here, and ``widecap bounds`` refuses such grids.
     """
     _check_occupancy(occupancy)
     return _coherent_term(scenario, occupancy) - _penalty_cap(scenario, occupancy)
@@ -139,9 +140,11 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float
     channel-uncertainty penalty; 1.0 is the idealized ceiling, and module
     ``mcverify`` estimates the realized product by simulation.  The vanishing
     o(1/B) remainder is dropped.  Raises ValueError unless every occupancy is
-    finite and > 0.  Limit: where P*Bc*Tc/(dB*Nt*N0) overflows float64
-    (subnormal dB at ordinary P/N0), the value is nan or -inf; this is not
-    checked here, and ``widecap bounds`` refuses such grids.
+    finite and > 0.  Limits: where P*Bc*Tc/(dB*Nt*N0) overflows float64
+    (subnormal dB at ordinary P/N0), or its reciprocal dB*Nt*N0/(P*Bc*Tc)
+    does (dB near 1e306 at P*Bc*Tc/N0 = 1e-2), the value is nan or -inf
+    although the true one is finite; this is not checked here, and
+    ``widecap bounds`` refuses such grids.
     """
     if scenario.fading.kind != RAYLEIGH:
         raise ValueError("upper bound is only available for Rayleigh fading")

@@ -83,6 +83,21 @@ class DiscreteChannel:
         return self.taps.shape[1]
 
 
+def _circular_normals(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-power circular complex Gaussians, (a + 1j*b)/sqrt(2) bit for bit.
+
+    numpy divides a complex array by a real scalar as a product with its
+    reciprocal, so scaling each standard-normal plane by 1/sqrt(2) straight
+    into the real and imaginary parts of one array gives the same bits
+    without the three complex temporaries of the expression.
+    """
+    out = np.empty(shape, dtype=complex)
+    scale = 1.0 / math.sqrt(2.0)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out
+
+
 def unit_fading_samples(rng: np.random.Generator, fading, shape) -> np.ndarray:
     """Zero-mean unit-power complex coefficients from the given fading law.
 
@@ -91,11 +106,11 @@ def unit_fading_samples(rng: np.random.Generator, fading, shape) -> np.ndarray:
     family is phase-symmetric (zero mean) with E|h|^2 = 1.
     """
     if fading.kind == RAYLEIGH:
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        return _circular_normals(rng, shape)
     if fading.kind == RICE:
         los_power = 2.0 * fading.param / (1.0 + 2.0 * fading.param)
         theta = rng.uniform(0.0, 2.0 * math.pi, shape)
-        scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        scatter = _circular_normals(rng, shape)
         return math.sqrt(los_power) * np.exp(1j * theta) + math.sqrt(1.0 - los_power) * scatter
     if fading.kind == NAKAGAMI:
         m = fading.param

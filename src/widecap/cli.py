@@ -226,7 +226,16 @@ def cmd_bounds(args) -> int:
     if not math.isfinite(scenario.snr_density * scenario.coherence_product
                          / (smallest * scenario.nt)):
         raise ValueError(f"P*Lc/(dB*Nt*N0) overflows at occupancy {smallest!r}")
+    # The prefactors dB*Nt*Nr/Lc (both bounds) and dB*Nt*N0/(P*Lc) (R_UB) are
+    # largest at the largest corner; where they overflow, the bounds are -inf
+    # or nan.
+    largest = float(corners.max())
     rayleigh = scenario.fading.kind == "rayleigh"
+    if not math.isfinite(largest * scenario.nt * scenario.nr):
+        raise ValueError(f"dB*Nt*Nr overflows at occupancy {largest!r}")
+    if rayleigh and not math.isfinite(largest * scenario.nt
+                                      / (scenario.snr_density * scenario.coherence_product)):
+        raise ValueError(f"dB*Nt*N0/(P*Lc) overflows at occupancy {largest!r}")
     header = ["delta", "B", "deltaB", "R_LB", "R_LB_plot"]
     if rayleigh:
         header.append("R_UB")

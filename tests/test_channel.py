@@ -73,6 +73,14 @@ class TestSampleTaps:
         total = np.mean(np.sum(np.abs(draws) ** 2 / 4.0, axis=1))
         assert abs(total - 1.0) < 0.01
 
+    def test_rayleigh_bits_match_complex_expression(self):
+        # The in-place fill gives the bits of (a + 1j*b)/sqrt(2).
+        shape = (4096, 2, 2, 4)
+        rng = np.random.default_rng(5)
+        expected = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        draws = unit_fading_samples(np.random.default_rng(5), FadingFamily.rayleigh(), shape)
+        assert draws.tobytes() == expected.tobytes()
+
     def test_rayleigh_tap_kurtosis(self):
         rng = np.random.default_rng(1)
         draws = unit_fading_samples(rng, FadingFamily.rayleigh(), 1_000_000)

@@ -290,6 +290,41 @@ class TestBoundsUsageErrors:
               "--out", str(tmp_path / "x.csv")])
         assert capsys.readouterr().err == "error: P*Lc/(dB*Nt*N0) overflows at occupancy 1e-320\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("replacements, db_grid, message", [
+        # 8x8 at P/N0 = 1e7, Lc = 1e3: dB*Nt*Nr overflows above about 2.8e306.
+        ({"nt = 2": "nt = 8", "nr = 2": "nr = 8"}, "1e306:1e308:3",
+         "error: dB*Nt*Nr overflows at occupancy 1e+308\n"),
+        # P*Lc/N0 = 2e-3: R_UB's dB*Nt*N0/(P*Lc) overflows before dB*Nt*Nr.
+        ({"snr_density_hz = 1e7": "snr_density_hz = 1e-3",
+          "coherence_time_s = 1e-3": "coherence_time_s = 1",
+          "coherence_bandwidth_hz = 1e6": "coherence_bandwidth_hz = 2",
+          "nt = 2": "nt = 1", "nr = 2": "nr = 1"}, "1e300:1e306:4",
+         "error: dB*Nt*N0/(P*Lc) overflows at occupancy 1e+306\n"),
+    ])
+    def test_huge_occupancy_refused(self, tmp_path, replacements, db_grid, message, fmt,
+                                    capsys):
+        text = FLAT_2X2
+        for old, new in replacements.items():
+            text = text.replace(old, new)
+        path = tmp_path / "scenario.txt"
+        path.write_text(text)
+        out = tmp_path / f"never.{fmt}"
+        code = main(["bounds", "--scenario", str(path), "--db-grid", db_grid,
+                     "--format", fmt, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == message
+
+    def test_huge_occupancy_below_the_limit_is_finite(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text(FLAT_2X2.replace("nt = 2", "nt = 8").replace("nr = 2", "nr = 8"))
+        code, text = run(tmp_path, "bounds", "--scenario", str(path),
+                         "--db-grid", "1e300:2e306:5", "--format", "json")
+        assert code == 0
+        rows = json.loads(text)
+        assert all(math.isfinite(value) for row in rows for value in row.values())
+
     def test_nonfinite_occupancy_message(self, tmp_path, scenario_file, capsys):
         main(["bounds", "--scenario", scenario_file, "--delta", "1e300",
               "--bandwidth", "1e300", "--out", str(tmp_path / "x.csv")])

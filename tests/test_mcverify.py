@@ -3,12 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from widecap import mcverify
 from widecap.mcverify import (
     McConfig,
     McEstimate,
     _estimate,
+    _min_tap_power,
     bound_sandwich_sweep,
     coherent_block_values,
     coherent_quadratic_lower,
@@ -18,12 +20,13 @@ from widecap.mcverify import (
     kurtosis_estimate,
     penalty_sandwich,
     run_verification_suite,
+    small_gram,
     toeplitz_logdet,
     trace_identity_check,
     trace_identity_expected,
 )
 from widecap.bounds import optimal_occupancy, rate_lower_bound
-from widecap.channel import pilot_spectrum
+from widecap.channel import PilotCirculant, pilot_spectrum, unit_fading_samples
 from widecap.scenario import ChannelScenario, FadingFamily, kurtosis
 
 CFG = McConfig(trials=100_000, base_seed=42)
@@ -154,6 +157,8 @@ class TestPenaltySandwich:
         assert result.margin.mean >= -4.0 * result.margin.std_error
         assert result.estimate.mean <= result.upper_chain + 4.0 * result.estimate.std_error
         assert result.lower_chain.mean <= result.estimate.mean
+        # cols = 4 divides K: the folded spectrum is a subsample of the K-point one.
+        assert result.lower_chain.mean < result.folded_chain
 
     def test_mimo_sandwich(self):
         result = penalty_sandwich(
@@ -180,6 +185,8 @@ class TestPenaltySandwich:
             desk_scenario(nt=nt, nr=2, snr=snr), occupancy=32.0, k_samples=32, cfg=SMALL
         )
         assert result.estimate.mean == pytest.approx(2 * snr, rel=1e-7)
+        if 4 * nt > 32:  # more columns than K: the Gram is singular, psi is 0
+            assert result.lower_chain.mean == 0.0
 
     def test_cap_decreases_when_log_is_sublinear(self):
         # Doubling Bc*Tc at fixed occupancy raises the log argument but
@@ -189,6 +196,36 @@ class TestPenaltySandwich:
             return (occ * nt / lc) * math.log1p(s * lc / (occ * nt))
 
         assert cap(2e3) < cap(1e3)
+
+    @pytest.mark.parametrize("cols, folded_violations", [(8, 53), (12, 55)])
+    def test_k_point_psi_bounds_gram_minimum(self, cols, folded_violations):
+        # Interlacing: the Gram is a principal submatrix of the K x K circulant
+        # Gram with spectrum |FFT_K(x)|^2.  The folded cols-point minimum (the
+        # paper's psi) is no bound; the counts are the ones the docs quote.
+        k_samples = 32
+        x = unit_pilots(np.random.default_rng(3), 2000, k_samples)
+        grams = np.stack([PilotCirculant(k_samples, cols, row).gram() for row in x])
+        lam_min = np.linalg.eigvalsh(grams)[:, 0]
+        tol = 1e-12 * k_samples
+        psi_k = np.min(np.abs(np.fft.fft(x, axis=1)) ** 2, axis=1)
+        assert np.count_nonzero(psi_k > lam_min + tol) == 0
+        folded = np.min(pilot_spectrum(x, cols), axis=1)
+        assert np.count_nonzero(folded > lam_min + tol) == folded_violations
+
+    @pytest.mark.parametrize("nr,nt,m", [(1, 1, 1), (2, 2, 4), (2, 2, 16)])
+    def test_min_tap_power_matches_tap_construction(self, nr, nt, m):
+        # The direct draw against the minimum over Nr*Nt*m explicit taps of
+        # power 1/m: equal means and one law (two-sample KS), both at 4 sigma.
+        n = 50_000
+        direct = _min_tap_power(np.random.default_rng(21), n, m, nr * nt * m)
+        taps = unit_fading_samples(
+            np.random.default_rng(22), FadingFamily.rayleigh(), (n, nr, nt, m)
+        ) / math.sqrt(m)
+        built = np.min(np.abs(taps) ** 2, axis=(1, 2, 3))
+        se = math.sqrt((direct.var(ddof=1) + built.var(ddof=1)) / n)
+        assert abs(direct.mean() - built.mean()) <= 4.0 * se
+        four_sigma = math.erfc(4.0 / math.sqrt(2.0))
+        assert stats.ks_2samp(direct, built).pvalue >= four_sigma
 
     def test_requires_divisible_k(self):
         with pytest.raises(ValueError):
@@ -238,6 +275,17 @@ class TestLogDetKernels:
         for block, value in zip(blocks, coherent_block_values(blocks, c, 1.0)):
             exact = mp_logdet(block, c, gram=True)
             assert abs(value - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2), (4, 2), (3, 5), (8, 8)])
+    def test_small_gram_matches_matmul(self, shape):
+        rng = np.random.default_rng(15)
+        blocks = rng.standard_normal((512, *shape)) + 1j * rng.standard_normal((512, *shape))
+        herm = blocks.conj().swapaxes(-1, -2)
+        expected = blocks @ herm if shape[0] <= shape[1] else herm @ blocks
+        gram = small_gram(blocks)
+        assert gram.shape == expected.shape
+        limit = 8.0 * np.finfo(float).eps * np.sum(np.abs(blocks) ** 2, axis=(1, 2))
+        assert np.all(np.max(np.abs(gram - expected), axis=(1, 2)) <= limit)
 
     @pytest.mark.parametrize("nt", [2, 3])
     def test_psi_fold_fft_matches_phase_product(self, nt):
