@@ -93,7 +93,9 @@ def _coherent_term(scenario: ChannelScenario, occupancy):
     which the Monte-Carlo suite checks as ``coherent_quadratic_lower``.
     """
     s = scenario.snr_density
-    return scenario.wideband_limit * (1.0 - s * _shape(scenario) / (2.0 * occupancy * scenario.nt))
+    # Halving the numerator, not doubling the denominator, is exact and keeps
+    # 2*dB*Nt from overflowing at the largest occupancies.
+    return scenario.wideband_limit * (1.0 - 0.5 * (s * _shape(scenario)) / (occupancy * scenario.nt))
 
 
 def _penalty_cap(scenario: ChannelScenario, occupancy, log1p=np.log1p):
@@ -156,7 +158,7 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float
     lc = scenario.coherence_product
     bracket = (
         1.0
-        - s / (2.0 * occupancy)
+        - 0.5 * s / occupancy
         - (occupancy * nt / (s * lc)) * np.log1p(s * lc * penalty_factor / (occupancy * nt))
     )
     return scenario.wideband_limit * bracket

@@ -15,8 +15,16 @@ Both sum log1p of pivots minus one, never log of the pivots, so they keep
 full relative accuracy at low SNR.  The smaller Gram (:func:`small_gram`) of
 small blocks is a sum of elementwise outer products over the longer side, not
 a batched complex matmul, whose per-block dispatch dominates at 2x2; larger
-blocks keep the matmul.  The penalty's lower chain needs only the smallest tap
-power per trial, so it draws that minimum directly, as one exponential.
+blocks keep the matmul.
+
+The penalty depends on the pilot only through its power spectrum
+|FFT_K(x)|^2, so it draws that spectrum directly: normalized i.i.d.
+exponentials, the exact law for a unit-power Gaussian pilot.  The Toeplitz
+lags come from one real product with a fixed cosine/sine table, and the
+folded-pilot spectrum of the paper's chain is a subsample of the power when
+the column count divides K; otherwise the pilot's uniform spectral phases are
+drawn as well.  The lower chain needs only the smallest tap power per trial,
+so it draws that minimum directly, as one exponential.
 
 Sampling is chunked with a fixed chunk size; every chunk draws from its own
 seed derived from (base_seed, check tag, chunk start), so results are
@@ -182,17 +190,24 @@ def toeplitz_logdet(column: np.ndarray) -> np.ndarray:
     vectorized over the rows, carries the forward predictor and
     d_k = E_k - 1, the k-th prediction-error power minus one, updated as
     d_k = d_(k-1) - (1 + d_(k-1)) |kappa_k|^2.  The log-det is sum log1p(d_k),
-    which keeps full relative accuracy when T is tiny against I.
+    which keeps full relative accuracy when T is tiny against I.  The
+    recursion runs on (size, n) arrays, so each step's inner product sums
+    whole rows over the batch, and one work array takes every step's
+    products: a call allocates two (size, n) arrays, not several per step.
     """
     n, size = column.shape
-    d = column[:, 0].real.copy()
+    lags = column.T
+    d = lags[0].real.copy()
     total = np.log1p(d)
-    predictor = np.zeros((n, size), dtype=complex)
-    predictor[:, 0] = 1.0
+    predictor = np.zeros((size, n), dtype=complex)
+    predictor[0] = 1.0
+    work = np.empty((size, n), dtype=complex)
     for k in range(1, size):
-        delta = np.sum(predictor[:, :k] * column[:, k:0:-1], axis=1)
+        delta = np.multiply(predictor[:k], lags[k:0:-1], out=work[:k]).sum(axis=0)
         kappa = -delta / (1.0 + d)
-        predictor[:, :k + 1] += kappa[:, None] * predictor[:, k::-1].conj()
+        update = np.conjugate(predictor[k::-1], out=work[:k + 1])
+        update *= kappa
+        predictor[:k + 1] += update
         d = d - (1.0 + d) * (kappa.real**2 + kappa.imag**2)
         total += np.log1p(d)
     return total
@@ -276,6 +291,56 @@ def _min_tap_power(rng: np.random.Generator, n: int, m: int, count: int) -> np.n
     return rng.standard_exponential(n) / (m * count)
 
 
+def _pilot_power(rng: np.random.Generator, n: int, k_samples: int) -> np.ndarray:
+    """n power spectra |FFT_K(x)|^2 of unit-power Gaussian pilots x, drawn directly.
+
+    The DFT of i.i.d. circular Gaussians is i.i.d. circular Gaussian, so the
+    |X_k|^2 are i.i.d. exponential, and a unit-power pilot fixes their sum at
+    K^2 (Parseval).  Normalized i.i.d. exponentials are a flat Dirichlet
+    (Devroye, *Non-Uniform Random Variate Generation*, ch. V), so K exponentials
+    replace 2K normals, the normalization and the forward FFT.
+    """
+    power = rng.standard_exponential((n, k_samples))
+    power *= k_samples * k_samples / np.sum(power, axis=1, keepdims=True)
+    return power
+
+
+def _folded_power(rng: np.random.Generator, power: np.ndarray, cols: int) -> np.ndarray:
+    """The folded pilot spectrum (:func:`~widecap.channel.pilot_spectrum`) for these power spectra.
+
+    When cols divides K, folding modulo cols samples the K-point DFT at
+    multiples of K/cols, so the result is every (K/cols)-th entry of power.
+    Otherwise the rest of the pilot is drawn: given its power spectrum, a
+    normalized Gaussian pilot has i.i.d. uniform spectral phases phi, so
+    x = ifft(sqrt(power) * e^(i*phi)).  The phasor is (1 - t^2 + 2it)/(1 + t^2)
+    with t = tan(phi/2), as numpy's float64 tan costs a fraction of cos and sin.
+    """
+    k_samples = power.shape[-1]
+    if k_samples % cols == 0:
+        return power[:, ::k_samples // cols]
+    t = np.tan(np.pi * (rng.random(power.shape) - 0.5))
+    scale = np.sqrt(power) / (1.0 + t * t)
+    spectrum = np.empty(power.shape, dtype=complex)
+    np.multiply(scale, 1.0 - t * t, out=spectrum.real)
+    np.multiply(2.0 * scale, t, out=spectrum.imag)
+    return pilot_spectrum(np.fft.ifft(spectrum, axis=-1), cols)
+
+
+def _lag_table(k_samples: int, cols: int, scale: float) -> np.ndarray:
+    """(K, 2*cols) table taking power spectra to ``scale`` times their first cols lags.
+
+    The lag-l cyclic autocorrelation of a pilot with power spectrum P is
+    ifft(P)[l] = (1/K) sum_k P_k e^(2j*pi*k*l/K), and a Gram with cols columns
+    needs only the lags l mod K for l < cols.  Column pairs hold the cosine
+    and sine rows of each lag, so the (n, 2*cols) product with stacked spectra,
+    viewed as complex, is the (n, cols) Toeplitz first column; lag 0 is real.
+    """
+    lags = np.arange(cols) % k_samples
+    angle = (2.0 * np.pi / k_samples) * (np.outer(np.arange(k_samples), lags) % k_samples)
+    table = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    return table.reshape(k_samples, 2 * cols) * (scale / k_samples)
+
+
 @dataclass(frozen=True)
 class PenaltySandwich:
     """Penalty-term estimate with its closed-form chain ends.
@@ -303,19 +368,22 @@ def penalty_sandwich(
 ) -> PenaltySandwich:
     """Estimate the channel-uncertainty penalty and bracket it.
 
-    Per trial a unit-power Gaussian pilot is drawn and the penalty is
-    (delta/Tc) * sum_v ln det(I + rho * Gram * Lambda_v) with Lambda the
-    uniform tap-gain profile.  I + (rho/m) * Gram is Hermitian Toeplitz with
-    first column (rho/m) times the pilot's cyclic autocorrelation (one FFT
-    pair) plus one at lag 0, so :func:`toeplitz_logdet` gets its log-det by a
-    Levinson-Durbin recursion; the Gram itself is never formed.  The upper
-    chain is the deterministic trace/Jensen cap.
+    Per trial the penalty is (delta/Tc) * sum_v ln det(I + rho * Gram *
+    Lambda_v) for a unit-power Gaussian pilot, with Lambda the uniform
+    tap-gain profile.  The Gram depends on the pilot only through its power
+    spectrum |FFT_K(x)|^2, which is drawn directly (:func:`_pilot_power`).
+    I + (rho/m) * Gram is Hermitian Toeplitz with first column (rho/m) times
+    the pilot's cyclic autocorrelation plus one at lag 0; the cols lags it
+    needs are one real product of the spectra with a fixed table
+    (:func:`_lag_table`), and :func:`toeplitz_logdet` gets the log-det by a
+    Levinson-Durbin recursion.  Neither the pilot nor the Gram is formed.  The
+    upper chain is the deterministic trace/Jensen cap.
 
     The lower chain is the worst-eigenvalue form
     (dB*Nt*Nr/(Bc*Tc)) * ln(1 + P*Bc*Tc*g_min*psi/(dB*Nt*N0)).  g_min, the
     smallest power of the Nr*Nt*m taps, is one draw per trial
     (:func:`_min_tap_power`).  psi = min_k |FFT_K(x)|^2 / K
-    comes from the FFT the autocorrelation already takes.  The Gram is the
+    is the smallest entry of the drawn power spectrum.  The Gram is the
     leading cols x cols principal submatrix of the K x K circulant Gram, whose
     eigenvalues are |FFT_K(x)|^2, so by Cauchy interlacing K * psi <=
     lambda_min(Gram) (Horn & Johnson, Thm 4.3.28); with more columns than K
@@ -326,7 +394,9 @@ def penalty_sandwich(
     pilot's cols-point spectrum (:func:`~widecap.channel.pilot_spectrum`)
     instead; that psi is no bound (K * psi exceeded lambda_min for 53 of
     2000 Gaussian pilots at K = 32, cols = 8, and 55 at cols = 12), so it is
-    reported as ``folded_chain`` and not gated.
+    reported as ``folded_chain`` and not gated.  When cols divides K that
+    spectrum is a subsample of the power spectrum; otherwise the pilot's
+    phases are drawn to form it (:func:`_folded_power`).
     """
     _require_trials(cfg)
     _require_occupancy(occupancy)
@@ -346,25 +416,19 @@ def penalty_sandwich(
     chain_arg = s * lc / (occupancy * nt)
     cap = bounds._penalty_cap(scenario, occupancy, math.log1p)
 
-    # Gram[a, b] = autocorr[(a - b) mod K]: Toeplitz with these first-column lags.
-    lags = np.arange(cols) % k_samples
+    lag_table = _lag_table(k_samples, cols, rho / m)
     penalties = np.empty(cfg.trials)
     lowers = np.empty(cfg.trials)
     folded = np.empty(cfg.trials)
     offset = 0
     for rng, n in _chunk_rngs(cfg, tag, cfg.trials):
-        x = np.empty((n, k_samples), dtype=complex)
-        x.real = rng.standard_normal((n, k_samples))
-        x.imag = rng.standard_normal((n, k_samples))
-        x *= np.sqrt(k_samples / np.sum(np.abs(x) ** 2, axis=1, keepdims=True))
-        power = np.abs(np.fft.fft(x, axis=1)) ** 2
-        penalties[offset:offset + n] = (
-            prefactor * nr * toeplitz_logdet((rho / m) * np.fft.ifft(power, axis=1)[:, lags])
-        )
+        power = _pilot_power(rng, n, k_samples)
+        column = (power @ lag_table).view(complex)
+        penalties[offset:offset + n] = prefactor * nr * toeplitz_logdet(column)
         g_min = _min_tap_power(rng, n, m, nr * nt * m)
         psi = np.min(power, axis=1) / k_samples if cols <= k_samples else np.zeros(n)
         lowers[offset:offset + n] = chain_scale * np.log1p(chain_arg * g_min * psi)
-        folded_psi = np.min(pilot_spectrum(x, cols), axis=1) / k_samples
+        folded_psi = np.min(_folded_power(rng, power, cols), axis=1) / k_samples
         folded[offset:offset + n] = chain_scale * np.log1p(chain_arg * g_min * folded_psi)
         offset += n
 

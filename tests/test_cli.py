@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,19 @@ class TestBoundsUsageErrors:
         assert code == 0
         rows = json.loads(text)
         assert all(math.isfinite(value) for row in rows for value in row.values())
+
+    def test_largest_occupancies_warn_nothing(self, tmp_path):
+        # At 1x1, 2*dB would overflow near 1.7e308 although dB*Nt*Nr does not.
+        path = tmp_path / "scenario.txt"
+        path.write_text(FLAT_2X2.replace("nt = 2", "nt = 1").replace("nr = 2", "nr = 1"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = run(tmp_path, "bounds", "--scenario", str(path),
+                             "--db-grid", "1e307:1.7e308:2")
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        _, rows = csv_rows(text)
+        assert [(row["R_LB"], row["R_UB"]) for row in rows] == [("0.0", "0.0")] * 2
 
     def test_nonfinite_occupancy_message(self, tmp_path, scenario_file, capsys):
         main(["bounds", "--scenario", scenario_file, "--delta", "1e300",

@@ -10,7 +10,10 @@ from widecap.mcverify import (
     McConfig,
     McEstimate,
     _estimate,
+    _folded_power,
+    _lag_table,
     _min_tap_power,
+    _pilot_power,
     bound_sandwich_sweep,
     coherent_block_values,
     coherent_quadratic_lower,
@@ -226,6 +229,43 @@ class TestPenaltySandwich:
         assert abs(direct.mean() - built.mean()) <= 4.0 * se
         four_sigma = math.erfc(4.0 / math.sqrt(2.0))
         assert stats.ks_2samp(direct, built).pvalue >= four_sigma
+
+    @pytest.mark.parametrize("cols", [8, 12, 36])
+    def test_pilot_draws_match_gaussian_pilots(self, cols):
+        # The direct spectrum draw (and, for cols not dividing K = 32, the
+        # drawn phases) against normalized Gaussian pilots, per trial: the
+        # penalty log-det and the folded psi have equal means and one law
+        # (two-sample KS), both at 4 sigma.  cols = 36 wraps the lags.
+        k_samples, n, c = 32, 20_000, 1.0 / 128.0
+        rng = np.random.default_rng(23)
+        power = _pilot_power(rng, n, k_samples)
+        direct = {
+            "logdet": toeplitz_logdet((power @ _lag_table(k_samples, cols, c)).view(complex)),
+            "folded_psi": np.min(_folded_power(rng, power, cols), axis=1) / k_samples,
+        }
+        x = unit_pilots(np.random.default_rng(24), n, k_samples)
+        lags = np.arange(cols) % k_samples
+        autocorr = np.fft.ifft(np.abs(np.fft.fft(x, axis=1)) ** 2, axis=1)[:, lags]
+        built = {
+            "logdet": toeplitz_logdet(c * autocorr),
+            "folded_psi": np.min(pilot_spectrum(x, cols), axis=1) / k_samples,
+        }
+        four_sigma = math.erfc(4.0 / math.sqrt(2.0))
+        for key in direct:
+            a, b = direct[key], built[key]
+            se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / n)
+            assert abs(a.mean() - b.mean()) <= 4.0 * se, key
+            assert stats.ks_2samp(a, b).pvalue >= four_sigma, key
+
+    @pytest.mark.parametrize("cols", [8, 12, 36])
+    def test_lag_table_matches_inverse_fft(self, cols):
+        k_samples, scale = 32, 0.3
+        power = _pilot_power(np.random.default_rng(25), 512, k_samples)
+        product = (power @ _lag_table(k_samples, cols, scale)).view(complex)
+        expected = scale * np.fft.ifft(power, axis=1)[:, np.arange(cols) % k_samples]
+        # Relative to the largest lag, lag 0, which is K * scale for every pilot.
+        assert np.max(np.abs(product - expected)) <= 1e-14 * k_samples * scale
+        assert np.all(product[:, 0].imag == 0.0)
 
     def test_requires_divisible_k(self):
         with pytest.raises(ValueError):
