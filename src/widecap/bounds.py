@@ -72,12 +72,14 @@ class OccupancyAboveOptimalWarning(UserWarning):
 
 
 def _check_occupancy(occupancy):
-    # ndarray.all, not np.all: this runs on every kernel call, and the
-    # function form costs a few microseconds more.
-    occupancy = np.asarray(occupancy)
-    if not (occupancy > 0).all():
+    # Two reductions and no temporary arrays: this runs on every kernel call.
+    # min and max propagate nan, which fails the first comparison.  The
+    # initial values (float, so integer input is converted) let an empty
+    # array pass.
+    occupancy = np.asarray(occupancy, dtype=float)
+    if not occupancy.min(initial=math.inf) > 0:
         raise ValueError("occupancy must be > 0")
-    if not np.isfinite(occupancy).all():
+    if not occupancy.max(initial=0.0) < math.inf:
         raise ValueError("occupancy must be finite")
 
 

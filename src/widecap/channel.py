@@ -226,13 +226,13 @@ def pilot_spectrum(signal: np.ndarray, cols: int) -> np.ndarray:
     """|sum_k x[k] e^(-j2*pi*k*m/cols)|^2 for m = 0..cols-1, along the last axis.
 
     The phase depends on k only modulo cols, so this is the cols-point FFT of
-    the signal folded modulo cols, zero-padded when cols does not divide K.
-    Leading axes are batch axes.
+    the signal folded modulo cols: its cols-blocks summed in order, a short
+    last block onto the leading entries.  Leading axes are batch axes.
     """
-    pad = -signal.shape[-1] % cols
-    if pad:
-        signal = np.pad(signal, [(0, 0)] * (signal.ndim - 1) + [(0, pad)])
-    folded = signal.reshape(*signal.shape[:-1], -1, cols).sum(axis=-2)
+    folded = np.zeros(signal.shape[:-1] + (cols,), dtype=signal.dtype)
+    for start in range(0, signal.shape[-1], cols):
+        block = signal[..., start:start + cols]
+        folded[..., :block.shape[-1]] += block
     return np.abs(np.fft.fft(folded, axis=-1)) ** 2
 
 

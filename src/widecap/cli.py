@@ -169,17 +169,18 @@ def _write_blocks(out, header, blocks, fmt: str):
     JSON with the bytes of ``json.dumps(list_of_row_dicts, indent=2)``."""
     if fmt == "csv":
         out.write(",".join(header) + "\n")
-        row, sep, lead, end = ",".join(["%s"] * len(header)) + "\n", "", "", ""
-    else:
-        fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in header)
-        row, sep, lead, end = "  {\n" + fields + "\n  }", ",\n", "[\n", "\n]\n"
+        for columns in blocks:
+            out.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        return
+    fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in header)
+    row, lead = "  {\n" + fields + "\n  }", "[\n"
     for columns in blocks:
         # One string per row, joined: formatting a whole block in one % call
         # grows its buffer by reallocation, which fragments the heap and
         # raised peak RSS.
-        out.write(lead + sep.join([row % values for values in zip(*columns)]))
-        lead = sep
-    out.write(end)
+        out.write(lead + ",\n".join([row % values for values in zip(*columns)]))
+        lead = ",\n"
+    out.write("\n]\n")
 
 
 def _freq_scale(unit: str) -> float:

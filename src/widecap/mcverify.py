@@ -10,12 +10,11 @@ identities) into pass/fail records consumed by the CLI.
 No Monte-Carlo log-det needs an eigendecomposition.  The penalty's
 ln det(I + T) with T Hermitian Toeplitz is a batched Levinson-Durbin
 recursion (:func:`toeplitz_logdet`); the coherent ln det(I + rho H H^H) is a
-batched elimination on the smaller of H H^H and H^H H (:func:`coherent_block_values`).
-Both sum log1p of pivots minus one, never log of the pivots, so they keep
-full relative accuracy at low SNR.  The smaller Gram (:func:`small_gram`) of
-small blocks is a sum of elementwise outer products over the longer side, not
-a batched complex matmul, whose per-block dispatch dominates at 2x2; larger
-blocks keep the matmul.
+batched elimination (:func:`gram_logdet`) on the smaller of H H^H and H^H H
+(:func:`small_gram`).  Both sum log1p of pivots minus one, so they keep full
+relative accuracy at low SNR.  The coherent check and the three
+bound-sandwich points share one draw of H per chunk (common random numbers):
+the Gram is formed once and eliminated once per occupancy.
 
 The penalty depends on the pilot only through its power spectrum
 |FFT_K(x)|^2, so it draws that spectrum directly: normalized i.i.d.
@@ -23,8 +22,7 @@ exponentials, the exact law for a unit-power Gaussian pilot.  The Toeplitz
 lags come from one real product with a fixed cosine/sine table, and the
 folded-pilot spectrum of the paper's chain is a subsample of the power when
 the column count divides K; otherwise the pilot's uniform spectral phases are
-drawn as well.  The lower chain needs only the smallest tap power per trial,
-so it draws that minimum directly, as one exponential.
+drawn as well.  The lower chain draws its smallest tap power directly.
 
 Sampling is chunked with a fixed chunk size; every chunk draws from its own
 seed derived from (base_seed, check tag, chunk start), so results are
@@ -82,7 +80,6 @@ _TAG_KURTOSIS = 1
 _TAG_TRACE = 2
 _TAG_COHERENT = 3
 _TAG_PENALTY = 4
-_TAG_SWEEP = 5
 _TAG_CHANNEL = 6
 
 
@@ -121,7 +118,8 @@ def _chunk_rngs(cfg: McConfig, tag, trials: int):
     entropy = tuple(_entropy_component(part) for part in entropy)
     for start in range(0, trials, _CHUNK):
         seed = np.random.SeedSequence((cfg.base_seed, *entropy, start))
-        yield np.random.default_rng(seed), min(_CHUNK, trials - start)
+        n = min(_CHUNK, trials - start)
+        yield np.random.default_rng(seed), slice(start, start + n), n
 
 
 def _estimate(values: np.ndarray) -> McEstimate:
@@ -156,11 +154,9 @@ def empirical_kurtosis(fading: FadingFamily, cfg: McConfig) -> McEstimate:
     """Estimate E|h|^4 / (E|h|^2)^2 over i.i.d. draws from the fading law."""
     _require_trials(cfg)
     powers = np.empty(cfg.trials)
-    offset = 0
-    for rng, n in _chunk_rngs(cfg, (_TAG_KURTOSIS, fading.kind, float(fading.param)), cfg.trials):
-        h = unit_fading_samples(rng, fading, n)
-        powers[offset:offset + n] = np.abs(h) ** 2
-        offset += n
+    tag = (_TAG_KURTOSIS, fading.kind, float(fading.param))
+    for rng, rows, n in _chunk_rngs(cfg, tag, cfg.trials):
+        powers[rows] = np.abs(unit_fading_samples(rng, fading, n)) ** 2
     return kurtosis_estimate(powers)
 
 
@@ -174,11 +170,9 @@ def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate
     _require_trials(cfg)
     nt, nr = scenario.nt, scenario.nr
     values = np.empty(cfg.trials)
-    offset = 0
-    for rng, n in _chunk_rngs(cfg, (_TAG_TRACE, nt, nr, scenario.fading.kind), cfg.trials):
+    for rng, rows, n in _chunk_rngs(cfg, (_TAG_TRACE, nt, nr, scenario.fading.kind), cfg.trials):
         gram = small_gram(unit_fading_samples(rng, scenario.fading, (n, nr, nt)))
-        values[offset:offset + n] = np.sum(np.abs(gram) ** 2, axis=(1, 2))
-        offset += n
+        values[rows] = np.sum(np.abs(gram) ** 2, axis=(1, 2))
     return _estimate(values)
 
 
@@ -236,15 +230,11 @@ def small_gram(blocks: np.ndarray) -> np.ndarray:
     return gram
 
 
-def coherent_block_values(blocks: np.ndarray, rho: float, occupancy: float) -> np.ndarray:
-    """Per-realization occupancy * ln det(I + rho * H H^H) for stacked blocks H.
+def gram_logdet(m: np.ndarray) -> np.ndarray:
+    """Per-block ln det(I + M) for stacked Hermitian PSD M, by elimination; overwrites M.
 
-    By Sylvester's identity the log-det equals ln det(I + rho * H^H H), so the
-    smaller of the two Grams is used: min(Nt, Nr) steps of a batched
-    elimination on M = rho * G.  Each pivot p adds log1p(p) and removes
-    col col^H / (1 + p) from the trailing block.
+    Each pivot p adds log1p(p) and removes col col^H / (1 + p) from the trailing block.
     """
-    m = rho * small_gram(blocks)
     total = np.zeros(m.shape[:-2])
     for p in range(m.shape[-1]):
         pivot = m[..., p, p].real
@@ -253,33 +243,44 @@ def coherent_block_values(blocks: np.ndarray, rho: float, occupancy: float) -> n
         m[..., p + 1:, p + 1:] -= (
             col[..., :, None] * col[..., None, :].conj() / (1.0 + pivot)[..., None, None]
         )
-    return occupancy * total
+    return total
 
 
-def _require_occupancy(occupancy: float):
-    if not (math.isfinite(occupancy) and occupancy > 0):
+def coherent_block_values(blocks: np.ndarray, rho: float, occupancy: float) -> np.ndarray:
+    """Per-realization occupancy * ln det(I + rho * H H^H) for stacked blocks H.
+
+    By Sylvester's identity the log-det equals ln det(I + rho * H^H H), so the
+    smaller of the two Grams is used: min(Nt, Nr) steps of :func:`gram_logdet`.
+    """
+    return occupancy * gram_logdet(rho * small_gram(blocks))
+
+
+def _require_occupancy(*occupancies: float):
+    if not all(math.isfinite(x) and x > 0 for x in occupancies):
         raise ValueError("occupancy must be finite and > 0")
 
 
-def coherent_term_mc(
-    scenario: ChannelScenario, occupancy: float, cfg: McConfig, tag=_TAG_COHERENT
-) -> McEstimate:
+def coherent_term_mc(scenario: ChannelScenario, occupancy, cfg: McConfig, tag=_TAG_COHERENT):
     """Estimate the coherent term delta*B * E[ln det(I + rho * H H^H)].
 
     rho = P/(dB * Nt * N0); the estimate must exceed
-    :func:`coherent_quadratic_lower` up to Monte-Carlo error.
+    :func:`coherent_quadratic_lower` up to Monte-Carlo error.  A list of
+    occupancies gives a list of estimates from the same draws of H (common
+    random numbers): each chunk's H and smaller Gram are formed once, and
+    only :func:`gram_logdet` runs per occupancy.
     """
+    occupancies = occupancy if isinstance(occupancy, list) else [occupancy]
     _require_trials(cfg)
-    _require_occupancy(occupancy)
-    nt, nr = scenario.nt, scenario.nr
-    rho = scenario.snr_density / (occupancy * nt)
-    values = np.empty(cfg.trials)
-    offset = 0
-    for rng, n in _chunk_rngs(cfg, tag, cfg.trials):
-        h = unit_fading_samples(rng, scenario.fading, (n, nr, nt))
-        values[offset:offset + n] = coherent_block_values(h, rho, occupancy)
-        offset += n
-    return _estimate(values)
+    _require_occupancy(*occupancies)
+    if not occupancies:
+        return []
+    values = np.empty((len(occupancies), cfg.trials))
+    for rng, rows, n in _chunk_rngs(cfg, tag, cfg.trials):
+        gram = small_gram(unit_fading_samples(rng, scenario.fading, (n, scenario.nr, scenario.nt)))
+        for row, x in zip(values, occupancies):
+            row[rows] = x * gram_logdet(scenario.snr_density / (x * scenario.nt) * gram)
+    estimates = [_estimate(row) for row in values]
+    return estimates if isinstance(occupancy, list) else estimates[0]
 
 
 def _min_tap_power(rng: np.random.Generator, n: int, m: int, count: int) -> np.ndarray:
@@ -420,17 +421,15 @@ def penalty_sandwich(
     penalties = np.empty(cfg.trials)
     lowers = np.empty(cfg.trials)
     folded = np.empty(cfg.trials)
-    offset = 0
-    for rng, n in _chunk_rngs(cfg, tag, cfg.trials):
+    for rng, rows, n in _chunk_rngs(cfg, tag, cfg.trials):
         power = _pilot_power(rng, n, k_samples)
         column = (power @ lag_table).view(complex)
-        penalties[offset:offset + n] = prefactor * nr * toeplitz_logdet(column)
+        penalties[rows] = prefactor * nr * toeplitz_logdet(column)
         g_min = _min_tap_power(rng, n, m, nr * nt * m)
         psi = np.min(power, axis=1) / k_samples if cols <= k_samples else np.zeros(n)
-        lowers[offset:offset + n] = chain_scale * np.log1p(chain_arg * g_min * psi)
+        lowers[rows] = chain_scale * np.log1p(chain_arg * g_min * psi)
         folded_psi = np.min(_folded_power(rng, power, cols), axis=1) / k_samples
-        folded[offset:offset + n] = chain_scale * np.log1p(chain_arg * g_min * folded_psi)
-        offset += n
+        folded[rows] = chain_scale * np.log1p(chain_arg * g_min * folded_psi)
 
     return PenaltySandwich(
         estimate=_estimate(penalties),
@@ -449,7 +448,7 @@ class SandwichPoint:
     rate_lower: float
     rate_upper: float
     mc_value: float
-    mc_std_error: float
+    coherent: McEstimate
     upper_slack: float
     pass_lower: bool
     pass_upper: bool
@@ -459,16 +458,16 @@ def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
     """Check R_LB <= (MC coherent term - penalty cap) <= R_UB over a dB grid.
 
     The MC value pairs the simulated coherent term with the closed-form
-    penalty cap, matching the construction of the lower bound.  The upper
-    comparison allows, besides 4 standard errors, the dropped o(1/B)
-    remainder of the upper bound (at most C_inf * SNR_delta^2 / 3).
+    penalty cap, matching the construction of the lower bound.  All points
+    share the draws of H of :func:`coherent_term_mc`.  The upper comparison
+    allows, besides 4 standard errors, the dropped o(1/B) remainder of the
+    upper bound (at most C_inf * SNR_delta^2 / 3).
     """
     if scenario.fading.kind != "rayleigh":
         raise ValueError("bound sandwich is defined for Rayleigh fading")
+    grid = [float(occupancy) for occupancy in grid]
     points = []
-    for index, occupancy in enumerate(grid):
-        occupancy = float(occupancy)
-        coherent = coherent_term_mc(scenario, occupancy, cfg, tag=(_TAG_SWEEP, index))
+    for occupancy, coherent in zip(grid, coherent_term_mc(scenario, grid, cfg)):
         mc_value = coherent.mean - bounds._penalty_cap(scenario, occupancy, math.log1p)
         rate_lower = float(bounds.rate_lower_bound(scenario, occupancy))
         rate_upper = float(bounds.rate_upper_bound(scenario, occupancy, 1.0))
@@ -481,7 +480,7 @@ def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
                 rate_lower=rate_lower,
                 rate_upper=rate_upper,
                 mc_value=mc_value,
-                mc_std_error=coherent.std_error,
+                coherent=coherent,
                 upper_slack=slack,
                 pass_lower=rate_lower - tol <= mc_value,
                 pass_upper=mc_value <= rate_upper + tol + slack,
@@ -623,13 +622,17 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
 
     records.extend(_channel_identity_checks(cfg))
 
-    bracket = bounds.optimal_occupancy(scenario)
-    coherent = coherent_term_mc(scenario, bracket.occupancy_optimal_exact, cfg)
-    quad = coherent_quadratic_lower(scenario, bracket.occupancy_optimal_exact)
+    # On Rayleigh fading the coherent check at (dB)* is the sweep's middle point.
+    optimum = bounds.optimal_occupancy(scenario).occupancy_optimal_exact
+    shared = scenario.fading.kind == "rayleigh"
+    sweep_scenario = scenario if shared else replace(scenario, fading=rayleigh)
+    points = bound_sandwich_sweep(sweep_scenario, [optimum * f for f in (0.1, 1.0, 10.0)], cfg)
+    coherent = points[1].coherent if shared else coherent_term_mc(scenario, optimum, cfg)
+    quad = coherent_quadratic_lower(scenario, optimum)
     z = (coherent.mean - quad) / coherent.std_error if coherent.std_error > 0 else 0.0
     records.append(CheckRecord(
         check="coherent_expansion",
-        params={"occupancy": bracket.occupancy_optimal_exact, "trials": cfg.trials},
+        params={"occupancy": optimum, "trials": cfg.trials},
         passed=coherent.mean >= quad - 4.0 * coherent.std_error,
         estimate=coherent.mean, std_error=coherent.std_error, z=z,
         bound_values={"quadratic_lower": quad},
@@ -657,15 +660,12 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
         },
     ))
 
-    sweep_scenario = scenario if scenario.fading.kind == "rayleigh" else replace(
-        scenario, fading=rayleigh)
-    grid = [bracket.occupancy_optimal_exact * factor for factor in (0.1, 1.0, 10.0)]
-    for point in bound_sandwich_sweep(sweep_scenario, grid, cfg):
+    for point in points:
         records.append(CheckRecord(
             check=f"bound_sandwich[dB={point.occupancy:.6g}]",
             params={"occupancy": point.occupancy, "trials": cfg.trials},
             passed=point.pass_lower and point.pass_upper,
-            estimate=point.mc_value, std_error=point.mc_std_error,
+            estimate=point.mc_value, std_error=point.coherent.std_error,
             bound_values={
                 "rate_lower": point.rate_lower,
                 "rate_upper": point.rate_upper,

@@ -136,6 +136,23 @@ class TestRateLowerBound:
         with pytest.raises(ValueError, match="occupancy must be finite"):
             rate_upper_bound(scenario(), occupancy)
 
+    @pytest.mark.parametrize("occupancy, message", [
+        (math.nan, "occupancy must be > 0"),
+        (np.array([1e6, math.nan]), "occupancy must be > 0"),
+        (-math.inf, "occupancy must be > 0"),
+        (0.0, "occupancy must be > 0"),
+        (-0.0, "occupancy must be > 0"),
+        (np.array([[1e6], [0]]), "occupancy must be > 0"),
+    ])
+    def test_occupancy_domain_messages(self, occupancy, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rate_lower_bound(scenario(), occupancy)
+
+    @pytest.mark.parametrize("occupancy", [np.array([]), np.empty((0, 3)), 5, np.array([1, 10])])
+    def test_empty_and_integer_occupancies_pass(self, occupancy):
+        expected = rate_lower_bound(scenario(), np.asarray(occupancy, dtype=float))
+        np.testing.assert_array_equal(rate_lower_bound(scenario(), occupancy), expected)
+
     def test_occupancy_only_dependence(self):
         s = scenario()
         x = 1700.0

@@ -15,6 +15,7 @@ from widecap.channel import (
     filterbank_equivalence_check,
     frequency_response,
     integer_coherence_length,
+    pilot_spectrum,
     sample_taps,
     unit_fading_samples,
 )
@@ -192,6 +193,20 @@ class TestPilotCirculant:
             pilot = self.make_pilot(seed=seed)
             trace = float(np.trace(pilot.gram()).real)
             assert abs(trace / (pilot.cols * pilot.k_rows) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("cols", [1, 5, 8, 12, 32, 36, 70])
+    @pytest.mark.parametrize("shape", [(32,), (3, 32), (2, 2, 32)])
+    def test_spectrum_is_the_phase_sum(self, cols, shape):
+        # The fold covers cols dividing K, a remainder (5, 12) and cols > K,
+        # where no whole block exists and the signal is the remainder.
+        rng = np.random.default_rng(cols)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        k = shape[-1]
+        phases = np.exp(-2j * np.pi * np.outer(np.arange(k), np.arange(cols)) / cols)
+        expected = np.abs(x @ phases) ** 2
+        spectrum = pilot_spectrum(x, cols)
+        assert spectrum.shape == shape[:-1] + (cols,)
+        np.testing.assert_allclose(spectrum, expected, rtol=1e-12, atol=1e-12 * k * k)
 
 
 class TestBlockIdft:

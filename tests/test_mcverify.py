@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -28,7 +29,7 @@ from widecap.mcverify import (
     trace_identity_check,
     trace_identity_expected,
 )
-from widecap.bounds import optimal_occupancy, rate_lower_bound
+from widecap.bounds import _penalty_cap, optimal_occupancy, rate_lower_bound
 from widecap.channel import PilotCirculant, pilot_spectrum, unit_fading_samples
 from widecap.scenario import ChannelScenario, FadingFamily, kurtosis
 
@@ -381,11 +382,79 @@ class TestBoundSandwichSweep:
         s = scenario(snr=100.0)
         opt = optimal_occupancy(s)
         [point] = bound_sandwich_sweep(s, [opt.occupancy_optimal_exact], SMALL)
-        floor = opt.peak_rate_lower - 4.0 * point.mc_std_error
+        floor = opt.peak_rate_lower - 4.0 * point.coherent.std_error
         assert point.mc_value >= floor
 
-    def test_empty_grid(self):
+    def test_empty_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled for an empty grid")
+
+        monkeypatch.setattr(mcverify, "_chunk_rngs", refuse)
         assert bound_sandwich_sweep(scenario(), [], SMALL) == []
+
+
+class TestSharedCoherentDraw:
+    # Single-occupancy bits at (dB)* from before the sweep shared the
+    # coherent check's draw of H (20 000 trials, seed 42): scenario options,
+    # (dB)*, mean and standard error, as float.hex.
+    PINS = [
+        ({"nt": 2, "nr": 2}, "0x1.0616e72ae6571p+27",
+         "0x1.1d4d13ad62f4bp+24", "0x1.e30c3e8c08db5p+15"),
+        ({"nt": 3, "nr": 2}, "0x1.90903a6b81016p+26",
+         "0x1.1c468e577db23p+24", "0x1.852401fc0764ep+15"),
+        ({"nt": 2, "nr": 2, "fading": FadingFamily.rice(1.0)}, "0x1.e7fbde6151f85p+26",
+         "0x1.1fbb6e4f5d495p+24", "0x1.6e98dcb372e2bp+15"),
+    ]
+
+    @pytest.mark.parametrize("options, optimum, mean, std_error", PINS)
+    def test_single_occupancy_bits(self, options, optimum, mean, std_error):
+        s = scenario(snr=1e7, **options)
+        assert optimal_occupancy(s).occupancy_optimal_exact.hex() == optimum
+        estimate = coherent_term_mc(s, float.fromhex(optimum), SMALL)
+        assert estimate.mean.hex() == mean
+        assert estimate.std_error.hex() == std_error
+        assert estimate.trials == SMALL.trials
+
+    def test_list_equals_single_occupancies(self):
+        s = scenario(snr=1e7, nt=2, nr=3)
+        grid = [1e6, 3e7, 1e9]
+        assert coherent_term_mc(s, grid, SMALL) == [coherent_term_mc(s, x, SMALL) for x in grid]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_shared_sweep_matches_independent_draws(self, seed):
+        s = scenario(snr=1e7, nt=2, nr=2)
+        opt = optimal_occupancy(s).occupancy_optimal_exact
+        cfg = McConfig(trials=100_000, base_seed=seed)
+        grid = [opt * factor for factor in (0.1, 1.0, 10.0)]
+        for index, point in enumerate(bound_sandwich_sweep(s, grid, cfg)):
+            independent = coherent_term_mc(s, grid[index], cfg, tag=("independent", index))
+            gap = point.coherent.mean - independent.mean
+            assert abs(gap) <= 4.0 * math.hypot(point.coherent.std_error, independent.std_error)
+
+    @staticmethod
+    def _coherent_and_middle(s, cfg):
+        records = run_verification_suite(s, cfg)
+        [coherent] = [r for r in records if r.check == "coherent_expansion"]
+        optimum = coherent.params["occupancy"]
+        [middle] = [r for r in records
+                    if r.check.startswith("bound_sandwich") and r.params["occupancy"] == optimum]
+        return coherent, middle, _penalty_cap(s, optimum, math.log1p)
+
+    def test_rayleigh_middle_point_is_the_coherent_check(self):
+        s = scenario(snr=1e7, nt=2, nr=2)
+        coherent, middle, cap = self._coherent_and_middle(s, McConfig(10_000, 7))
+        assert middle.estimate == coherent.estimate - cap
+        assert middle.std_error == coherent.std_error
+
+    def test_non_rayleigh_coherent_check_draws_its_own(self):
+        s = scenario(snr=1e7, nt=2, nr=2, fading=FadingFamily.rice(1.0))
+        cfg = McConfig(10_000, 7)
+        coherent, middle, cap = self._coherent_and_middle(s, cfg)
+        own = coherent_term_mc(s, coherent.params["occupancy"], cfg)
+        assert (coherent.estimate, coherent.std_error) == (own.mean, own.std_error)
+        shared = coherent_term_mc(replace(s, fading=FadingFamily.rayleigh()),
+                                  coherent.params["occupancy"], cfg)
+        assert middle.estimate == shared.mean - cap
 
 
 class TestDeterminism:
