@@ -46,4 +46,4 @@ from .scenario import (
     snr_per_dof,
 )
 
-__version__ = "0.1.4"
+__version__ = "0.1.5"

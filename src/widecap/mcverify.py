@@ -19,21 +19,24 @@ the Gram is formed once and eliminated once per occupancy.
 The penalty depends on the pilot only through its power spectrum
 |FFT_K(x)|^2, so it draws that spectrum directly: normalized i.i.d.
 exponentials, the exact law for a unit-power Gaussian pilot.  The Toeplitz
-lags come from one real product with a fixed cosine/sine table, and the
+lags are its conjugated real FFT (:func:`_pilot_lags`), and the
 folded-pilot spectrum of the paper's chain is a subsample of the power when
 the column count divides K; otherwise the pilot's uniform spectral phases are
 drawn as well.  The lower chain draws its smallest tap power directly.
 
 Sampling is chunked with a fixed chunk size; every chunk draws from its own
-seed derived from (base_seed, check tag, chunk start), so results are
-bit-identical regardless of how chunks would be scheduled.  Reductions use
+seed derived from (base_seed, check tag, chunk start) and fills only its own
+trials, so reports are byte-identical for any CPU count, though with two usable
+CPUs the chunks run on two threads (:func:`_each_chunk`).  Reductions use
 numpy's pairwise summation over arrays assembled in trial order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -113,13 +116,44 @@ def _entropy_component(value) -> int:
     return int(value)
 
 
-def _chunk_rngs(cfg: McConfig, tag, trials: int):
+def _chunk_rngs(cfg: McConfig, tag):
     entropy = tag if isinstance(tag, tuple) else (tag,)
     entropy = tuple(_entropy_component(part) for part in entropy)
-    for start in range(0, trials, _CHUNK):
+    for start in range(0, cfg.trials, _CHUNK):
         seed = np.random.SeedSequence((cfg.base_seed, *entropy, start))
-        n = min(_CHUNK, trials - start)
+        n = min(_CHUNK, cfg.trials - start)
         yield np.random.default_rng(seed), slice(start, start + n), n
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _each_chunk(cfg: McConfig, tag, body):
+    """Call body(rng, rows, n) per chunk, here and, with two usable CPUs, on one helper thread.
+
+    An exception on either thread stops both and is raised here after the join.
+    """
+    pending = iter(list(_chunk_rngs(cfg, tag)))
+    errors = []
+
+    def work():
+        try:
+            for chunk in pending:
+                body(*chunk)
+        except BaseException as error:
+            errors.append(error)
+            for _ in pending:  # leave the other thread no chunk to start
+                pass
+
+    helper = threading.Thread(target=work) if _usable_cpus() > 1 else None
+    if helper:
+        helper.start()
+    work()
+    if helper:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _estimate(values: np.ndarray) -> McEstimate:
@@ -154,9 +188,11 @@ def empirical_kurtosis(fading: FadingFamily, cfg: McConfig) -> McEstimate:
     """Estimate E|h|^4 / (E|h|^2)^2 over i.i.d. draws from the fading law."""
     _require_trials(cfg)
     powers = np.empty(cfg.trials)
-    tag = (_TAG_KURTOSIS, fading.kind, float(fading.param))
-    for rng, rows, n in _chunk_rngs(cfg, tag, cfg.trials):
+
+    def fill(rng, rows, n):
         powers[rows] = np.abs(unit_fading_samples(rng, fading, n)) ** 2
+
+    _each_chunk(cfg, (_TAG_KURTOSIS, fading.kind, float(fading.param)), fill)
     return kurtosis_estimate(powers)
 
 
@@ -170,9 +206,12 @@ def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate
     _require_trials(cfg)
     nt, nr = scenario.nt, scenario.nr
     values = np.empty(cfg.trials)
-    for rng, rows, n in _chunk_rngs(cfg, (_TAG_TRACE, nt, nr, scenario.fading.kind), cfg.trials):
+
+    def fill(rng, rows, n):
         gram = small_gram(unit_fading_samples(rng, scenario.fading, (n, nr, nt)))
         values[rows] = np.sum(np.abs(gram) ** 2, axis=(1, 2))
+
+    _each_chunk(cfg, (_TAG_TRACE, nt, nr, scenario.fading.kind), fill)
     return _estimate(values)
 
 
@@ -275,10 +314,13 @@ def coherent_term_mc(scenario: ChannelScenario, occupancy, cfg: McConfig, tag=_T
     if not occupancies:
         return []
     values = np.empty((len(occupancies), cfg.trials))
-    for rng, rows, n in _chunk_rngs(cfg, tag, cfg.trials):
+
+    def fill(rng, rows, n):
         gram = small_gram(unit_fading_samples(rng, scenario.fading, (n, scenario.nr, scenario.nt)))
         for row, x in zip(values, occupancies):
             row[rows] = x * gram_logdet(scenario.snr_density / (x * scenario.nt) * gram)
+
+    _each_chunk(cfg, tag, fill)
     estimates = [_estimate(row) for row in values]
     return estimates if isinstance(occupancy, list) else estimates[0]
 
@@ -327,19 +369,23 @@ def _folded_power(rng: np.random.Generator, power: np.ndarray, cols: int) -> np.
     return pilot_spectrum(np.fft.ifft(spectrum, axis=-1), cols)
 
 
-def _lag_table(k_samples: int, cols: int, scale: float) -> np.ndarray:
-    """(K, 2*cols) table taking power spectra to ``scale`` times their first cols lags.
+def _pilot_lags(power: np.ndarray, cols: int, scale: float) -> np.ndarray:
+    """(n, cols) lags l mod K, l < cols, of ``scale`` * ifft(P) for power spectra P, by real FFT.
 
-    The lag-l cyclic autocorrelation of a pilot with power spectrum P is
-    ifft(P)[l] = (1/K) sum_k P_k e^(2j*pi*k*l/K), and a Gram with cols columns
-    needs only the lags l mod K for l < cols.  Column pairs hold the cosine
-    and sine rows of each lag, so the (n, 2*cols) product with stacked spectra,
-    viewed as complex, is the (n, cols) Toeplitz first column; lag 0 is real.
+    ifft(P)[l] is conj(rfft(P)[l]) / K up to K/2 and rfft(P)[K - l] / K above
+    (Hermitian symmetry).  Blocks of 512 rows keep rfft's output small.
     """
+    n, k_samples = power.shape
     lags = np.arange(cols) % k_samples
-    angle = (2.0 * np.pi / k_samples) * (np.outer(np.arange(k_samples), lags) % k_samples)
-    table = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
-    return table.reshape(k_samples, 2 * cols) * (scale / k_samples)
+    mirrored = lags > k_samples // 2
+    source = np.where(mirrored, k_samples - lags, lags)
+    column = np.empty((n, cols), dtype=complex)
+    for start in range(0, n, 512):
+        spectrum = np.fft.rfft(power[start:start + 512], axis=1)
+        np.conjugate(spectrum[:, source], out=column[start:start + 512])
+    column[:, mirrored] = column[:, mirrored].conj()
+    column *= scale / k_samples
+    return column
 
 
 @dataclass(frozen=True)
@@ -375,10 +421,10 @@ def penalty_sandwich(
     spectrum |FFT_K(x)|^2, which is drawn directly (:func:`_pilot_power`).
     I + (rho/m) * Gram is Hermitian Toeplitz with first column (rho/m) times
     the pilot's cyclic autocorrelation plus one at lag 0; the cols lags it
-    needs are one real product of the spectra with a fixed table
-    (:func:`_lag_table`), and :func:`toeplitz_logdet` gets the log-det by a
-    Levinson-Durbin recursion.  Neither the pilot nor the Gram is formed.  The
-    upper chain is the deterministic trace/Jensen cap.
+    needs are a real FFT of the spectra (:func:`_pilot_lags`), and
+    :func:`toeplitz_logdet` gets the log-det by a Levinson-Durbin recursion
+    once the chains are done and the spectra freed.  Neither the pilot nor
+    the Gram is formed.  The upper chain is the deterministic trace/Jensen cap.
 
     The lower chain is the worst-eigenvalue form
     (dB*Nt*Nr/(Bc*Tc)) * ln(1 + P*Bc*Tc*g_min*psi/(dB*Nt*N0)).  g_min, the
@@ -417,19 +463,22 @@ def penalty_sandwich(
     chain_arg = s * lc / (occupancy * nt)
     cap = bounds._penalty_cap(scenario, occupancy, math.log1p)
 
-    lag_table = _lag_table(k_samples, cols, rho / m)
     penalties = np.empty(cfg.trials)
     lowers = np.empty(cfg.trials)
     folded = np.empty(cfg.trials)
-    for rng, rows, n in _chunk_rngs(cfg, tag, cfg.trials):
+
+    def fill(rng, rows, n):
         power = _pilot_power(rng, n, k_samples)
-        column = (power @ lag_table).view(complex)
-        penalties[rows] = prefactor * nr * toeplitz_logdet(column)
         g_min = _min_tap_power(rng, n, m, nr * nt * m)
         psi = np.min(power, axis=1) / k_samples if cols <= k_samples else np.zeros(n)
         lowers[rows] = chain_scale * np.log1p(chain_arg * g_min * psi)
         folded_psi = np.min(_folded_power(rng, power, cols), axis=1) / k_samples
         folded[rows] = chain_scale * np.log1p(chain_arg * g_min * folded_psi)
+        column = _pilot_lags(power, cols, rho / m)
+        del power
+        penalties[rows] = prefactor * nr * toeplitz_logdet(column)
+
+    _each_chunk(cfg, tag, fill)
 
     return PenaltySandwich(
         estimate=_estimate(penalties),

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import mpmath
@@ -12,8 +15,8 @@ from widecap.mcverify import (
     McEstimate,
     _estimate,
     _folded_power,
-    _lag_table,
     _min_tap_power,
+    _pilot_lags,
     _pilot_power,
     bound_sandwich_sweep,
     coherent_block_values,
@@ -241,7 +244,7 @@ class TestPenaltySandwich:
         rng = np.random.default_rng(23)
         power = _pilot_power(rng, n, k_samples)
         direct = {
-            "logdet": toeplitz_logdet((power @ _lag_table(k_samples, cols, c)).view(complex)),
+            "logdet": toeplitz_logdet(_pilot_lags(power, cols, c)),
             "folded_psi": np.min(_folded_power(rng, power, cols), axis=1) / k_samples,
         }
         x = unit_pilots(np.random.default_rng(24), n, k_samples)
@@ -258,15 +261,18 @@ class TestPenaltySandwich:
             assert abs(a.mean() - b.mean()) <= 4.0 * se, key
             assert stats.ks_2samp(a, b).pvalue >= four_sigma, key
 
-    @pytest.mark.parametrize("cols", [8, 12, 36])
-    def test_lag_table_matches_inverse_fft(self, cols):
+    # cols = 20 takes lags above K/2 by Hermitian symmetry, and 36 wraps past K.
+    @pytest.mark.parametrize("cols", [8, 12, 20, 36])
+    def test_pilot_lags_match_inverse_fft(self, cols):
         k_samples, scale = 32, 0.3
-        power = _pilot_power(np.random.default_rng(25), 512, k_samples)
-        product = (power @ _lag_table(k_samples, cols, scale)).view(complex)
+        # 1100 rows: two whole rfft row blocks and a short last one.
+        power = _pilot_power(np.random.default_rng(25), 1100, k_samples)
+        lags = _pilot_lags(power, cols, scale)
         expected = scale * np.fft.ifft(power, axis=1)[:, np.arange(cols) % k_samples]
+        assert lags.shape == expected.shape
         # Relative to the largest lag, lag 0, which is K * scale for every pilot.
-        assert np.max(np.abs(product - expected)) <= 1e-14 * k_samples * scale
-        assert np.all(product[:, 0].imag == 0.0)
+        assert np.max(np.abs(lags - expected)) <= 1e-14 * k_samples * scale
+        assert np.all(lags[:, 0].imag == 0.0)
 
     def test_requires_divisible_k(self):
         with pytest.raises(ValueError):
@@ -467,6 +473,47 @@ class TestDeterminism:
         a = empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
         b = empirical_kurtosis(FadingFamily.rayleigh(), McConfig(20_000, 43))
         assert a.mean != b.mean
+
+    @pytest.mark.parametrize("options", [
+        {"nt": 2, "nr": 2}, {"nt": 3, "nr": 2}, {"nt": 2, "nr": 2, "fading": FadingFamily.rice(1.0)},
+    ])
+    def test_records_do_not_depend_on_the_chunk_schedule(self, monkeypatch, options):
+        s = scenario(snr=1e7, **options)
+        cfg = McConfig(10_000, 42)
+
+        def records():
+            return [record.as_dict() for record in run_verification_suite(s, cfg)]
+
+        monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 1)
+        serial = records()
+        in_order = mcverify._chunk_rngs
+        monkeypatch.setattr(mcverify, "_chunk_rngs", lambda *args: reversed(list(in_order(*args))))
+        assert records() == serial
+        monkeypatch.setattr(mcverify, "_chunk_rngs", in_order)
+        monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 2)
+        # Frequent thread switches stress the chunk iterator both threads share.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert records() == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_chunk_failure_reaches_the_caller(self, monkeypatch, cpus):
+        calls = itertools.count()
+
+        def fail_third(*args):
+            if next(calls) == 2:
+                raise RuntimeError("third draw failed")
+            return unit_fading_samples(*args)
+
+        monkeypatch.setattr(mcverify, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(mcverify, "unit_fading_samples", fail_third)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="third draw failed"):
+            empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
+        assert threading.active_count() == threads
 
 
 class TestSuite:
