@@ -9,10 +9,8 @@ Monte-Carlo simulation of discrete block-fading channels.
 
 from .bounds import (
     AlphaBracket,
-    BoundsReport,
     CriticalBracket,
     alpha_brackets,
-    bounds_report,
     coherence_requirement,
     critical_bracket,
     epsilon_for_error_pct,
@@ -36,7 +34,6 @@ from .mcverify import McConfig, McEstimate, run_verification_suite
 from .scenario import (
     ChannelScenario,
     FadingFamily,
-    OccupancyPoint,
     ParseError,
     ScenarioError,
     ValidationError,
@@ -46,4 +43,4 @@ from .scenario import (
     snr_per_dof,
 )
 
-__version__ = "0.1.5"
+__version__ = "0.2.0"

@@ -33,13 +33,11 @@ import numpy as np
 from .scenario import RAYLEIGH, ChannelScenario, kurtosis
 
 __all__ = [
-    "BoundsReport",
     "CriticalBracket",
     "AlphaBracket",
     "OccupancyAboveOptimalWarning",
     "rate_lower_bound",
     "rate_upper_bound",
-    "bounds_report",
     "optimal_occupancy",
     "critical_bracket",
     "critical_coefficients",
@@ -50,9 +48,7 @@ __all__ = [
     "alpha_brackets",
     "epsilon_for_error_pct",
     "coherence_requirement",
-    "normalize_per_symbol_rate",
     "sublinear_support_range",
-    "coarse_peak_rate",
 ]
 
 LN_PI = math.log(math.pi)
@@ -164,40 +160,6 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float
         - (occupancy * nt / (s * lc)) * np.log1p(s * lc * penalty_factor / (occupancy * nt))
     )
     return scenario.wideband_limit * bracket
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Rate bounds at one occupancy, with the gap from the wideband limit."""
-
-    occupancy: float
-    rate_lower: float
-    wideband_limit: float
-    gap_delta: float
-    rate_upper: Optional[float] = None
-
-    def __post_init__(self):
-        expected = 1.0 - self.rate_lower / self.wideband_limit
-        if abs(self.gap_delta - expected) > 1e-12 * max(1.0, abs(expected)):
-            raise ValueError("gap_delta inconsistent with rate_lower")
-
-
-def bounds_report(
-    scenario: ChannelScenario, occupancy: float, penalty_factor: float = 1.0
-) -> BoundsReport:
-    """Evaluate both bounds at one occupancy (upper bound only for Rayleigh)."""
-    lower = float(rate_lower_bound(scenario, occupancy))
-    upper = None
-    if scenario.fading.kind == RAYLEIGH:
-        upper = float(rate_upper_bound(scenario, occupancy, penalty_factor))
-    c_inf = scenario.wideband_limit
-    return BoundsReport(
-        occupancy=float(occupancy),
-        rate_lower=lower,
-        wideband_limit=c_inf,
-        gap_delta=1.0 - lower / c_inf,
-        rate_upper=upper,
-    )
 
 
 @dataclass(frozen=True)
@@ -533,11 +495,6 @@ def coherence_requirement(alpha: float, sigma: float, snr: float, nt: int, nr: i
     return nt**2 / (nt + nr) ** 2 * snr ** (-2.0 * (sigma + alpha))
 
 
-def normalize_per_symbol_rate(rate_per_symbol: float, scenario: ChannelScenario) -> float:
-    """Convert nats/symbol at the filter-bank symbol rate 1/Ts = Bc into nats/s."""
-    return rate_per_symbol * scenario.coherence_bandwidth
-
-
 def sublinear_support_range(scenario: ChannelScenario, epsilon: float):
     """Occupancy constraints supporting the polynomial family at margin epsilon.
 
@@ -551,8 +508,3 @@ def sublinear_support_range(scenario: ChannelScenario, epsilon: float):
     shape = (scenario.nt + scenario.nr) / scenario.nt
     root = math.sqrt(scenario.coherence_product)
     return s * shape * root, s ** (1.0 + epsilon) * shape * root
-
-
-def coarse_peak_rate(scenario: ChannelScenario) -> float:
-    """Coarse peak-rate estimate C_inf * (1 - 1/sqrt(Bc*Tc)) in nats/s."""
-    return scenario.wideband_limit * (1.0 - 1.0 / math.sqrt(scenario.coherence_product))

@@ -11,7 +11,6 @@ K-sample DFT model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -30,8 +29,6 @@ __all__ = [
     "circulant_eigenvalues",
     "block_idft_matrix",
     "filterbank_equivalence_check",
-    "channel_to_json",
-    "channel_from_json",
 ]
 
 
@@ -163,15 +160,6 @@ def frequency_response(channel: DiscreteChannel) -> DiscreteChannel:
         raise RuntimeError("Parseval check failed in frequency_response")
     blocks = np.ascontiguousarray(np.moveaxis(spectrum, -1, 0))  # (K, nr, nt)
     return replace(channel, freq_blocks=blocks)
-
-
-def analytic_tap_correlation(gains: np.ndarray, k_samples: int, lag) -> np.ndarray:
-    """Correlation of H[k] and H[k+lag] implied by the gain profile (its DFT)."""
-    n = np.arange(len(gains))
-    lag = np.atleast_1d(lag)
-    return np.array(
-        [np.sum(gains * np.exp(-2j * np.pi * d * n / k_samples)) for d in lag]
-    )
 
 
 @dataclass(frozen=True)
@@ -317,30 +305,3 @@ def filterbank_equivalence_check(codeword: FilterBankCodeword, channel: Discrete
     direct = np.repeat(bin_coeff, l_symbols) * (phi @ x_vec)
 
     return float(np.max(np.abs(spectrum - m_bins * math.sqrt(l_symbols) * direct)))
-
-
-def channel_to_json(channel: DiscreteChannel) -> str:
-    """Serialize a channel realization (taps as [re, im] pairs) for replay."""
-    payload = {
-        "k_samples": channel.k_samples,
-        "m_taps": channel.m_taps,
-        "gains": channel.gains.tolist(),
-        "taps": [
-            [[[float(tap.real), float(tap.imag)] for tap in tx] for tx in rx]
-            for rx in channel.taps
-        ],
-    }
-    return json.dumps(payload)
-
-
-def channel_from_json(text: str) -> DiscreteChannel:
-    payload = json.loads(text)
-    taps = np.array(
-        [[[complex(re, im) for re, im in tx] for tx in rx] for rx in payload["taps"]]
-    )
-    return DiscreteChannel(
-        k_samples=int(payload["k_samples"]),
-        m_taps=int(payload["m_taps"]),
-        taps=taps,
-        gains=np.array(payload["gains"], dtype=float),
-    )

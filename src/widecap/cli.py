@@ -12,7 +12,9 @@ hertz unless ``--unit mhz`` rescales the display.  ``bounds`` evaluates its
 grid in fixed blocks of points, one kernel call per block, and writes each
 block's rows as it goes, so its memory does not grow with the grid size.  It
 formats each distinct delta, B and C_inf value once, not once per row; the
-bytes are those of formatting every cell.  Exit codes: 0 success,
+bytes are those of formatting every cell.  Every command validates its
+input before ``--out`` is opened, so a usage error creates no file; all but
+``bounds`` also compute their whole output first.  Exit codes: 0 success,
 1 verification failure, 2 usage or scenario errors.
 """
 
@@ -22,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -130,26 +133,14 @@ def _load_scenario(path: Optional[str]) -> ChannelScenario:
         return parse_scenario(handle.read())
 
 
-def _open_out(path: Optional[str]):
+@contextmanager
+def _output(path: Optional[str]):
+    """stdout, or the file ``path``, created only when this is entered."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def _write_rows(out, header, rows, fmt: str):
-    if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_render(value) for value in row) + "\n")
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _render(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as out:
+        yield out
 
 
 # How json spells the non-finite floats that repr writes as nan, inf and -inf.
@@ -282,12 +273,8 @@ def cmd_bounds(args) -> int:
             columns += [[c_inf_text] * index.size, _reprs(1.0 - lower / c_inf, fmt)]
             yield columns
 
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         _write_blocks(out, header, blocks(), fmt)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -311,10 +298,10 @@ def cmd_critical(args) -> int:
         bracket.peak_rate_lower,
         gap,
     ]
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.format == "csv":
-            _write_rows(out, header, [row], "csv")
+            cells = _reprs(np.array(row), "csv")
+            _write_blocks(out, header, [[[cell] for cell in cells]], "csv")
         else:
             payload = dict(zip(header, row))
             payload["summary"] = (
@@ -322,9 +309,6 @@ def cmd_critical(args) -> int:
                 f"with capacity gap ~ {gap:.3f}"
             )
             out.write(json.dumps(payload, indent=2) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -337,58 +321,53 @@ def cmd_alpha(args) -> int:
     header = ["BcTc", f"alpha_max{suffix}", f"alpha_max_over_2{suffix}"]
     header += [f"alpha_min_p{p:g}{suffix}" for p in p_list]
     header += [f"alpha_plus{suffix}", f"alpha_minus{suffix}"]
+    # Equal column names would be equal keys of one JSON row object.
+    if len(set(header)) < len(header):
+        raise ValueError("--p values must differ in their first 6 significant digits")
 
-    def rows():
-        for lc in axis.values():
-            variant = replace(
-                scenario, coherence_bandwidth=float(lc) / scenario.coherence_time)
-            norm = math.log(variant.coherence_product) if args.normalize else 1.0
-            mins = []
-            for p in p_list:
-                eps = bounds.epsilon_for_error_pct(p, snr)
-                if eps == 0.0:
-                    # p = 100 collapses the bracket onto alpha_max.
-                    mins.append(bounds.alpha_brackets(variant, snr, 1e-300).alpha_max)
-                else:
-                    mins.append(bounds.alpha_brackets(variant, snr, eps).alpha_min)
-            ab = bounds.alpha_brackets(variant, snr, 1.0)
-            row = [float(lc), ab.alpha_max / norm, ab.alpha_max / 2.0 / norm]
-            row += [v / norm for v in mins]
-            row += [ab.alpha_plus / norm, ab.alpha_minus / norm]
-            yield row
-
-    out, close = _open_out(args.out)
-    try:
-        _write_rows(out, header, rows(), args.format)
-    finally:
-        if close:
-            out.close()
+    rows = []
+    for lc in axis.values():
+        variant = replace(
+            scenario, coherence_bandwidth=float(lc) / scenario.coherence_time)
+        norm = math.log(variant.coherence_product) if args.normalize else 1.0
+        mins = []
+        for p in p_list:
+            eps = bounds.epsilon_for_error_pct(p, snr)
+            if eps == 0.0:
+                # p = 100 collapses the bracket onto alpha_max.
+                mins.append(bounds.alpha_brackets(variant, snr, 1e-300).alpha_max)
+            else:
+                mins.append(bounds.alpha_brackets(variant, snr, eps).alpha_min)
+        ab = bounds.alpha_brackets(variant, snr, 1.0)
+        row = [float(lc), ab.alpha_max / norm, ab.alpha_max / 2.0 / norm]
+        row += [v / norm for v in mins]
+        row += [ab.alpha_plus / norm, ab.alpha_minus / norm]
+        rows.append(row)
+    columns = [_reprs(column, args.format) for column in np.array(rows).T]
+    with _output(args.out) as out:
+        _write_blocks(out, header, [columns], args.format)
     return 0
 
 
 def cmd_fig6(args) -> int:
-    scale = 1.0
+    scale = _freq_scale(args.unit)
     if args.scenario is not None:
         scenario = _load_scenario(args.scenario)
         lc = scenario.coherence_product
-        scale = scenario.snr_density * math.sqrt(lc / math.log(lc))
+        scale *= scenario.snr_density * math.sqrt(lc / math.log(lc))
+    elif args.unit != "hz":
+        raise ValueError("without --scenario the fig6 columns are normalized coefficients, "
+                         "not frequencies: --unit needs --scenario")
     header = ["nt", "nr", "B_low_exact", "B_low_approx", "B_high_exact", "B_high_approx"]
-    rows = []
-    for nt in range(1, 9):
-        for nr in range(1, 9):
-            low_exact, low_approx, high_exact, high_approx = bounds.critical_coefficients(nt, nr)
-            if not (low_approx <= low_exact and high_exact <= high_approx):
-                raise RuntimeError("exact critical sheet left the approximate bracket")
-            rows.append([
-                nt, nr, low_exact * scale, low_approx * scale,
-                high_exact * scale, high_approx * scale,
-            ])
-    out, close = _open_out(args.out)
-    try:
-        _write_rows(out, header, rows, args.format)
-    finally:
-        if close:
-            out.close()
+    antennas = [(nt, nr) for nt in range(1, 9) for nr in range(1, 9)]
+    sheets = np.array([bounds.critical_coefficients(nt, nr) for nt, nr in antennas])
+    low_exact, low_approx, high_exact, high_approx = sheets.T
+    if not (np.all(low_approx <= low_exact) and np.all(high_exact <= high_approx)):
+        raise RuntimeError("exact critical sheet left the approximate bracket")
+    columns = [[str(nt) for nt, _ in antennas], [str(nr) for _, nr in antennas]]
+    columns += [_reprs(column, args.format) for column in (sheets * scale).T]
+    with _output(args.out) as out:
+        _write_blocks(out, header, [columns], args.format)
     return 0
 
 
@@ -405,12 +384,8 @@ def cmd_verify(args) -> int:
         "checks": [record.as_dict() for record in records],
         "all_pass": all(record.passed for record in records),
     }
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(json.dumps(report, indent=2) + "\n")
-    finally:
-        if close:
-            out.close()
     if not report["all_pass"]:
         failing = [record.check for record in records if not record.passed]
         print("failed checks: " + ", ".join(failing), file=sys.stderr)
@@ -429,12 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=scenario_required,
                        help="scenario file (flat key=value or JSON)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--unit", choices=("hz", "mhz"), default="hz",
-                       help="display unit for frequency columns")
-        # Accepted everywhere; only the Monte-Carlo command reads them.
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--trials", type=int, default=20_000)
 
     p_bounds = sub.add_parser("bounds", help="rate bounds over a sweep grid")
     common(p_bounds, scenario_required=True)
@@ -472,7 +441,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="Monte-Carlo verification suite")
     common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--trials", type=int, default=20_000)
     p_verify.set_defaults(func=cmd_verify)
+
+    # Each option only on the commands that read it.
+    for p in (p_bounds, p_crit, p_alpha, p_fig6):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    for p in (p_bounds, p_crit, p_fig6):
+        p.add_argument("--unit", choices=("hz", "mhz"), default="hz",
+                       help="display unit for frequency columns")
 
     return parser
 

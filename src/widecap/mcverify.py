@@ -285,15 +285,6 @@ def gram_logdet(m: np.ndarray) -> np.ndarray:
     return total
 
 
-def coherent_block_values(blocks: np.ndarray, rho: float, occupancy: float) -> np.ndarray:
-    """Per-realization occupancy * ln det(I + rho * H H^H) for stacked blocks H.
-
-    By Sylvester's identity the log-det equals ln det(I + rho * H^H H), so the
-    smaller of the two Grams is used: min(Nt, Nr) steps of :func:`gram_logdet`.
-    """
-    return occupancy * gram_logdet(rho * small_gram(blocks))
-
-
 def _require_occupancy(*occupancies: float):
     if not all(math.isfinite(x) and x > 0 for x in occupancies):
         raise ValueError("occupancy must be finite and > 0")
@@ -411,7 +402,6 @@ def penalty_sandwich(
     occupancy: float,
     k_samples: int,
     cfg: McConfig,
-    tag=_TAG_PENALTY,
 ) -> PenaltySandwich:
     """Estimate the channel-uncertainty penalty and bracket it.
 
@@ -478,7 +468,7 @@ def penalty_sandwich(
         del power
         penalties[rows] = prefactor * nr * toeplitz_logdet(column)
 
-    _each_chunk(cfg, tag, fill)
+    _each_chunk(cfg, _TAG_PENALTY, fill)
 
     return PenaltySandwich(
         estimate=_estimate(penalties),

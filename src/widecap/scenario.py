@@ -10,7 +10,6 @@ boundary.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "ValidationError",
     "FadingFamily",
     "ChannelScenario",
-    "OccupancyPoint",
     "kurtosis",
     "snr_per_dof",
     "parse_scenario",
@@ -140,38 +138,12 @@ class ChannelScenario:
         """Infinite-bandwidth AWGN capacity Nr*P/N0 in nats/s."""
         return self.nr * self.snr_density
 
-    @property
-    def kurtosis(self) -> float:
-        return kurtosis(self.fading)
-
 
 def snr_per_dof(scenario: ChannelScenario, bandwidth: float) -> float:
     """SNR per degree of freedom at each receive antenna, (P/N0)/B."""
     if not bandwidth > 0:
         raise ValidationError("bandwidth must be > 0")
     return scenario.snr_density / bandwidth
-
-
-@dataclass(frozen=True)
-class OccupancyPoint:
-    """A (duty cycle, bandwidth) pair with its bandwidth occupancy delta*B."""
-
-    delta: float
-    bandwidth: float
-    occupancy: float
-
-    def __post_init__(self):
-        if not 0 < self.delta <= 1:
-            raise ValidationError("delta must be in (0, 1]")
-        if not self.bandwidth > 0:
-            raise ValidationError("bandwidth must be > 0")
-        product = self.delta * self.bandwidth
-        if abs(self.occupancy - product) > math.ulp(product):
-            raise ValidationError("occupancy must equal delta * bandwidth")
-
-    @classmethod
-    def of(cls, delta: float, bandwidth: float) -> "OccupancyPoint":
-        return cls(delta, bandwidth, delta * bandwidth)
 
 
 # Scenario-file keys.  snr_density_hz and snr_density_db_hz are mutually

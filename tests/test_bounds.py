@@ -11,17 +11,13 @@ from scipy import optimize
 from widecap.bounds import (
     LN_PI,
     AlphaBracket,
-    BoundsReport,
     CriticalBracket,
     OccupancyAboveOptimalWarning,
     alpha_brackets,
-    bounds_report,
-    coarse_peak_rate,
     coherence_requirement,
     critical_bracket,
     critical_coefficients,
     epsilon_for_error_pct,
-    normalize_per_symbol_rate,
     optimal_occupancy,
     peak_gap,
     rate_derivative_terms,
@@ -31,7 +27,7 @@ from widecap.bounds import (
     sublinear_rate_bound,
     sublinear_support_range,
 )
-from widecap.scenario import ChannelScenario, FadingFamily, OccupancyPoint, kurtosis
+from widecap.scenario import ChannelScenario, FadingFamily, kurtosis
 
 # Frozen 50-digit reference evaluations of the closed forms.
 RLB_100_1X1_LC1E3_AT_100 = -0.69087547793152205852
@@ -156,10 +152,10 @@ class TestRateLowerBound:
     def test_occupancy_only_dependence(self):
         s = scenario()
         x = 1700.0
-        a = OccupancyPoint.of(1.0, x)
-        b = OccupancyPoint.of(0.5, 2.0 * x)
-        assert a.occupancy == b.occupancy
-        assert rate_lower_bound(s, a.occupancy) == rate_lower_bound(s, b.occupancy)
+        # delta*B of (1, x) and (0.5, 2x).
+        a, b = 1.0 * x, 0.5 * (2.0 * x)
+        assert a == b
+        assert rate_lower_bound(s, a) == rate_lower_bound(s, b)
 
     def test_array_broadcast(self):
         s = scenario()
@@ -209,24 +205,6 @@ class TestRateUpperBound:
         opt = optimal_occupancy(s).occupancy_optimal
         grid = np.geomspace(opt / 1e3, opt * 1e3, 101)
         assert np.all(rate_lower_bound(s, grid) <= rate_upper_bound(s, grid, pf))
-
-
-class TestBoundsReport:
-    def test_fields(self):
-        report = bounds_report(scenario(), 1e3)
-        assert report.wideband_limit == 100.0
-        assert report.gap_delta == pytest.approx(1 - report.rate_lower / 100.0, rel=1e-13)
-        assert report.rate_upper == pytest.approx(RUB_100_1X1_LC1E3_AT_1E3, rel=1e-12)
-
-    def test_no_upper_bound_outside_rayleigh(self):
-        report = bounds_report(scenario(fading=FadingFamily.nakagami(2.0)), 1e3)
-        assert report.rate_upper is None
-
-    def test_inconsistent_gap_rejected(self):
-        with pytest.raises(ValueError):
-            BoundsReport(
-                occupancy=1e3, rate_lower=50.0, wideband_limit=100.0, gap_delta=0.4
-            )
 
 
 class TestOptimalOccupancy:
@@ -604,34 +582,9 @@ class TestCoherenceRequirement:
             coherence_requirement(0.5, 0.1, 2.0, 1, 1)
 
 
-class TestNormalization:
-    def test_unit_conversion(self):
-        s = scenario()  # Bc = 1e6 Hz
-        assert normalize_per_symbol_rate(1.0, s) == 1e6
-
-    def test_zero(self):
-        assert normalize_per_symbol_rate(0.0, scenario()) == 0.0
-
-    def test_snr_symbol_rate_algebra(self):
-        # a*SNR nats/symbol with SNR = P/(N0*B) and B = M*Bc comes out as
-        # a*(P/N0)/M nats/s.
-        s = scenario(snr=100.0)
-        m = 8
-        a = 3.0
-        per_symbol = a * s.snr_density / (m * s.coherence_bandwidth)
-        assert normalize_per_symbol_rate(per_symbol, s) == pytest.approx(
-            a * s.snr_density / m, rel=1e-12
-        )
-
-
 class TestSupportRangeAndCoarseRate:
     def test_support_range_formulas(self):
         s = scenario(snr=100.0, nt=2, nr=1)
         cap, floor = sublinear_support_range(s, 0.5)
         assert cap == pytest.approx(100.0 * 1.5 * math.sqrt(1e3), rel=1e-14)
         assert floor == pytest.approx(100.0**1.5 * 1.5 * math.sqrt(1e3), rel=1e-14)
-
-    def test_coarse_peak_rate(self):
-        s = scenario(snr=100.0, lc=1e4)
-        assert coarse_peak_rate(s) == pytest.approx(100.0 * (1 - 0.01), rel=1e-14)
-        assert coarse_peak_rate(s) <= s.wideband_limit

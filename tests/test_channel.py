@@ -7,10 +7,7 @@ from widecap.channel import (
     DiscreteChannel,
     FilterBankCodeword,
     PilotCirculant,
-    analytic_tap_correlation,
     block_idft_matrix,
-    channel_from_json,
-    channel_to_json,
     circulant_eigenvalues,
     filterbank_equivalence_check,
     frequency_response,
@@ -136,7 +133,8 @@ class TestFrequencyResponse:
         spectra = np.fft.fft(taps, n=k, axis=1)
         gains = np.full(m, 1.0 / m)
         lags = [1, 2, 5, 8, 12, 16, 24]
-        analytic = analytic_tap_correlation(gains, k, lags)
+        # Correlation of H[k] and H[k+lag]: the K-point DFT of the gain profile.
+        analytic = np.fft.fft(gains, n=k)[lags]
         for lag, expected in zip(lags, analytic):
             pairs = spectra[:, :-lag].reshape(-1) * np.conj(spectra[:, lag:]).reshape(-1)
             corr = np.mean(pairs)  # E|H[k]|^2 = 1
@@ -264,16 +262,6 @@ class TestFilterBankEquivalence:
         channel = sample_taps(scenario(lc=8.0), 64, rng_seed=1)
         with pytest.raises(ValueError):
             filterbank_equivalence_check(codeword, channel)
-
-
-class TestChannelJson:
-    def test_round_trip(self):
-        channel = sample_taps(scenario(nt=2, nr=2, lc=8.0), 32, rng_seed=21)
-        restored = channel_from_json(channel_to_json(channel))
-        assert restored.k_samples == channel.k_samples
-        assert restored.m_taps == channel.m_taps
-        assert np.array_equal(restored.taps, channel.taps)
-        assert np.array_equal(restored.gains, channel.gains)
 
 
 class TestDiscreteChannelInvariants:

@@ -3,15 +3,24 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import widecap
-from widecap.bounds import rate_lower_bound, rate_upper_bound
-from widecap.cli import _BLOCK, GridAxis, SweepSpec, main
-from widecap.scenario import parse_scenario
+from widecap.bounds import (
+    alpha_brackets,
+    critical_bracket,
+    critical_coefficients,
+    epsilon_for_error_pct,
+    peak_gap,
+    rate_lower_bound,
+    rate_upper_bound,
+)
+from widecap.cli import _BLOCK, DEFAULT_SCENARIO, GridAxis, SweepSpec, main
+from widecap.scenario import parse_scenario, serialize_scenario
 
 FLAT_2X2 = """
 snr_density_hz = 1e7
@@ -469,6 +478,26 @@ class TestAlphaCommand:
             "--out", str(out),
         ])
         assert code == 2
+        assert not out.exists()
+
+    def test_rejects_percentages_with_one_column_name(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "x.json"
+        code = main([
+            "alpha", "--scenario", scenario_file, "--snr", "0.01", "--p", "1,1.0000001",
+            "--format", "json", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert "--p values must differ" in capsys.readouterr().err
+
+    def test_rejects_zero_error_percentage(self, tmp_path, scenario_file):
+        out = tmp_path / "x.txt"
+        code = main([
+            "alpha", "--scenario", scenario_file, "--snr", "0.01", "--p", "0",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
 
 
 class TestFig6Command:
@@ -507,6 +536,132 @@ class TestFig6Command:
                 highs = [float(row[high_key]) for row in subset]
                 assert lows == sorted(lows, reverse=True)
                 assert highs == sorted(highs)
+
+    def test_mhz_unit_rescales_scenario_columns(self, tmp_path, scenario_file):
+        _, hz = run(tmp_path, "fig6", "--scenario", scenario_file, "--unit", "hz")
+        _, mhz = run(tmp_path, "fig6", "--scenario", scenario_file, "--unit", "mhz")
+        header, rows_hz = csv_rows(hz)
+        _, rows_mhz = csv_rows(mhz)
+        for row_hz, row_mhz in zip(rows_hz, rows_mhz):
+            assert (row_mhz["nt"], row_mhz["nr"]) == (row_hz["nt"], row_hz["nr"])
+            for key in header[2:]:
+                assert float(row_mhz[key]) == pytest.approx(float(row_hz[key]) * 1e-6, rel=1e-15)
+
+    def test_mhz_unit_needs_scenario(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["fig6", "--unit", "mhz", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "normalized coefficients" in capsys.readouterr().err
+
+
+def reference_table(header, rows, fmt):
+    """A list-of-rows table: CSV cells are repr of floats and str of ints; JSON
+    is json.dumps of the row dicts."""
+    if fmt == "json":
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    cells = [[repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows]
+    return "\n".join([",".join(header)] + [",".join(row) for row in cells]) + "\n"
+
+
+def critical_reference(scenario, fmt, scale):
+    bracket, gap = critical_bracket(scenario), peak_gap(scenario)
+    header = [
+        "occupancy_low", "occupancy_low_exact", "occupancy_optimal",
+        "occupancy_optimal_exact", "occupancy_high_exact", "occupancy_high",
+        "peak_rate_lower", "gap_delta",
+    ]
+    row = [getattr(bracket, name) * scale for name in header[:6]]
+    row += [bracket.peak_rate_lower, gap]
+    if fmt == "csv":
+        return reference_table(header, [row], "csv")
+    payload = dict(zip(header, row))
+    payload["summary"] = (f"optimal occupancy ~ {bracket.occupancy_optimal / 1e6:.3g} MHz "
+                          f"with capacity gap ~ {gap:.3f}")
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def alpha_reference(scenario, fmt, snr, p_list, bctc, normalize):
+    suffix = "_over_logLc" if normalize else ""
+    header = ["BcTc", f"alpha_max{suffix}", f"alpha_max_over_2{suffix}"]
+    header += [f"alpha_min_p{p:g}{suffix}" for p in p_list]
+    header += [f"alpha_plus{suffix}", f"alpha_minus{suffix}"]
+    rows = []
+    for lc in bctc:
+        variant = replace(scenario, coherence_bandwidth=lc / scenario.coherence_time)
+        norm = math.log(variant.coherence_product) if normalize else 1.0
+        mins = []
+        for p in p_list:
+            eps = epsilon_for_error_pct(p, snr)
+            mins.append(alpha_brackets(variant, snr, 1e-300).alpha_max if eps == 0.0
+                        else alpha_brackets(variant, snr, eps).alpha_min)
+        ab = alpha_brackets(variant, snr, 1.0)
+        rows.append([lc, ab.alpha_max / norm, ab.alpha_max / 2.0 / norm,
+                     *[v / norm for v in mins], ab.alpha_plus / norm, ab.alpha_minus / norm])
+    return reference_table(header, rows, fmt)
+
+
+def fig6_reference(scenario, fmt):
+    scale = 1.0
+    if scenario is not None:
+        lc = scenario.coherence_product
+        scale = scenario.snr_density * math.sqrt(lc / math.log(lc))
+    header = ["nt", "nr", "B_low_exact", "B_low_approx", "B_high_exact", "B_high_approx"]
+    rows = [[nt, nr, *[v * scale for v in critical_coefficients(nt, nr)]]
+            for nt in range(1, 9) for nr in range(1, 9)]
+    return reference_table(header, rows, fmt)
+
+
+TABLE_SCENARIOS = {"default": DEFAULT_SCENARIO, "2x2": parse_scenario(FLAT_2X2)}
+
+ALPHA_CASES = [
+    pytest.param([], [1.0, 10.0], grid(1e2, 1e8, 25), False, id="defaults"),
+    pytest.param(["--normalize"], [1.0, 10.0], grid(1e2, 1e8, 25), True, id="normalize"),
+    pytest.param(["--p", "1,100,10", "--bctc-grid", "1e2:1e6:9"], [1.0, 100.0, 10.0],
+                 grid(1e2, 1e6, 9), False, id="p100"),
+    pytest.param(["--normalize", "--p", "100,5", "--bctc-grid", "10:1e3:7:lin"], [100.0, 5.0],
+                 grid(10, 1e3, 7, log=False), True, id="p100-normalize-lin"),
+]
+
+
+class TestTableByteIdentity:
+    """critical, alpha and fig6 write the bytes of the reference table writer."""
+
+    @pytest.fixture(params=sorted(TABLE_SCENARIOS))
+    def named_scenario(self, request, tmp_path):
+        scenario = TABLE_SCENARIOS[request.param]
+        path = tmp_path / f"{request.param}.txt"
+        path.write_text(serialize_scenario(scenario))
+        return scenario, str(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("unit, scale", [("hz", 1.0), ("mhz", 1e-6)])
+    def test_critical(self, tmp_path, named_scenario, fmt, unit, scale):
+        scenario, path = named_scenario
+        code, text = run(tmp_path, "critical", "--scenario", path, "--format", fmt, "--unit", unit)
+        assert code == 0
+        assert text == critical_reference(scenario, fmt, scale)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("options, p_list, bctc, normalize", ALPHA_CASES)
+    def test_alpha(self, tmp_path, named_scenario, fmt, options, p_list, bctc, normalize):
+        scenario, path = named_scenario
+        code, text = run(tmp_path, "alpha", "--scenario", path, "--snr", "0.01", *options,
+                         "--format", fmt)
+        assert code == 0
+        assert text == alpha_reference(scenario, fmt, 0.01, p_list, bctc, normalize)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fig6(self, tmp_path, named_scenario, fmt):
+        scenario, path = named_scenario
+        code, text = run(tmp_path, "fig6", "--scenario", path, "--format", fmt, "--unit", "hz")
+        assert code == 0
+        assert text == fig6_reference(scenario, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fig6_coefficients(self, tmp_path, fmt):
+        code, text = run(tmp_path, "fig6", "--format", fmt)
+        assert code == 0
+        assert text == fig6_reference(None, fmt)
 
 
 class TestVerifyCommand:
@@ -566,16 +721,29 @@ class TestVerifyCommand:
         assert err.value.code == 2
 
 
-class TestSeedScope:
-    def test_seed_ignored_by_analytic_commands(self, tmp_path, scenario_file):
-        _, a = run(
-            tmp_path, "critical", "--scenario", scenario_file, "--seed", "1",
-        )
-        _, b = run(
-            tmp_path, "critical", "--scenario", scenario_file, "--seed", "999",
-        )
-        assert a == b
+class TestOptionScope:
+    """Each option exists only on the commands that read it."""
 
+    @pytest.mark.parametrize("command, options", [
+        ("critical", ["--seed", "1"]),
+        ("bounds", ["--db-grid", "1e6:1e10:3", "--trials", "5"]),
+        ("alpha", ["--snr", "0.01", "--unit", "mhz"]),
+        ("fig6", ["--seed", "1"]),
+        ("verify", ["--format", "csv"]),
+        ("verify", ["--unit", "mhz"]),
+    ], ids=["critical-seed", "bounds-trials", "alpha-unit", "fig6-seed", "verify-format",
+            "verify-unit"])
+    def test_unread_option_is_usage_error(self, tmp_path, scenario_file, command, options,
+                                          capsys):
+        out = tmp_path / "never.out"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--scenario", scenario_file, *options, "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+        assert "unrecognized arguments: " + " ".join(options[-2:]) in capsys.readouterr().err
+
+
+class TestSeedScope:
     def test_seed_changes_verify_report(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         main(["verify", "--seed", "1", "--trials", "12000", "--out", str(out_a)])

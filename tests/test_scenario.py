@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +5,6 @@ from hypothesis import strategies as st
 from widecap.scenario import (
     ChannelScenario,
     FadingFamily,
-    OccupancyPoint,
     ParseError,
     ValidationError,
     kurtosis,
@@ -199,26 +196,3 @@ class TestSnrPerDof:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValidationError):
             snr_per_dof(make_scenario(), 0.0)
-
-
-class TestOccupancyPoint:
-    def test_product_stored(self):
-        point = OccupancyPoint.of(0.5, 2e6)
-        assert point.occupancy == 1e6
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValidationError):
-            OccupancyPoint.of(0.0, 1e6)
-        with pytest.raises(ValidationError):
-            OccupancyPoint.of(1.5, 1e6)
-
-    def test_occupancy_must_match_product(self):
-        with pytest.raises(ValidationError):
-            OccupancyPoint(0.5, 2e6, 1e6 * (1 + 1e-9))
-
-    @settings(max_examples=50, deadline=None)
-    @given(delta=st.floats(1e-9, 1.0), bandwidth=st.floats(1e-3, 1e12))
-    def test_constructor_consistency(self, delta, bandwidth):
-        point = OccupancyPoint.of(delta, bandwidth)
-        assert point.occupancy == delta * bandwidth
-        assert math.isfinite(point.occupancy)
