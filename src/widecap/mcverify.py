@@ -4,8 +4,9 @@ Each routine simulates one ingredient of the bound derivations and returns a
 seeded, reproducible estimate: channel kurtosis, the fourth-moment trace
 identity, the coherent log-det term against its quadratic expansion, and the
 channel-uncertainty penalty term against its closed-form chain ends.
-:func:`run_verification_suite` bundles them (plus the deterministic channel
-identities) into pass/fail records consumed by the CLI.
+:func:`run_verification_suite` gates them (plus the deterministic channel
+identities) into the pass/fail records the CLI reports.  Every pass comes from
+one rule (:func:`_within`): low - 4*SE <= value <= high + 4*SE + slack.
 
 No Monte-Carlo log-det needs an eigendecomposition.  The penalty's
 ln det(I + T) with T Hermitian Toeplitz is a batched Levinson-Durbin
@@ -62,7 +63,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "PenaltySandwich",
-    "SandwichPoint",
     "CheckRecord",
     "kurtosis_estimate",
     "empirical_kurtosis",
@@ -88,14 +88,16 @@ _TAG_CHANNEL = 6
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial budget and seeding for the Monte-Carlo checks."""
+    """Trial budget (at least 10 000) and non-negative base seed for the Monte-Carlo checks."""
 
     trials: int
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.trials < _MIN_TRIALS:
+            raise ValueError(f"need at least {_MIN_TRIALS} trials")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True)
@@ -163,11 +165,6 @@ def _estimate(values: np.ndarray) -> McEstimate:
     return McEstimate(mean=float(values.mean()), std_error=float(sd / math.sqrt(n)), trials=n)
 
 
-def _require_trials(cfg: McConfig):
-    if cfg.trials < _MIN_TRIALS:
-        raise ValueError(f"need at least {_MIN_TRIALS} trials")
-
-
 def kurtosis_estimate(power_samples) -> McEstimate:
     """Kurtosis estimate mean(x^2)/mean(x)^2 from squared-magnitude samples.
 
@@ -186,7 +183,6 @@ def kurtosis_estimate(power_samples) -> McEstimate:
 
 def empirical_kurtosis(fading: FadingFamily, cfg: McConfig) -> McEstimate:
     """Estimate E|h|^4 / (E|h|^2)^2 over i.i.d. draws from the fading law."""
-    _require_trials(cfg)
     powers = np.empty(cfg.trials)
 
     def fill(rng, rows, n):
@@ -203,7 +199,6 @@ def trace_identity_expected(nt: int, nr: int, kappa: float) -> float:
 
 def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate:
     """Estimate E[tr((H H^H)^2)] over per-subcarrier channel blocks."""
-    _require_trials(cfg)
     nt, nr = scenario.nt, scenario.nr
     values = np.empty(cfg.trials)
 
@@ -300,7 +295,6 @@ def coherent_term_mc(scenario: ChannelScenario, occupancy, cfg: McConfig, tag=_T
     only :func:`gram_logdet` runs per occupancy.
     """
     occupancies = occupancy if isinstance(occupancy, list) else [occupancy]
-    _require_trials(cfg)
     _require_occupancy(*occupancies)
     if not occupancies:
         return []
@@ -383,9 +377,9 @@ def _pilot_lags(power: np.ndarray, cols: int, scale: float) -> np.ndarray:
 class PenaltySandwich:
     """Penalty-term estimate with its closed-form chain ends.
 
-    ``margin`` is the paired estimate of (penalty - lower chain); the
-    sandwich holds when margin.mean >= -4*margin.std_error and
-    estimate.mean <= upper_chain within 4 standard errors.
+    ``margin`` is the paired estimate of (penalty - lower chain).
+    :func:`run_verification_suite` gates the sandwich: margin >= 0 and
+    estimate <= upper_chain, each within 4 of its own standard errors.
     ``folded_chain`` is the mean of the paper's lower chain, which uses the
     folded-pilot psi; it is reported, not gated.
     """
@@ -435,7 +429,6 @@ def penalty_sandwich(
     spectrum is a subsample of the power spectrum; otherwise the pilot's
     phases are drawn to form it (:func:`_folded_power`).
     """
-    _require_trials(cfg)
     _require_occupancy(occupancy)
     if scenario.fading.kind != "rayleigh":
         raise ValueError("penalty sandwich is defined for Rayleigh fading")
@@ -480,55 +473,6 @@ def penalty_sandwich(
 
 
 @dataclass(frozen=True)
-class SandwichPoint:
-    """One occupancy of the lower/MC/upper rate sandwich."""
-
-    occupancy: float
-    rate_lower: float
-    rate_upper: float
-    mc_value: float
-    coherent: McEstimate
-    upper_slack: float
-    pass_lower: bool
-    pass_upper: bool
-
-
-def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
-    """Check R_LB <= (MC coherent term - penalty cap) <= R_UB over a dB grid.
-
-    The MC value pairs the simulated coherent term with the closed-form
-    penalty cap, matching the construction of the lower bound.  All points
-    share the draws of H of :func:`coherent_term_mc`.  The upper comparison
-    allows, besides 4 standard errors, the dropped o(1/B) remainder of the
-    upper bound (at most C_inf * SNR_delta^2 / 3).
-    """
-    if scenario.fading.kind != "rayleigh":
-        raise ValueError("bound sandwich is defined for Rayleigh fading")
-    grid = [float(occupancy) for occupancy in grid]
-    points = []
-    for occupancy, coherent in zip(grid, coherent_term_mc(scenario, grid, cfg)):
-        mc_value = coherent.mean - bounds._penalty_cap(scenario, occupancy, math.log1p)
-        rate_lower = float(bounds.rate_lower_bound(scenario, occupancy))
-        rate_upper = float(bounds.rate_upper_bound(scenario, occupancy, 1.0))
-        snr_dof = scenario.snr_density / occupancy
-        slack = occupancy * scenario.nr * snr_dof**3 / 3.0
-        tol = 4.0 * coherent.std_error
-        points.append(
-            SandwichPoint(
-                occupancy=occupancy,
-                rate_lower=rate_lower,
-                rate_upper=rate_upper,
-                mc_value=mc_value,
-                coherent=coherent,
-                upper_slack=slack,
-                pass_lower=rate_lower - tol <= mc_value,
-                pass_upper=mc_value <= rate_upper + tol + slack,
-            )
-        )
-    return points
-
-
-@dataclass(frozen=True)
 class CheckRecord:
     """One verification check in the machine-readable report."""
 
@@ -552,26 +496,61 @@ class CheckRecord:
         }
 
 
-def _two_sided_record(name, params, estimate: McEstimate, expected: float) -> CheckRecord:
-    z = (estimate.mean - expected) / estimate.std_error if estimate.std_error > 0 else 0.0
-    return CheckRecord(
-        check=name,
-        params=params,
-        passed=abs(z) <= 4.0,
-        estimate=estimate.mean,
-        std_error=estimate.std_error,
-        z=z,
-        bound_values={"expected": expected},
-    )
+def _within(value: float, std_error: float, low: float, high: float, slack: float = 0.0) -> bool:
+    """The pass rule of every check: low - 4*SE <= value <= high + 4*SE + slack.
+
+    A two-sided check has low = high, a one-sided one an infinite end, and a
+    deterministic one SE = 0: a zero SE compares exactly.
+    """
+    tol = 4.0 * std_error
+    return low - tol <= value <= high + tol + slack
+
+
+def _z(offset: float, std_error: float) -> float:
+    """offset / SE, reported as 0.0 when SE is 0."""
+    return offset / std_error if std_error > 0 else 0.0
+
+
+def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
+    """Check R_LB <= (MC coherent term - penalty cap) <= R_UB over a dB grid.
+
+    Returns one record per occupancy and the coherent estimates it drew.  The
+    MC value pairs the simulated coherent term with the closed-form penalty
+    cap, matching the construction of the lower bound.  All points share the
+    draws of H of :func:`coherent_term_mc`.  The upper comparison allows,
+    besides 4 standard errors, the dropped o(1/B) remainder of the upper
+    bound (at most C_inf * SNR_delta^2 / 3).
+    """
+    if scenario.fading.kind != "rayleigh":
+        raise ValueError("bound sandwich is defined for Rayleigh fading")
+    grid = [float(occupancy) for occupancy in grid]
+    estimates = coherent_term_mc(scenario, grid, cfg)
+    records = []
+    for occupancy, coherent in zip(grid, estimates):
+        mc_value = coherent.mean - bounds._penalty_cap(scenario, occupancy, math.log1p)
+        rate_lower = float(bounds.rate_lower_bound(scenario, occupancy))
+        rate_upper = float(bounds.rate_upper_bound(scenario, occupancy, 1.0))
+        snr_dof = scenario.snr_density / occupancy
+        slack = occupancy * scenario.nr * snr_dof**3 / 3.0
+        records.append(CheckRecord(
+            check=f"bound_sandwich[dB={occupancy:.6g}]",
+            params={"occupancy": occupancy, "trials": cfg.trials},
+            passed=_within(mc_value, coherent.std_error, rate_lower, rate_upper, slack),
+            estimate=mc_value, std_error=coherent.std_error,
+            bound_values={"rate_lower": rate_lower, "rate_upper": rate_upper, "upper_slack": slack},
+        ))
+    return records, estimates
 
 
 def kurtosis_check(fading: FadingFamily, cfg: McConfig, expected: Optional[float] = None) -> CheckRecord:
     if expected is None:
         expected = kurtosis(fading)
     estimate = empirical_kurtosis(fading, cfg)
-    return _two_sided_record(
-        f"kurtosis[{fading.label}]", {"fading": fading.label, "trials": cfg.trials},
-        estimate, expected,
+    return CheckRecord(
+        check=f"kurtosis[{fading.label}]", params={"fading": fading.label, "trials": cfg.trials},
+        passed=_within(estimate.mean, estimate.std_error, expected, expected),
+        estimate=estimate.mean, std_error=estimate.std_error,
+        z=_z(estimate.mean - expected, estimate.std_error), bound_values={"expected": expected},
     )
 
 
@@ -582,23 +561,19 @@ def _trace_check(nt: int, nr: int, fading: FadingFamily, cfg: McConfig) -> Check
     )
     estimate = trace_identity_check(scenario, cfg)
     expected = trace_identity_expected(nt, nr, kurtosis(fading))
-    return _two_sided_record(
-        f"trace_identity[{nt}x{nr}:{fading.label}]",
-        {"nt": nt, "nr": nr, "fading": fading.label, "trials": cfg.trials},
-        estimate, expected,
-    )
-
-
-def _deterministic_record(name, params, value: float, limit: float) -> CheckRecord:
     return CheckRecord(
-        check=name, params=params, passed=value <= limit,
-        estimate=value, bound_values={"limit": limit},
+        check=f"trace_identity[{nt}x{nr}:{fading.label}]",
+        params={"nt": nt, "nr": nr, "fading": fading.label, "trials": cfg.trials},
+        passed=_within(estimate.mean, estimate.std_error, expected, expected),
+        estimate=estimate.mean, std_error=estimate.std_error,
+        z=_z(estimate.mean - expected, estimate.std_error), bound_values={"expected": expected},
     )
 
 
 def _channel_identity_checks(cfg: McConfig):
+    """Records of the deterministic channel identities; each passes when its value <= limit."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, _TAG_CHANNEL)))
-    records = []
+    checks = []
 
     k, cols = 64, 8
     x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -607,17 +582,14 @@ def _channel_identity_checks(cfg: McConfig):
     formula, _ = circulant_eigenvalues(pilot)
     dense = np.linalg.eigvalsh(pilot.folded_gram()).real
     rel = np.max(np.abs(np.sort(formula) - np.sort(dense))) / np.max(dense)
-    records.append(_deterministic_record(
-        "circulant_spectrum", {"k": k, "cols": cols}, float(rel), 1e-9))
+    checks.append(("circulant_spectrum", {"k": k, "cols": cols}, float(rel), 1e-9))
 
     trace_gap = abs(float(np.trace(pilot.gram()).real) / (cols * k) - 1.0)
-    records.append(_deterministic_record(
-        "pilot_gram_trace", {"k": k, "cols": cols}, trace_gap, 1e-12))
+    checks.append(("pilot_gram_trace", {"k": k, "cols": cols}, trace_gap, 1e-12))
 
     phi = block_idft_matrix(8, 4)
     unitarity = float(np.max(np.abs(phi @ phi.conj().T - np.eye(32))))
-    records.append(_deterministic_record(
-        "idft_unitarity", {"l_symbols": 8, "m_bins": 4}, unitarity, 1e-12))
+    checks.append(("idft_unitarity", {"l_symbols": 8, "m_bins": 4}, unitarity, 1e-12))
 
     m_bins, l_symbols = 4, 8
     k_fb = m_bins * l_symbols
@@ -630,51 +602,39 @@ def _channel_identity_checks(cfg: McConfig):
                + 1j * rng.standard_normal((m_bins, l_symbols))) / math.sqrt(2.0)
     gap = filterbank_equivalence_check(
         FilterBankCodeword(m_bins=m_bins, l_symbols=l_symbols, symbols=symbols), channel)
-    records.append(_deterministic_record(
-        "filterbank_equivalence", {"m_bins": m_bins, "l_symbols": l_symbols}, gap, 1e-9))
+    checks.append(("filterbank_equivalence", {"m_bins": m_bins, "l_symbols": l_symbols}, gap, 1e-9))
 
-    return records
+    return [
+        CheckRecord(check=check, params=params, passed=_within(value, 0.0, -math.inf, limit),
+                    estimate=value, bound_values={"limit": limit})
+        for check, params, value, limit in checks
+    ]
 
 
 def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
-    """All Monte-Carlo and channel-identity checks for one scenario."""
-    records = []
-
-    fadings = [scenario.fading, FadingFamily.rice(1.0), FadingFamily.nakagami(2.0)]
-    seen = set()
-    for fading in fadings:
-        if fading.label in seen:
-            continue
-        seen.add(fading.label)
-        records.append(kurtosis_check(fading, cfg))
-
+    """All Monte-Carlo and channel-identity checks for one scenario, each gated by :func:`_within`."""
     rayleigh = FadingFamily.rayleigh()
+    fadings = [scenario.fading, FadingFamily.rice(1.0), FadingFamily.nakagami(2.0)]
+    records = [kurtosis_check(fading, cfg) for fading in dict.fromkeys(fadings)]
     antenna_cases = [(scenario.nt, scenario.nr, scenario.fading), (1, 1, rayleigh),
                      (2, 2, rayleigh), (2, 1, rayleigh)]
-    seen = set()
-    for nt, nr, fading in antenna_cases:
-        key = (nt, nr, fading.label)
-        if key in seen:
-            continue
-        seen.add(key)
-        records.append(_trace_check(nt, nr, fading, cfg))
-
-    records.extend(_channel_identity_checks(cfg))
+    records += [_trace_check(*case, cfg) for case in dict.fromkeys(antenna_cases)]
+    records += _channel_identity_checks(cfg)
 
     # On Rayleigh fading the coherent check at (dB)* is the sweep's middle point.
     optimum = bounds.optimal_occupancy(scenario).occupancy_optimal_exact
     shared = scenario.fading.kind == "rayleigh"
     sweep_scenario = scenario if shared else replace(scenario, fading=rayleigh)
-    points = bound_sandwich_sweep(sweep_scenario, [optimum * f for f in (0.1, 1.0, 10.0)], cfg)
-    coherent = points[1].coherent if shared else coherent_term_mc(scenario, optimum, cfg)
+    sweep, estimates = bound_sandwich_sweep(
+        sweep_scenario, [optimum * f for f in (0.1, 1.0, 10.0)], cfg)
+    coherent = estimates[1] if shared else coherent_term_mc(scenario, optimum, cfg)
     quad = coherent_quadratic_lower(scenario, optimum)
-    z = (coherent.mean - quad) / coherent.std_error if coherent.std_error > 0 else 0.0
     records.append(CheckRecord(
         check="coherent_expansion",
         params={"occupancy": optimum, "trials": cfg.trials},
-        passed=coherent.mean >= quad - 4.0 * coherent.std_error,
-        estimate=coherent.mean, std_error=coherent.std_error, z=z,
-        bound_values={"quadratic_lower": quad},
+        passed=_within(coherent.mean, coherent.std_error, quad, math.inf),
+        estimate=coherent.mean, std_error=coherent.std_error,
+        z=_z(coherent.mean - quad, coherent.std_error), bound_values={"quadratic_lower": quad},
     ))
 
     # Penalty sandwich runs at desk scale: one coherence block of K = 32
@@ -684,14 +644,13 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
         nt=scenario.nt, nr=scenario.nr, fading=rayleigh,
     )
     sandwich = penalty_sandwich(desk, occupancy=32.0, k_samples=32, cfg=cfg)
-    margin_z = (sandwich.margin.mean / sandwich.margin.std_error
-                if sandwich.margin.std_error > 0 else 0.0)
-    upper_ok = sandwich.estimate.mean <= sandwich.upper_chain + 4.0 * sandwich.estimate.std_error
+    margin, estimate = sandwich.margin, sandwich.estimate
     records.append(CheckRecord(
         check="penalty_sandwich",
         params={"k_samples": 32, "nt": desk.nt, "nr": desk.nr, "trials": cfg.trials},
-        passed=(sandwich.margin.mean >= -4.0 * sandwich.margin.std_error) and upper_ok,
-        estimate=sandwich.estimate.mean, std_error=sandwich.estimate.std_error, z=margin_z,
+        passed=(_within(margin.mean, margin.std_error, 0.0, math.inf)
+                and _within(estimate.mean, estimate.std_error, -math.inf, sandwich.upper_chain)),
+        estimate=estimate.mean, std_error=estimate.std_error, z=_z(margin.mean, margin.std_error),
         bound_values={
             "lower_chain": sandwich.lower_chain.mean,
             "upper_chain": sandwich.upper_chain,
@@ -699,17 +658,4 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
         },
     ))
 
-    for point in points:
-        records.append(CheckRecord(
-            check=f"bound_sandwich[dB={point.occupancy:.6g}]",
-            params={"occupancy": point.occupancy, "trials": cfg.trials},
-            passed=point.pass_lower and point.pass_upper,
-            estimate=point.mc_value, std_error=point.coherent.std_error,
-            bound_values={
-                "rate_lower": point.rate_lower,
-                "rate_upper": point.rate_upper,
-                "upper_slack": point.upper_slack,
-            },
-        ))
-
-    return records
+    return records + sweep

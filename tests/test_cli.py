@@ -720,6 +720,16 @@ class TestVerifyCommand:
             main(["bounds"])  # missing required --scenario
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("options, message", [
+        (["--seed", "-1"], "error: seed must be >= 0, got -1"),
+        (["--trials", "9999"], "error: need at least 10000 trials"),
+    ], ids=["negative-seed", "too-few-trials"])
+    def test_bad_seed_or_trials_exit_code(self, tmp_path, capsys, options, message):
+        out = tmp_path / "never.json"
+        assert main(["verify", *options, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptionScope:
     """Each option exists only on the commands that read it."""

@@ -18,6 +18,7 @@ from widecap.mcverify import (
     _min_tap_power,
     _pilot_lags,
     _pilot_power,
+    _within,
     bound_sandwich_sweep,
     coherent_quadratic_lower,
     coherent_term_mc,
@@ -116,6 +117,18 @@ class TestEmpiricalKurtosis:
     def test_insufficient_trials(self):
         with pytest.raises(ValueError):
             empirical_kurtosis(FadingFamily.rayleigh(), McConfig(trials=100))
+
+
+class TestMcConfig:
+    def test_trial_floor(self):
+        McConfig(trials=10_000)
+        with pytest.raises(ValueError, match=r"^need at least 10000 trials$"):
+            McConfig(trials=9_999)
+
+    def test_negative_seed_is_named(self):
+        McConfig(trials=10_000, base_seed=0)
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            McConfig(trials=10_000, base_seed=-1)
 
 
 class TestTraceIdentity:
@@ -378,25 +391,28 @@ class TestBoundSandwichSweep:
     def test_three_point_grid(self):
         s = scenario(snr=100.0)
         opt = optimal_occupancy(s).occupancy_optimal
-        points = bound_sandwich_sweep(s, [opt / 10, opt, 10 * opt], SMALL)
-        assert len(points) == 3
-        for point in points:
-            assert point.pass_lower, point
-            assert point.pass_upper, point
+        records, estimates = bound_sandwich_sweep(s, [opt / 10, opt, 10 * opt], SMALL)
+        assert len(records) == len(estimates) == 3
+        for record in records:
+            bound = record.bound_values
+            tol = 4.0 * record.std_error
+            assert bound["rate_lower"] - tol <= record.estimate, record
+            assert record.estimate <= bound["rate_upper"] + tol + bound["upper_slack"], record
+            assert record.passed, record
 
     def test_peak_point_reaches_lemma_gap(self):
         s = scenario(snr=100.0)
         opt = optimal_occupancy(s)
-        [point] = bound_sandwich_sweep(s, [opt.occupancy_optimal_exact], SMALL)
-        floor = opt.peak_rate_lower - 4.0 * point.coherent.std_error
-        assert point.mc_value >= floor
+        [record], [coherent] = bound_sandwich_sweep(s, [opt.occupancy_optimal_exact], SMALL)
+        floor = opt.peak_rate_lower - 4.0 * coherent.std_error
+        assert record.estimate >= floor
 
     def test_empty_grid(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sampled for an empty grid")
 
         monkeypatch.setattr(mcverify, "_chunk_rngs", refuse)
-        assert bound_sandwich_sweep(scenario(), [], SMALL) == []
+        assert bound_sandwich_sweep(scenario(), [], SMALL) == ([], [])
 
 
 class TestSharedCoherentDraw:
@@ -432,10 +448,11 @@ class TestSharedCoherentDraw:
         opt = optimal_occupancy(s).occupancy_optimal_exact
         cfg = McConfig(trials=100_000, base_seed=seed)
         grid = [opt * factor for factor in (0.1, 1.0, 10.0)]
-        for index, point in enumerate(bound_sandwich_sweep(s, grid, cfg)):
+        _, estimates = bound_sandwich_sweep(s, grid, cfg)
+        for index, shared in enumerate(estimates):
             independent = coherent_term_mc(s, grid[index], cfg, tag=("independent", index))
-            gap = point.coherent.mean - independent.mean
-            assert abs(gap) <= 4.0 * math.hypot(point.coherent.std_error, independent.std_error)
+            gap = shared.mean - independent.mean
+            assert abs(gap) <= 4.0 * math.hypot(shared.std_error, independent.std_error)
 
     @staticmethod
     def _coherent_and_middle(s, cfg):
@@ -514,6 +531,87 @@ class TestDeterminism:
         with pytest.raises(RuntimeError, match="third draw failed"):
             empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
         assert threading.active_count() == threads
+
+
+class TestPassRule:
+    """The one gate of every record: low - 4*SE <= value <= high + 4*SE + slack."""
+
+    def test_lower_edge_is_inclusive(self):
+        low, se = 3.0, 0.25
+        edge = low - 4.0 * se
+        assert _within(edge, se, low, low)
+        assert not _within(math.nextafter(edge, -math.inf), se, low, low)
+
+    def test_upper_edge_is_inclusive(self):
+        high, se = 3.0, 0.25
+        edge = high + 4.0 * se
+        assert _within(edge, se, high, high)
+        assert not _within(math.nextafter(edge, math.inf), se, high, high)
+
+    def test_slack_widens_only_the_upper_side(self):
+        low, high, se, slack = 1.0, 2.0, 0.125, 10.0
+        assert _within(high + 4.0 * se + slack, se, low, high, slack)
+        assert not _within(high + 4.0 * se + 2 * slack, se, low, high, slack)
+        assert _within(low - 4.0 * se, se, low, high, slack)
+        assert not _within(math.nextafter(low - 4.0 * se, -math.inf), se, low, high, slack)
+
+    def test_zero_se_compares_exactly(self):
+        assert _within(2.0, 0.0, 2.0, 2.0)
+        assert not _within(math.nextafter(2.0, math.inf), 0.0, 2.0, 2.0)
+        assert not _within(math.nextafter(2.0, -math.inf), 0.0, 2.0, 2.0)
+        assert _within(1e-9, 0.0, -math.inf, 1e-9)
+        assert not _within(math.nextafter(1e-9, 1.0), 0.0, -math.inf, 1e-9)
+
+    @pytest.mark.parametrize("expected, passed", [(2.0, False), (1.0, True)])
+    def test_zero_se_two_sided_record_needs_the_expected_value(self, monkeypatch,
+                                                               expected, passed):
+        # A constant power gives kurtosis exactly 1 with standard error 0.
+        monkeypatch.setattr(mcverify, "empirical_kurtosis",
+                            lambda fading, cfg: kurtosis_estimate(np.ones(37)))
+        record = kurtosis_check(FadingFamily.rayleigh(), SMALL, expected=expected)
+        assert (record.estimate, record.std_error) == (1.0, 0.0)
+        assert record.passed is passed
+        assert record.z == 0.0
+
+
+class TestMonteCarloRecordPins:
+    # Every Monte-Carlo record of the 2x2 Rayleigh suite at 10 000 trials,
+    # seed 42: check, estimate, std_error and z as float.hex (None where the
+    # record has no z), and pass.
+    PINS = [
+        ("kurtosis[rayleigh]", "0x1.0128133111bc0p+1", "0x1.76004d34e9e8ap-6",
+         "0x1.95521318a520ap-2", True),
+        ("kurtosis[rice:1.0]", "0x1.8b283f93db758p+0", "0x1.326c9878435b7p-7",
+         "-0x1.47c2e3599c25ep+0", True),
+        ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
+         "0x1.a33c2b9454c10p+0", True),
+        ("trace_identity[2x2:rayleigh]", "0x1.00be2c0ccc222p+4", "0x1.6236fb772ccf2p-3",
+         "0x1.12e2651da5f7cp-2", True),
+        ("trace_identity[1x1:rayleigh]", "0x1.f9e72c86e61bep+0", "0x1.5c153735a04fdp-5",
+         "-0x1.1efae9c9071a2p-1", True),
+        ("trace_identity[2x1:rayleigh]", "0x1.7aa5a2bf1d81fp+2", "0x1.68d00d4ae84dfp-4",
+         "-0x1.e624a5fd58e6ep-1", True),
+        ("coherent_expansion", "0x1.1d574c99cd23dp+24", "0x1.569a52662a149p+16",
+         "0x1.c62dc202fc56dp+0", True),
+        ("penalty_sandwich", "0x1.c09a286832467p+1", "0x1.2da8fd4e9723fp-12",
+         "0x1.7db0c36684a81p+13", True),
+        ("bound_sandwich[dB=1.3741e+07]", "0x1.7fd6dee0af58ep+23", "0x1.6d58d491cc523p+15",
+         None, True),
+        ("bound_sandwich[dB=1.3741e+08]", "0x1.fdf05434e8125p+23", "0x1.569a52662a149p+16",
+         None, True),
+        ("bound_sandwich[dB=1.3741e+09]", "0x1.5c9064044a927p+23", "0x1.809fef1645941p+16",
+         None, True),
+    ]
+
+    def test_records_match_pins(self):
+        records = run_verification_suite(scenario(snr=1e7, nt=2, nr=2), McConfig(10_000, 42))
+        mc = [r for r in records if r.std_error is not None]
+        assert [r.check for r in mc] == [pin[0] for pin in self.PINS]
+        for record, (check, estimate, std_error, z, passed) in zip(mc, self.PINS):
+            assert record.estimate.hex() == estimate, check
+            assert record.std_error.hex() == std_error, check
+            assert (None if record.z is None else record.z.hex()) == z, check
+            assert record.passed is passed, check
 
 
 class TestSuite:
