@@ -13,17 +13,28 @@ ln det(I + T) with T Hermitian Toeplitz is a batched Levinson-Durbin
 recursion (:func:`toeplitz_logdet`); the coherent ln det(I + rho H H^H) is a
 batched elimination (:func:`gram_logdet`) on the smaller of H H^H and H^H H
 (:func:`small_gram`).  Both sum log1p of pivots minus one, so they keep full
-relative accuracy at low SNR.  The coherent check and the three
-bound-sandwich points share one draw of H per chunk (common random numbers):
-the Gram is formed once and eliminated once per occupancy.
+relative accuracy at low SNR.
+
+Statistics share draws (common random numbers) wherever a draw of the same
+law already exists: on a Rayleigh scenario the suite makes two Rayleigh
+draws per trial, where one per statistic would make five.  The scenario's
+Nr x Nt Rayleigh block, drawn once for the bound sweep, gives the three
+bound-sandwich points, the coherent check on Rayleigh fading, and that
+block's trace identity: the Gram is formed once, eliminated once per
+occupancy, and its squared norm is tr((H H^H)^2).  One draw of the largest
+fixed Rayleigh trace case left gives the smaller ones from its leading
+sub-blocks, and the Rayleigh kurtosis from its last entry, which no smaller
+block holds.  Each statistic keeps the marginal law of its own independent
+draw, so every 4-SE gate holds as before; only the records are correlated.
 
 The penalty depends on the pilot only through its power spectrum
 |FFT_K(x)|^2, so it draws that spectrum directly: normalized i.i.d.
 exponentials, the exact law for a unit-power Gaussian pilot.  The Toeplitz
-lags are its conjugated real FFT (:func:`_pilot_lags`), and the
-folded-pilot spectrum of the paper's chain is a subsample of the power when
-the column count divides K; otherwise the pilot's uniform spectral phases are
-drawn as well.  The lower chain draws its smallest tap power directly.
+lags are its inverse DFT, taken by a blocked real product with a cosine and
+sine table (:func:`_pilot_lags`), and the folded-pilot spectrum of the
+paper's chain is a subsample of the power when the column count divides K;
+otherwise the pilot's uniform spectral phases are drawn as well.  The lower
+chain draws its smallest tap power directly.
 
 Sampling is chunked with a fixed chunk size; every chunk draws from its own
 seed derived from (base_seed, check tag, chunk start) and fills only its own
@@ -197,17 +208,46 @@ def trace_identity_expected(nt: int, nr: int, kappa: float) -> float:
     return nt * nr * (kappa - 2.0 + nt + nr)
 
 
-def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate:
-    """Estimate E[tr((H H^H)^2)] over per-subcarrier channel blocks."""
+def _block_scenario(nt: int, nr: int, fading: FadingFamily) -> ChannelScenario:
+    """A scenario that fixes only the block shape and fading law, for the trace identity."""
+    return ChannelScenario(
+        snr_density=1.0, coherence_time=1.0, coherence_bandwidth=2.0, nt=nt, nr=nr, fading=fading,
+    )
+
+
+def _gram_trace(gram: np.ndarray) -> np.ndarray:
+    """Per-block tr((H H^H)^2), the squared Frobenius norm of either Gram (:func:`small_gram`)."""
+    return np.sum(np.abs(gram) ** 2, axis=(1, 2))
+
+
+def _nested_trace_draw(scenario: ChannelScenario, cfg: McConfig, sub_blocks=()):
+    """Trace identities of one draw of the scenario's Nr x Nt block and of its leading sub-blocks.
+
+    Returns ({(nt', nr'): E[tr((H H^H)^2)] estimate} for the block and each
+    (nt', nr') in ``sub_blocks``, read from H[:nr', :nt'] of the same draws,
+    and the kurtosis (:func:`kurtosis_estimate`) of the last entry
+    H[nr-1, nt-1], which lies outside every smaller leading block.  Each keeps
+    the law of its own independent draw.
+    """
     nt, nr = scenario.nt, scenario.nr
-    values = np.empty(cfg.trials)
+    blocks = [(nt, nr), *sub_blocks]
+    values = np.empty((len(blocks) + 1, cfg.trials))
 
     def fill(rng, rows, n):
-        gram = small_gram(unit_fading_samples(rng, scenario.fading, (n, nr, nt)))
-        values[rows] = np.sum(np.abs(gram) ** 2, axis=(1, 2))
+        h = unit_fading_samples(rng, scenario.fading, (n, nr, nt))
+        for row, (sub_nt, sub_nr) in zip(values, blocks):
+            row[rows] = _gram_trace(small_gram(h[:, :sub_nr, :sub_nt]))
+        values[-1, rows] = np.abs(h[:, -1, -1]) ** 2
 
     _each_chunk(cfg, (_TAG_TRACE, nt, nr, scenario.fading.kind), fill)
-    return _estimate(values)
+    traces = {block: _estimate(row) for block, row in zip(blocks, values)}
+    return traces, kurtosis_estimate(values[-1])
+
+
+def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate:
+    """Estimate E[tr((H H^H)^2)] over per-subcarrier channel blocks."""
+    traces, _ = _nested_trace_draw(scenario, cfg)
+    return traces[(scenario.nt, scenario.nr)]
 
 
 def toeplitz_logdet(column: np.ndarray) -> np.ndarray:
@@ -285,28 +325,36 @@ def _require_occupancy(*occupancies: float):
         raise ValueError("occupancy must be finite and > 0")
 
 
+def _coherent_draw(scenario: ChannelScenario, occupancies: list, cfg: McConfig, tag):
+    """Coherent-term estimates per occupancy and E[tr((H H^H)^2)], all from the same draws of H.
+
+    Each chunk's H and smaller Gram are formed once; :func:`gram_logdet` runs
+    once per occupancy, and the trace is the Gram's squared norm.
+    """
+    _require_occupancy(*occupancies)
+    values = np.empty((len(occupancies) + 1, cfg.trials))
+
+    def fill(rng, rows, n):
+        gram = small_gram(unit_fading_samples(rng, scenario.fading, (n, scenario.nr, scenario.nt)))
+        for row, x in zip(values, occupancies):
+            row[rows] = x * gram_logdet(scenario.snr_density / (x * scenario.nt) * gram)
+        values[-1, rows] = _gram_trace(gram)
+
+    _each_chunk(cfg, tag, fill)
+    *estimates, trace = [_estimate(row) for row in values]
+    return estimates, trace
+
+
 def coherent_term_mc(scenario: ChannelScenario, occupancy, cfg: McConfig, tag=_TAG_COHERENT):
     """Estimate the coherent term delta*B * E[ln det(I + rho * H H^H)].
 
     rho = P/(dB * Nt * N0); the estimate must exceed
     :func:`coherent_quadratic_lower` up to Monte-Carlo error.  A list of
     occupancies gives a list of estimates from the same draws of H (common
-    random numbers): each chunk's H and smaller Gram are formed once, and
-    only :func:`gram_logdet` runs per occupancy.
+    random numbers, :func:`_coherent_draw`).
     """
     occupancies = occupancy if isinstance(occupancy, list) else [occupancy]
-    _require_occupancy(*occupancies)
-    if not occupancies:
-        return []
-    values = np.empty((len(occupancies), cfg.trials))
-
-    def fill(rng, rows, n):
-        gram = small_gram(unit_fading_samples(rng, scenario.fading, (n, scenario.nr, scenario.nt)))
-        for row, x in zip(values, occupancies):
-            row[rows] = x * gram_logdet(scenario.snr_density / (x * scenario.nt) * gram)
-
-    _each_chunk(cfg, tag, fill)
-    estimates = [_estimate(row) for row in values]
+    estimates, _ = _coherent_draw(scenario, occupancies, cfg, tag)
     return estimates if isinstance(occupancy, list) else estimates[0]
 
 
@@ -354,22 +402,38 @@ def _folded_power(rng: np.random.Generator, power: np.ndarray, cols: int) -> np.
     return pilot_spectrum(np.fft.ifft(spectrum, axis=-1), cols)
 
 
-def _pilot_lags(power: np.ndarray, cols: int, scale: float) -> np.ndarray:
-    """(n, cols) lags l mod K, l < cols, of ``scale`` * ifft(P) for power spectra P, by real FFT.
+def _lag_table(k_samples: int, cols: int, scale: float) -> np.ndarray:
+    """K x 2*cols table that maps power spectra P to ``scale`` * ifft(P) at lags l mod K, l < cols.
 
-    ifft(P)[l] is conj(rfft(P)[l]) / K up to K/2 and rfft(P)[K - l] / K above
-    (Hermitian symmetry).  Blocks of 512 rows keep rfft's output small.
+    ifft(P)[l] = sum_k P[k] e^(2 pi i k l/K) / K, so the columns hold the
+    cosines and sines of each lag, interleaved as its real and imaginary parts.
     """
-    n, k_samples = power.shape
-    lags = np.arange(cols) % k_samples
-    mirrored = lags > k_samples // 2
-    source = np.where(mirrored, k_samples - lags, lags)
-    column = np.empty((n, cols), dtype=complex)
-    for start in range(0, n, 512):
-        spectrum = np.fft.rfft(power[start:start + 512], axis=1)
-        np.conjugate(spectrum[:, source], out=column[start:start + 512])
-    column[:, mirrored] = column[:, mirrored].conj()
-    column *= scale / k_samples
+    phase = (2.0 * np.pi / k_samples) * (np.outer(np.arange(k_samples), np.arange(cols)) % k_samples)
+    table = np.stack([np.cos(phase), np.sin(phase)], axis=-1).reshape(k_samples, 2 * cols)
+    table *= scale / k_samples
+    return table
+
+
+# OpenBLAS runs a dgemm of at most 65536 * GEMM_MULTITHREAD_THRESHOLD (default
+# 4) multiply-adds on the calling thread.
+_SERIAL_GEMM = 65536 * 4
+
+
+def _pilot_lags(power: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(n, cols) complex lags of power spectra (n, K) by a real product with :func:`_lag_table`.
+
+    The product runs in row blocks of at most ``_SERIAL_GEMM`` multiply-adds
+    (512 rows at K = 32, cols = 8), which OpenBLAS keeps on the calling
+    thread; a full-width product per 4096-row chunk wakes OpenBLAS's own
+    threads, which compete with the chunk threads of :func:`_each_chunk`
+    (process CPU time / wall time 0.98-1.00 blocked against 1.95-1.98
+    full-width at cols 8 to 20, OpenBLAS 0.3.31 on 2 CPUs).
+    """
+    column = np.empty((power.shape[0], table.shape[1] // 2), dtype=complex)
+    parts = column.view(float)
+    rows = max(1, _SERIAL_GEMM // table.size)
+    for start in range(0, power.shape[0], rows):
+        np.matmul(power[start:start + rows], table, out=parts[start:start + rows])
     return column
 
 
@@ -405,7 +469,7 @@ def penalty_sandwich(
     spectrum |FFT_K(x)|^2, which is drawn directly (:func:`_pilot_power`).
     I + (rho/m) * Gram is Hermitian Toeplitz with first column (rho/m) times
     the pilot's cyclic autocorrelation plus one at lag 0; the cols lags it
-    needs are a real FFT of the spectra (:func:`_pilot_lags`), and
+    needs are a real product of the spectra (:func:`_pilot_lags`), and
     :func:`toeplitz_logdet` gets the log-det by a Levinson-Durbin recursion
     once the chains are done and the spectra freed.  Neither the pilot nor
     the Gram is formed.  The upper chain is the deterministic trace/Jensen cap.
@@ -445,6 +509,7 @@ def penalty_sandwich(
     chain_scale = occupancy * nt * nr / lc
     chain_arg = s * lc / (occupancy * nt)
     cap = bounds._penalty_cap(scenario, occupancy, math.log1p)
+    table = _lag_table(k_samples, cols, rho / m)
 
     penalties = np.empty(cfg.trials)
     lowers = np.empty(cfg.trials)
@@ -457,7 +522,7 @@ def penalty_sandwich(
         lowers[rows] = chain_scale * np.log1p(chain_arg * g_min * psi)
         folded_psi = np.min(_folded_power(rng, power, cols), axis=1) / k_samples
         folded[rows] = chain_scale * np.log1p(chain_arg * g_min * folded_psi)
-        column = _pilot_lags(power, cols, rho / m)
+        column = _pilot_lags(power, table)
         del power
         penalties[rows] = prefactor * nr * toeplitz_logdet(column)
 
@@ -514,17 +579,18 @@ def _z(offset: float, std_error: float) -> float:
 def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
     """Check R_LB <= (MC coherent term - penalty cap) <= R_UB over a dB grid.
 
-    Returns one record per occupancy and the coherent estimates it drew.  The
-    MC value pairs the simulated coherent term with the closed-form penalty
-    cap, matching the construction of the lower bound.  All points share the
-    draws of H of :func:`coherent_term_mc`.  The upper comparison allows,
-    besides 4 standard errors, the dropped o(1/B) remainder of the upper
-    bound (at most C_inf * SNR_delta^2 / 3).
+    Returns one record per occupancy, the coherent estimates it drew, and the
+    trace-identity estimate E[tr((H H^H)^2)] of the same draws.  The MC value
+    pairs the simulated coherent term with the closed-form penalty cap,
+    matching the construction of the lower bound.  All points share one draw
+    of H (:func:`_coherent_draw`).  The upper comparison allows, besides 4
+    standard errors, the dropped o(1/B) remainder of the upper bound (at most
+    C_inf * SNR_delta^2 / 3).
     """
     if scenario.fading.kind != "rayleigh":
         raise ValueError("bound sandwich is defined for Rayleigh fading")
     grid = [float(occupancy) for occupancy in grid]
-    estimates = coherent_term_mc(scenario, grid, cfg)
+    estimates, trace = _coherent_draw(scenario, grid, cfg, _TAG_COHERENT)
     records = []
     for occupancy, coherent in zip(grid, estimates):
         mc_value = coherent.mean - bounds._penalty_cap(scenario, occupancy, math.log1p)
@@ -539,13 +605,16 @@ def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
             estimate=mc_value, std_error=coherent.std_error,
             bound_values={"rate_lower": rate_lower, "rate_upper": rate_upper, "upper_slack": slack},
         ))
-    return records, estimates
+    return records, estimates, trace
 
 
-def kurtosis_check(fading: FadingFamily, cfg: McConfig, expected: Optional[float] = None) -> CheckRecord:
+def kurtosis_check(fading: FadingFamily, cfg: McConfig, expected: Optional[float] = None,
+                   estimate: Optional[McEstimate] = None) -> CheckRecord:
+    """The kurtosis record; without an ``estimate`` it draws one (:func:`empirical_kurtosis`)."""
     if expected is None:
         expected = kurtosis(fading)
-    estimate = empirical_kurtosis(fading, cfg)
+    if estimate is None:
+        estimate = empirical_kurtosis(fading, cfg)
     return CheckRecord(
         check=f"kurtosis[{fading.label}]", params={"fading": fading.label, "trials": cfg.trials},
         passed=_within(estimate.mean, estimate.std_error, expected, expected),
@@ -554,12 +623,11 @@ def kurtosis_check(fading: FadingFamily, cfg: McConfig, expected: Optional[float
     )
 
 
-def _trace_check(nt: int, nr: int, fading: FadingFamily, cfg: McConfig) -> CheckRecord:
-    scenario = ChannelScenario(
-        snr_density=1.0, coherence_time=1.0, coherence_bandwidth=2.0,
-        nt=nt, nr=nr, fading=fading,
-    )
-    estimate = trace_identity_check(scenario, cfg)
+def _trace_check(nt: int, nr: int, fading: FadingFamily, cfg: McConfig,
+                 estimate: Optional[McEstimate] = None) -> CheckRecord:
+    """The trace-identity record; without an ``estimate`` it draws one (:func:`trace_identity_check`)."""
+    if estimate is None:
+        estimate = trace_identity_check(_block_scenario(nt, nr, fading), cfg)
     expected = trace_identity_expected(nt, nr, kurtosis(fading))
     return CheckRecord(
         check=f"trace_identity[{nt}x{nr}:{fading.label}]",
@@ -612,22 +680,41 @@ def _channel_identity_checks(cfg: McConfig):
 
 
 def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
-    """All Monte-Carlo and channel-identity checks for one scenario, each gated by :func:`_within`."""
+    """All Monte-Carlo and channel-identity checks for one scenario, each gated by :func:`_within`.
+
+    Rayleigh blocks are drawn twice per trial.  The bound sweep's draw of the
+    scenario's Nr x Nt Rayleigh block gives the three sweep points, on
+    Rayleigh fading the coherent check (the middle point), and that block's
+    trace identity.  The fixed Rayleigh cases 1x1, 2x1 and 2x2 (Nt x Nr) are
+    leading sub-blocks of one another, so one draw of the largest case the
+    sweep leaves gives the smaller ones, and the Rayleigh kurtosis from its
+    last entry.  Each statistic keeps the law of its own independent draw, so
+    each 4-SE gate holds as before; the records are merely correlated.
+    """
     rayleigh = FadingFamily.rayleigh()
-    fadings = [scenario.fading, FadingFamily.rice(1.0), FadingFamily.nakagami(2.0)]
-    records = [kurtosis_check(fading, cfg) for fading in dict.fromkeys(fadings)]
-    antenna_cases = [(scenario.nt, scenario.nr, scenario.fading), (1, 1, rayleigh),
-                     (2, 2, rayleigh), (2, 1, rayleigh)]
-    records += [_trace_check(*case, cfg) for case in dict.fromkeys(antenna_cases)]
+    nt, nr = scenario.nt, scenario.nr
+    fadings = dict.fromkeys([scenario.fading, FadingFamily.rice(1.0), FadingFamily.nakagami(2.0)])
+    antenna_cases = dict.fromkeys([(nt, nr, scenario.fading), (1, 1, rayleigh),
+                                   (2, 2, rayleigh), (2, 1, rayleigh)])
+
+    optimum = bounds.optimal_occupancy(scenario).occupancy_optimal_exact
+    sweep, estimates, sweep_trace = bound_sandwich_sweep(
+        replace(scenario, fading=rayleigh), [optimum * f for f in (0.1, 1.0, 10.0)], cfg)
+    # The fixed Rayleigh cases the sweep leaves, largest first, each a leading
+    # sub-block of the one before, from one draw of the first.
+    nested = [block for block in [(2, 2), (2, 1), (1, 1)] if block != (nt, nr)]
+    nested_traces, rayleigh_kurtosis = _nested_trace_draw(
+        _block_scenario(*nested[0], rayleigh), cfg, sub_blocks=nested[1:])
+    traces = {(*block, rayleigh): trace for block, trace in nested_traces.items()}
+    traces[(nt, nr, rayleigh)] = sweep_trace
+    kurtoses = {rayleigh: rayleigh_kurtosis}
+
+    records = [kurtosis_check(fading, cfg, estimate=kurtoses.get(fading)) for fading in fadings]
+    records += [_trace_check(*case, cfg, estimate=traces.get(case)) for case in antenna_cases]
     records += _channel_identity_checks(cfg)
 
     # On Rayleigh fading the coherent check at (dB)* is the sweep's middle point.
-    optimum = bounds.optimal_occupancy(scenario).occupancy_optimal_exact
-    shared = scenario.fading.kind == "rayleigh"
-    sweep_scenario = scenario if shared else replace(scenario, fading=rayleigh)
-    sweep, estimates = bound_sandwich_sweep(
-        sweep_scenario, [optimum * f for f in (0.1, 1.0, 10.0)], cfg)
-    coherent = estimates[1] if shared else coherent_term_mc(scenario, optimum, cfg)
+    coherent = estimates[1] if scenario.fading == rayleigh else coherent_term_mc(scenario, optimum, cfg)
     quad = coherent_quadratic_lower(scenario, optimum)
     records.append(CheckRecord(
         check="coherent_expansion",

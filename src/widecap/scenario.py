@@ -46,7 +46,9 @@ class FadingFamily:
     """Small-scale fading law of the channel coefficients.
 
     ``kind`` is one of ``rayleigh``, ``rice`` (``param`` = line-of-sight
-    factor k >= 0) or ``nakagami`` (``param`` = shape m > 0).
+    factor k >= 0) or ``nakagami`` (``param`` = shape m > 0).  Rayleigh has
+    no parameter: any given one is replaced by 0.0, so every Rayleigh family
+    is one value.
     """
 
     kind: str
@@ -55,6 +57,8 @@ class FadingFamily:
     def __post_init__(self):
         if self.kind not in (RAYLEIGH, RICE, NAKAGAMI):
             raise ValidationError(f"unknown fading kind {self.kind!r}")
+        if self.kind == RAYLEIGH:
+            object.__setattr__(self, "param", 0.0)
         if self.kind == RICE and not self.param >= 0:
             raise ValidationError("rice factor k must be >= 0")
         if self.kind == NAKAGAMI and not self.param > 0:

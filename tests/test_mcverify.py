@@ -15,7 +15,9 @@ from widecap.mcverify import (
     McEstimate,
     _estimate,
     _folded_power,
+    _lag_table,
     _min_tap_power,
+    _nested_trace_draw,
     _pilot_lags,
     _pilot_power,
     _within,
@@ -257,7 +259,7 @@ class TestPenaltySandwich:
         rng = np.random.default_rng(23)
         power = _pilot_power(rng, n, k_samples)
         direct = {
-            "logdet": toeplitz_logdet(_pilot_lags(power, cols, c)),
+            "logdet": toeplitz_logdet(_pilot_lags(power, _lag_table(k_samples, cols, c))),
             "folded_psi": np.min(_folded_power(rng, power, cols), axis=1) / k_samples,
         }
         x = unit_pilots(np.random.default_rng(24), n, k_samples)
@@ -274,13 +276,14 @@ class TestPenaltySandwich:
             assert abs(a.mean() - b.mean()) <= 4.0 * se, key
             assert stats.ks_2samp(a, b).pvalue >= four_sigma, key
 
-    # cols = 20 takes lags above K/2 by Hermitian symmetry, and 36 wraps past K.
+    # cols = 20 takes lags above K/2, and 36 wraps past K.
     @pytest.mark.parametrize("cols", [8, 12, 20, 36])
     def test_pilot_lags_match_inverse_fft(self, cols):
         k_samples, scale = 32, 0.3
-        # 1100 rows: two whole rfft row blocks and a short last one.
+        # 1100 rows: whole product blocks (512 rows at cols = 8, 113 at 36)
+        # and a short last one.
         power = _pilot_power(np.random.default_rng(25), 1100, k_samples)
-        lags = _pilot_lags(power, cols, scale)
+        lags = _pilot_lags(power, _lag_table(k_samples, cols, scale))
         expected = scale * np.fft.ifft(power, axis=1)[:, np.arange(cols) % k_samples]
         assert lags.shape == expected.shape
         # Relative to the largest lag, lag 0, which is K * scale for every pilot.
@@ -391,7 +394,7 @@ class TestBoundSandwichSweep:
     def test_three_point_grid(self):
         s = scenario(snr=100.0)
         opt = optimal_occupancy(s).occupancy_optimal
-        records, estimates = bound_sandwich_sweep(s, [opt / 10, opt, 10 * opt], SMALL)
+        records, estimates, _ = bound_sandwich_sweep(s, [opt / 10, opt, 10 * opt], SMALL)
         assert len(records) == len(estimates) == 3
         for record in records:
             bound = record.bound_values
@@ -403,16 +406,17 @@ class TestBoundSandwichSweep:
     def test_peak_point_reaches_lemma_gap(self):
         s = scenario(snr=100.0)
         opt = optimal_occupancy(s)
-        [record], [coherent] = bound_sandwich_sweep(s, [opt.occupancy_optimal_exact], SMALL)
+        [record], [coherent], _ = bound_sandwich_sweep(s, [opt.occupancy_optimal_exact], SMALL)
         floor = opt.peak_rate_lower - 4.0 * coherent.std_error
         assert record.estimate >= floor
 
-    def test_empty_grid(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sampled for an empty grid")
-
-        monkeypatch.setattr(mcverify, "_chunk_rngs", refuse)
-        assert bound_sandwich_sweep(scenario(), [], SMALL) == ([], [])
+    def test_empty_grid(self):
+        # No points, but the draw still gives its trace identity, the same
+        # estimate as under any grid.
+        records, estimates, trace = bound_sandwich_sweep(scenario(), [], SMALL)
+        assert (records, estimates) == ([], [])
+        assert trace == bound_sandwich_sweep(scenario(), [1e3, 1e5], SMALL)[2]
+        assert_within(trace, trace_identity_expected(1, 1, 2.0))
 
 
 class TestSharedCoherentDraw:
@@ -448,7 +452,7 @@ class TestSharedCoherentDraw:
         opt = optimal_occupancy(s).occupancy_optimal_exact
         cfg = McConfig(trials=100_000, base_seed=seed)
         grid = [opt * factor for factor in (0.1, 1.0, 10.0)]
-        _, estimates = bound_sandwich_sweep(s, grid, cfg)
+        _, estimates, _ = bound_sandwich_sweep(s, grid, cfg)
         for index, shared in enumerate(estimates):
             independent = coherent_term_mc(s, grid[index], cfg, tag=("independent", index))
             gap = shared.mean - independent.mean
@@ -478,6 +482,77 @@ class TestSharedCoherentDraw:
         shared = coherent_term_mc(replace(s, fading=FadingFamily.rayleigh()),
                                   coherent.params["occupancy"], cfg)
         assert middle.estimate == shared.mean - cap
+
+
+class TestSharedRayleighDraws:
+    """The suite reads every Rayleigh statistic from the sweep's draw and one nested block."""
+
+    def test_two_rayleigh_draws_per_chunk(self, monkeypatch):
+        draws = []
+
+        def counted(rng, fading, shape):
+            draws.append((fading.kind, (shape,) if isinstance(shape, int) else tuple(shape)))
+            return unit_fading_samples(rng, fading, shape)
+
+        monkeypatch.setattr(mcverify, "unit_fading_samples", counted)
+        cfg = McConfig(10_000, 42)
+        run_verification_suite(scenario(snr=1e7, nt=2, nr=2), cfg)
+        chunks = -(-cfg.trials // mcverify._CHUNK)
+        rayleigh = sorted(shape[1:] for kind, shape in draws if kind == "rayleigh")
+        # The sweep's 2x2 block and the nested 1x2 block of the (2, 1) case.
+        assert rayleigh == [(1, 2)] * chunks + [(2, 2)] * chunks
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("nt, nr, snr, shared_cases", [
+        (2, 2, 1e7, [(2, 2), (1, 1)]),  # the sweep gives 2x2, the (2, 1) block gives 1x1
+        (1, 1, 100.0, [(1, 1), (2, 1)]),  # the sweep gives 1x1, the (2, 2) block gives 2x1
+    ])
+    def test_shared_estimates_match_independent_draws(self, seed, nt, nr, snr, shared_cases):
+        # The standalone checks draw under tags the suite does not use on
+        # these scenarios, so they are independent of its draws.
+        cfg = McConfig(trials=100_000, base_seed=seed)
+        records = {r.check: r for r in run_verification_suite(scenario(snr=snr, nt=nt, nr=nr), cfg)}
+        independent = {"kurtosis[rayleigh]": empirical_kurtosis(FadingFamily.rayleigh(), cfg)}
+        for case_nt, case_nr in shared_cases:
+            independent[f"trace_identity[{case_nt}x{case_nr}:rayleigh]"] = trace_identity_check(
+                scenario(nt=case_nt, nr=case_nr), cfg)
+        for check, other in independent.items():
+            shared = records[check]
+            assert shared.estimate != other.mean, check
+            gap = shared.estimate - other.mean
+            assert abs(gap) <= 4.0 * math.hypot(shared.std_error, other.std_error), check
+
+    def test_largest_nested_case_keeps_its_standalone_bits(self):
+        cfg = McConfig(10_000, 42)
+        records = {r.check: r for r in run_verification_suite(scenario(snr=1e7, nt=2, nr=2), cfg)}
+        record = records["trace_identity[2x1:rayleigh]"]
+        standalone = trace_identity_check(scenario(nt=2, nr=1), cfg)
+        assert (record.estimate, record.std_error) == (standalone.mean, standalone.std_error)
+
+    def test_rayleigh_param_gives_the_canonical_records(self):
+        cfg = McConfig(10_000, 42)
+        odd = run_verification_suite(
+            scenario(snr=1e7, nt=2, nr=2, fading=FadingFamily("rayleigh", 3.0)), cfg)
+        canonical = run_verification_suite(scenario(snr=1e7, nt=2, nr=2), cfg)
+        traces = [r.check for r in odd if r.check.startswith("trace_identity")]
+        assert traces == ["trace_identity[2x2:rayleigh]", "trace_identity[1x1:rayleigh]",
+                          "trace_identity[2x1:rayleigh]"]
+        assert [r.as_dict() for r in odd] == [r.as_dict() for r in canonical]
+
+    def test_sub_block_and_kurtosis_estimates(self):
+        s = scenario(nt=2, nr=2)
+        traces, kurt = _nested_trace_draw(s, SMALL, sub_blocks=[(2, 1), (1, 1)])
+        assert list(traces) == [(2, 2), (2, 1), (1, 1)]
+        own, wide, single = traces.values()
+        assert own == trace_identity_check(s, SMALL)
+        for estimate in (wide, single, kurt):
+            assert estimate.trials == SMALL.trials
+        # A 1x1 block's trace is |h|^4 and its kurtosis E|h|^4/(E|h|^2)^2, but
+        # from different entries of H: equal means only up to Monte-Carlo error.
+        assert single.mean != kurt.mean
+        assert_within(wide, trace_identity_expected(2, 1, 2.0))
+        assert_within(single, trace_identity_expected(1, 1, 2.0))
+        assert_within(kurt, 2.0)
 
 
 class TestDeterminism:
@@ -579,22 +654,22 @@ class TestMonteCarloRecordPins:
     # seed 42: check, estimate, std_error and z as float.hex (None where the
     # record has no z), and pass.
     PINS = [
-        ("kurtosis[rayleigh]", "0x1.0128133111bc0p+1", "0x1.76004d34e9e8ap-6",
-         "0x1.95521318a520ap-2", True),
+        ("kurtosis[rayleigh]", "0x1.00f50151d4a5fp+1", "0x1.3d322c7b1bc3dp-6",
+         "0x1.8b793d9737687p-2", True),
         ("kurtosis[rice:1.0]", "0x1.8b283f93db758p+0", "0x1.326c9878435b7p-7",
          "-0x1.47c2e3599c25ep+0", True),
         ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
          "0x1.a33c2b9454c10p+0", True),
-        ("trace_identity[2x2:rayleigh]", "0x1.00be2c0ccc222p+4", "0x1.6236fb772ccf2p-3",
-         "0x1.12e2651da5f7cp-2", True),
-        ("trace_identity[1x1:rayleigh]", "0x1.f9e72c86e61bep+0", "0x1.5c153735a04fdp-5",
-         "-0x1.1efae9c9071a2p-1", True),
+        ("trace_identity[2x2:rayleigh]", "0x1.00a9d035ed373p+4", "0x1.5f57041c32ac6p-3",
+         "0x1.eeee368f031dep-3", True),
+        ("trace_identity[1x1:rayleigh]", "0x1.ef8d6322990a9p+0", "0x1.55725e73cd721p-5",
+         "-0x1.8a9d235d07806p+0", True),
         ("trace_identity[2x1:rayleigh]", "0x1.7aa5a2bf1d81fp+2", "0x1.68d00d4ae84dfp-4",
          "-0x1.e624a5fd58e6ep-1", True),
         ("coherent_expansion", "0x1.1d574c99cd23dp+24", "0x1.569a52662a149p+16",
          "0x1.c62dc202fc56dp+0", True),
-        ("penalty_sandwich", "0x1.c09a286832467p+1", "0x1.2da8fd4e9723fp-12",
-         "0x1.7db0c36684a81p+13", True),
+        ("penalty_sandwich", "0x1.c09a286832467p+1", "0x1.2da8fd4e97241p-12",
+         "0x1.7db0c36684a80p+13", True),
         ("bound_sandwich[dB=1.3741e+07]", "0x1.7fd6dee0af58ep+23", "0x1.6d58d491cc523p+15",
          None, True),
         ("bound_sandwich[dB=1.3741e+08]", "0x1.fdf05434e8125p+23", "0x1.569a52662a149p+16",

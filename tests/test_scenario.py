@@ -83,6 +83,13 @@ class TestKurtosis:
         with pytest.raises(ValidationError):
             FadingFamily("weibull")
 
+    def test_rayleigh_param_is_dropped(self):
+        # Rayleigh has no parameter, so every Rayleigh family is one value.
+        fading = FadingFamily("rayleigh", 3.0)
+        assert fading == FadingFamily.rayleigh()
+        assert hash(fading) == hash(FadingFamily.rayleigh())
+        assert (fading.param, fading.label) == (0.0, "rayleigh")
+
 
 class TestScenarioInvariants:
     def test_coherence_product(self):
