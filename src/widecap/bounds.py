@@ -124,7 +124,8 @@ def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float:
     P*Bc*Tc/(dB*Nt*N0) overflows float64 (subnormal dB at ordinary P/N0),
     or so large that dB*Nt*Nr overflows (dB near 1e307 with 8x8 antennas),
     the value is -inf or nan although the true one is finite; this is not
-    checked here, and ``widecap bounds`` refuses such grids.
+    checked here, and ``widecap bounds`` refuses such grids.  P/N0, Tc, Bc
+    and Bc*Tc are always finite: :class:`ChannelScenario` refuses others.
     """
     _check_occupancy(occupancy)
     return _coherent_term(scenario, occupancy) - _penalty_cap(scenario, occupancy)

@@ -39,7 +39,7 @@ from .scenario import (
     serialize_scenario,
 )
 
-__all__ = ["GridAxis", "SweepSpec", "main"]
+__all__ = ["GridAxis", "main"]
 
 DEFAULT_SCENARIO = ChannelScenario(
     snr_density=100.0,
@@ -74,37 +74,6 @@ class GridAxis:
         if self.log:
             return np.geomspace(self.lo, self.hi, self.points)
         return np.linspace(self.lo, self.hi, self.points)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Axes for a bounds sweep: a (delta, B) product grid or a dB grid."""
-
-    delta_axis: Optional[GridAxis] = None
-    bandwidth_axis: Optional[GridAxis] = None
-    occupancy_axis: Optional[GridAxis] = None
-    point: Optional[tuple] = None  # single-point mode: (delta, bandwidth)
-
-    def __post_init__(self):
-        plane = self.delta_axis is not None or self.bandwidth_axis is not None
-        if self.occupancy_axis is not None and plane:
-            raise ValueError("give either a dB grid or (delta, B) axes, not both")
-        if self.point is not None and (plane or self.occupancy_axis is not None):
-            raise ValueError("single-point mode excludes grid axes")
-        if self.point is None and not plane and self.occupancy_axis is None:
-            raise ValueError("no sweep axes given")
-        if self.delta_axis is not None and self.bandwidth_axis is None:
-            raise ValueError("a delta grid needs a bandwidth grid")
-
-    def axes(self):
-        """(delta, bandwidth) axis arrays; the sweep is their product in row-major order."""
-        if self.point is not None:
-            delta, bandwidth = self.point
-            return np.array([delta], dtype=float), np.array([bandwidth], dtype=float)
-        if self.occupancy_axis is not None:
-            return np.ones(1), self.occupancy_axis.values()
-        deltas = self.delta_axis.values() if self.delta_axis else np.ones(1)
-        return deltas, self.bandwidth_axis.values()
 
 
 def _parse_axis(text: str) -> GridAxis:
@@ -190,19 +159,29 @@ def _penalty_factor(text: str) -> float:
 _BLOCK = 512
 
 
-def cmd_bounds(args) -> int:
-    scenario = _load_scenario(args.scenario)
+def _sweep_axes(args):
+    """(delta, bandwidth) axis arrays of ``bounds``: one point, a dB grid (delta 1), or
+    an optional delta grid times a B grid.  The sweep is their product in row-major order."""
     if args.delta is not None or args.bandwidth is not None:
         if args.delta is None or args.bandwidth is None:
             raise ScenarioError("single-point mode needs both --delta and --bandwidth")
-        spec = SweepSpec(point=(args.delta, args.bandwidth))
-    else:
-        spec = SweepSpec(
-            delta_axis=args.delta_grid,
-            bandwidth_axis=args.b_grid,
-            occupancy_axis=args.db_grid,
-        )
-    deltas, bands = spec.axes()
+        if any(grid is not None for grid in (args.delta_grid, args.b_grid, args.db_grid)):
+            raise ValueError("single-point mode excludes grid axes")
+        return np.array([args.delta], dtype=float), np.array([args.bandwidth], dtype=float)
+    if args.db_grid is not None:
+        if args.delta_grid is not None or args.b_grid is not None:
+            raise ValueError("give either a dB grid or (delta, B) axes, not both")
+        return np.ones(1), args.db_grid.values()
+    if args.b_grid is None:
+        raise ValueError("no sweep axes given" if args.delta_grid is None
+                         else "a delta grid needs a bandwidth grid")
+    deltas = args.delta_grid.values() if args.delta_grid else np.ones(1)
+    return deltas, args.b_grid.values()
+
+
+def cmd_bounds(args) -> int:
+    scenario = _load_scenario(args.scenario)
+    deltas, bands = _sweep_axes(args)
     # Rounding is monotone, so delta*B over the product grid is smallest and
     # largest at corners of the axis ranges: checking the corners checks every
     # point before any output is opened.  Overflow is reported below, not warned.

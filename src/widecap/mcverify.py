@@ -15,17 +15,20 @@ batched elimination (:func:`gram_logdet`) on the smaller of H H^H and H^H H
 (:func:`small_gram`).  Both sum log1p of pivots minus one, so they keep full
 relative accuracy at low SNR.
 
-Statistics share draws (common random numbers) wherever a draw of the same
-law already exists: on a Rayleigh scenario the suite makes two Rayleigh
-draws per trial, where one per statistic would make five.  The scenario's
-Nr x Nt Rayleigh block, drawn once for the bound sweep, gives the three
-bound-sandwich points, the coherent check on Rayleigh fading, and that
-block's trace identity: the Gram is formed once, eliminated once per
-occupancy, and its squared norm is tr((H H^H)^2).  One draw of the largest
-fixed Rayleigh trace case left gives the smaller ones from its leading
-sub-blocks, and the Rayleigh kurtosis from its last entry, which no smaller
-block holds.  Each statistic keeps the marginal law of its own independent
-draw, so every 4-SE gate holds as before; only the records are correlated.
+Four functions draw, each into one per-trial block of :func:`_draw`:
+:func:`empirical_kurtosis`, :func:`_nested_trace_draw`, :func:`_coherent_draw`
+and :func:`penalty_sandwich`.  :func:`run_verification_suite` alone decides
+which draw gives each record.  It shares draws (common random numbers) where
+one of the same law exists, so a Rayleigh scenario takes two Rayleigh draws
+per trial, not five.  The scenario's Nr x Nt Rayleigh block, drawn once for
+the bound sweep, gives the three bound-sandwich points, the coherent check
+on Rayleigh fading, and that block's trace identity: the Gram is formed
+once, eliminated once per occupancy, and its squared norm is tr((H H^H)^2).
+One draw of the largest fixed Rayleigh trace case left gives the smaller
+ones from its leading sub-blocks, and the Rayleigh kurtosis from its last
+entry, which no smaller block holds.  Every other statistic gets a draw of
+its own.  Each keeps the marginal law of its own independent draw, so every
+4-SE gate holds as before; only the records are correlated.
 
 The penalty depends on the pilot only through its power spectrum
 |FFT_K(x)|^2, so it draws that spectrum directly: normalized i.i.d.
@@ -169,6 +172,21 @@ def _each_chunk(cfg: McConfig, tag, body):
         raise errors[0]
 
 
+def _draw(cfg: McConfig, tag, rows: int, fill) -> np.ndarray:
+    """A (rows, trials) block whose columns ``fill(rng, n, out)`` writes one chunk at a time.
+
+    ``out`` is the (rows, n) view of the chunk's trials.  The only place that
+    allocates per-trial values and runs :func:`_each_chunk`.
+    """
+    values = np.empty((rows, cfg.trials))
+
+    def body(rng, trials, n):
+        fill(rng, n, values[:, trials])
+
+    _each_chunk(cfg, tag, body)
+    return values
+
+
 def _estimate(values: np.ndarray) -> McEstimate:
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -194,12 +212,10 @@ def kurtosis_estimate(power_samples) -> McEstimate:
 
 def empirical_kurtosis(fading: FadingFamily, cfg: McConfig) -> McEstimate:
     """Estimate E|h|^4 / (E|h|^2)^2 over i.i.d. draws from the fading law."""
-    powers = np.empty(cfg.trials)
+    def fill(rng, n, out):
+        out[0] = np.abs(unit_fading_samples(rng, fading, n)) ** 2
 
-    def fill(rng, rows, n):
-        powers[rows] = np.abs(unit_fading_samples(rng, fading, n)) ** 2
-
-    _each_chunk(cfg, (_TAG_KURTOSIS, fading.kind, float(fading.param)), fill)
+    [powers] = _draw(cfg, (_TAG_KURTOSIS, fading.kind, float(fading.param)), 1, fill)
     return kurtosis_estimate(powers)
 
 
@@ -208,20 +224,13 @@ def trace_identity_expected(nt: int, nr: int, kappa: float) -> float:
     return nt * nr * (kappa - 2.0 + nt + nr)
 
 
-def _block_scenario(nt: int, nr: int, fading: FadingFamily) -> ChannelScenario:
-    """A scenario that fixes only the block shape and fading law, for the trace identity."""
-    return ChannelScenario(
-        snr_density=1.0, coherence_time=1.0, coherence_bandwidth=2.0, nt=nt, nr=nr, fading=fading,
-    )
-
-
 def _gram_trace(gram: np.ndarray) -> np.ndarray:
     """Per-block tr((H H^H)^2), the squared Frobenius norm of either Gram (:func:`small_gram`)."""
     return np.sum(np.abs(gram) ** 2, axis=(1, 2))
 
 
-def _nested_trace_draw(scenario: ChannelScenario, cfg: McConfig, sub_blocks=()):
-    """Trace identities of one draw of the scenario's Nr x Nt block and of its leading sub-blocks.
+def _nested_trace_draw(nt: int, nr: int, fading: FadingFamily, cfg: McConfig, sub_blocks=()):
+    """Trace identities of one draw of an Nr x Nt block and of its leading sub-blocks.
 
     Returns ({(nt', nr'): E[tr((H H^H)^2)] estimate} for the block and each
     (nt', nr') in ``sub_blocks``, read from H[:nr', :nt'] of the same draws,
@@ -229,24 +238,22 @@ def _nested_trace_draw(scenario: ChannelScenario, cfg: McConfig, sub_blocks=()):
     H[nr-1, nt-1], which lies outside every smaller leading block.  Each keeps
     the law of its own independent draw.
     """
-    nt, nr = scenario.nt, scenario.nr
     blocks = [(nt, nr), *sub_blocks]
-    values = np.empty((len(blocks) + 1, cfg.trials))
 
-    def fill(rng, rows, n):
-        h = unit_fading_samples(rng, scenario.fading, (n, nr, nt))
-        for row, (sub_nt, sub_nr) in zip(values, blocks):
-            row[rows] = _gram_trace(small_gram(h[:, :sub_nr, :sub_nt]))
-        values[-1, rows] = np.abs(h[:, -1, -1]) ** 2
+    def fill(rng, n, out):
+        h = unit_fading_samples(rng, fading, (n, nr, nt))
+        for row, (sub_nt, sub_nr) in zip(out, blocks):
+            row[:] = _gram_trace(small_gram(h[:, :sub_nr, :sub_nt]))
+        out[-1] = np.abs(h[:, -1, -1]) ** 2
 
-    _each_chunk(cfg, (_TAG_TRACE, nt, nr, scenario.fading.kind), fill)
+    values = _draw(cfg, (_TAG_TRACE, nt, nr, fading.kind), len(blocks) + 1, fill)
     traces = {block: _estimate(row) for block, row in zip(blocks, values)}
     return traces, kurtosis_estimate(values[-1])
 
 
 def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate:
     """Estimate E[tr((H H^H)^2)] over per-subcarrier channel blocks."""
-    traces, _ = _nested_trace_draw(scenario, cfg)
+    traces, _ = _nested_trace_draw(scenario.nt, scenario.nr, scenario.fading, cfg)
     return traces[(scenario.nt, scenario.nr)]
 
 
@@ -320,42 +327,33 @@ def gram_logdet(m: np.ndarray) -> np.ndarray:
     return total
 
 
-def _require_occupancy(*occupancies: float):
-    if not all(math.isfinite(x) and x > 0 for x in occupancies):
-        raise ValueError("occupancy must be finite and > 0")
-
-
 def _coherent_draw(scenario: ChannelScenario, occupancies: list, cfg: McConfig, tag):
     """Coherent-term estimates per occupancy and E[tr((H H^H)^2)], all from the same draws of H.
 
     Each chunk's H and smaller Gram are formed once; :func:`gram_logdet` runs
     once per occupancy, and the trace is the Gram's squared norm.
     """
-    _require_occupancy(*occupancies)
-    values = np.empty((len(occupancies) + 1, cfg.trials))
+    bounds._check_occupancy(occupancies)
 
-    def fill(rng, rows, n):
+    def fill(rng, n, out):
         gram = small_gram(unit_fading_samples(rng, scenario.fading, (n, scenario.nr, scenario.nt)))
-        for row, x in zip(values, occupancies):
-            row[rows] = x * gram_logdet(scenario.snr_density / (x * scenario.nt) * gram)
-        values[-1, rows] = _gram_trace(gram)
+        for row, x in zip(out, occupancies):
+            row[:] = x * gram_logdet(scenario.snr_density / (x * scenario.nt) * gram)
+        out[-1] = _gram_trace(gram)
 
-    _each_chunk(cfg, tag, fill)
+    values = _draw(cfg, tag, len(occupancies) + 1, fill)
     *estimates, trace = [_estimate(row) for row in values]
     return estimates, trace
 
 
-def coherent_term_mc(scenario: ChannelScenario, occupancy, cfg: McConfig, tag=_TAG_COHERENT):
+def coherent_term_mc(scenario: ChannelScenario, occupancy: float, cfg: McConfig) -> McEstimate:
     """Estimate the coherent term delta*B * E[ln det(I + rho * H H^H)].
 
     rho = P/(dB * Nt * N0); the estimate must exceed
-    :func:`coherent_quadratic_lower` up to Monte-Carlo error.  A list of
-    occupancies gives a list of estimates from the same draws of H (common
-    random numbers, :func:`_coherent_draw`).
+    :func:`coherent_quadratic_lower` up to Monte-Carlo error.
     """
-    occupancies = occupancy if isinstance(occupancy, list) else [occupancy]
-    estimates, _ = _coherent_draw(scenario, occupancies, cfg, tag)
-    return estimates if isinstance(occupancy, list) else estimates[0]
+    [estimate], _ = _coherent_draw(scenario, [occupancy], cfg, _TAG_COHERENT)
+    return estimate
 
 
 def _min_tap_power(rng: np.random.Generator, n: int, m: int, count: int) -> np.ndarray:
@@ -493,7 +491,7 @@ def penalty_sandwich(
     spectrum is a subsample of the power spectrum; otherwise the pilot's
     phases are drawn to form it (:func:`_folded_power`).
     """
-    _require_occupancy(occupancy)
+    bounds._check_occupancy(occupancy)
     if scenario.fading.kind != "rayleigh":
         raise ValueError("penalty sandwich is defined for Rayleigh fading")
     l_c = integer_coherence_length(scenario.coherence_product)
@@ -511,23 +509,18 @@ def penalty_sandwich(
     cap = bounds._penalty_cap(scenario, occupancy, math.log1p)
     table = _lag_table(k_samples, cols, rho / m)
 
-    penalties = np.empty(cfg.trials)
-    lowers = np.empty(cfg.trials)
-    folded = np.empty(cfg.trials)
-
-    def fill(rng, rows, n):
+    def fill(rng, n, out):
         power = _pilot_power(rng, n, k_samples)
         g_min = _min_tap_power(rng, n, m, nr * nt * m)
         psi = np.min(power, axis=1) / k_samples if cols <= k_samples else np.zeros(n)
-        lowers[rows] = chain_scale * np.log1p(chain_arg * g_min * psi)
+        out[1] = chain_scale * np.log1p(chain_arg * g_min * psi)
         folded_psi = np.min(_folded_power(rng, power, cols), axis=1) / k_samples
-        folded[rows] = chain_scale * np.log1p(chain_arg * g_min * folded_psi)
+        out[2] = chain_scale * np.log1p(chain_arg * g_min * folded_psi)
         column = _pilot_lags(power, table)
         del power
-        penalties[rows] = prefactor * nr * toeplitz_logdet(column)
+        out[0] = prefactor * nr * toeplitz_logdet(column)
 
-    _each_chunk(cfg, _TAG_PENALTY, fill)
-
+    penalties, lowers, folded = _draw(cfg, _TAG_PENALTY, 3, fill)
     return PenaltySandwich(
         estimate=_estimate(penalties),
         lower_chain=_estimate(lowers),
@@ -608,34 +601,12 @@ def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
     return records, estimates, trace
 
 
-def kurtosis_check(fading: FadingFamily, cfg: McConfig, expected: Optional[float] = None,
-                   estimate: Optional[McEstimate] = None) -> CheckRecord:
-    """The kurtosis record; without an ``estimate`` it draws one (:func:`empirical_kurtosis`)."""
-    if expected is None:
-        expected = kurtosis(fading)
-    if estimate is None:
-        estimate = empirical_kurtosis(fading, cfg)
-    return CheckRecord(
-        check=f"kurtosis[{fading.label}]", params={"fading": fading.label, "trials": cfg.trials},
-        passed=_within(estimate.mean, estimate.std_error, expected, expected),
-        estimate=estimate.mean, std_error=estimate.std_error,
-        z=_z(estimate.mean - expected, estimate.std_error), bound_values={"expected": expected},
-    )
-
-
-def _trace_check(nt: int, nr: int, fading: FadingFamily, cfg: McConfig,
-                 estimate: Optional[McEstimate] = None) -> CheckRecord:
-    """The trace-identity record; without an ``estimate`` it draws one (:func:`trace_identity_check`)."""
-    if estimate is None:
-        estimate = trace_identity_check(_block_scenario(nt, nr, fading), cfg)
-    expected = trace_identity_expected(nt, nr, kurtosis(fading))
-    return CheckRecord(
-        check=f"trace_identity[{nt}x{nr}:{fading.label}]",
-        params={"nt": nt, "nr": nr, "fading": fading.label, "trials": cfg.trials},
-        passed=_within(estimate.mean, estimate.std_error, expected, expected),
-        estimate=estimate.mean, std_error=estimate.std_error,
-        z=_z(estimate.mean - expected, estimate.std_error), bound_values={"expected": expected},
-    )
+def _expected_record(check: str, params: dict, estimate: McEstimate, expected: float):
+    """The two-sided record of an estimate whose mean is known: ``expected`` within 4 SE."""
+    mean, se = estimate.mean, estimate.std_error
+    return CheckRecord(check=check, params=params, passed=_within(mean, se, expected, expected),
+                       estimate=mean, std_error=se, z=_z(mean - expected, se),
+                       bound_values={"expected": expected})
 
 
 def _channel_identity_checks(cfg: McConfig):
@@ -682,14 +653,9 @@ def _channel_identity_checks(cfg: McConfig):
 def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
     """All Monte-Carlo and channel-identity checks for one scenario, each gated by :func:`_within`.
 
-    Rayleigh blocks are drawn twice per trial.  The bound sweep's draw of the
-    scenario's Nr x Nt Rayleigh block gives the three sweep points, on
-    Rayleigh fading the coherent check (the middle point), and that block's
-    trace identity.  The fixed Rayleigh cases 1x1, 2x1 and 2x2 (Nt x Nr) are
-    leading sub-blocks of one another, so one draw of the largest case the
-    sweep leaves gives the smaller ones, and the Rayleigh kurtosis from its
-    last entry.  Each statistic keeps the law of its own independent draw, so
-    each 4-SE gate holds as before; the records are merely correlated.
+    The one place that decides which draw gives each estimate (see the module
+    docstring): shared Rayleigh draws where they exist, a draw of its own for
+    every other statistic.
     """
     rayleigh = FadingFamily.rayleigh()
     nt, nr = scenario.nt, scenario.nr
@@ -703,14 +669,19 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
     # The fixed Rayleigh cases the sweep leaves, largest first, each a leading
     # sub-block of the one before, from one draw of the first.
     nested = [block for block in [(2, 2), (2, 1), (1, 1)] if block != (nt, nr)]
-    nested_traces, rayleigh_kurtosis = _nested_trace_draw(
-        _block_scenario(*nested[0], rayleigh), cfg, sub_blocks=nested[1:])
+    nested_traces, rayleigh_kurtosis = _nested_trace_draw(*nested[0], rayleigh, cfg, nested[1:])
     traces = {(*block, rayleigh): trace for block, trace in nested_traces.items()}
     traces[(nt, nr, rayleigh)] = sweep_trace
-    kurtoses = {rayleigh: rayleigh_kurtosis}
+    if scenario.fading != rayleigh:
+        traces[(nt, nr, scenario.fading)] = trace_identity_check(scenario, cfg)
+    kurtoses = {f: rayleigh_kurtosis if f == rayleigh else empirical_kurtosis(f, cfg) for f in fadings}
 
-    records = [kurtosis_check(fading, cfg, estimate=kurtoses.get(fading)) for fading in fadings]
-    records += [_trace_check(*case, cfg, estimate=traces.get(case)) for case in antenna_cases]
+    records = [_expected_record(f"kurtosis[{f.label}]", {"fading": f.label, "trials": cfg.trials},
+                                estimate, kurtosis(f)) for f, estimate in kurtoses.items()]
+    records += [_expected_record(f"trace_identity[{t}x{r}:{f.label}]",
+                                 {"nt": t, "nr": r, "fading": f.label, "trials": cfg.trials},
+                                 traces[t, r, f], trace_identity_expected(t, r, kurtosis(f)))
+                for t, r, f in antenna_cases]
     records += _channel_identity_checks(cfg)
 
     # On Rayleigh fading the coherent check at (dB)* is the sweep's middle point.

@@ -10,6 +10,7 @@ boundary.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -102,6 +103,9 @@ def kurtosis(fading: FadingFamily) -> float:
 class ChannelScenario:
     """Block-fading wideband MIMO setup.
 
+    P/N0, Tc, Bc and Bc*Tc must be finite: the bounds have no finite value at
+    an infinite one.
+
     Attributes:
         snr_density: P/N0 in hertz (received power over noise PSD).
         coherence_time: Tc in seconds.
@@ -131,6 +135,9 @@ class ChannelScenario:
             raise ValidationError("nr must be a positive integer")
         if not self.coherence_product > 1:
             raise ValidationError("coherence product <= 1")
+        for name in ("snr_density", "coherence_time", "coherence_bandwidth", "coherence_product"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
 
     @property
     def coherence_product(self) -> float:
@@ -199,20 +206,26 @@ def _field(fields: dict, key: str, convert):
         raise ValidationError(f"missing required field {key!r}")
     try:
         return convert(fields[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"field {key!r}: {exc}") from None
 
 
 def _as_int(value) -> int:
-    if isinstance(value, bool):
+    """An integer field; OverflowError for infinity or beyond the float range."""
+    if isinstance(value, bool) or isinstance(value, float) and value != int(value):
         raise ValueError("expected integer")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if value != int(value):
-            raise ValueError("expected integer")
-        return int(value)
-    return int(str(value).strip())
+    number = int(value) if isinstance(value, (int, float)) else int(str(value).strip())
+    float(number)  # the bounds take nt and nr as floats
+    return number
+
+
+def _from_db(value) -> float:
+    """10^(value/10); ValueError when that overflows a float."""
+    db = float(value)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB overflows a float") from None
 
 
 def parse_scenario(text: str) -> ChannelScenario:
@@ -238,7 +251,7 @@ def parse_scenario(text: str) -> ChannelScenario:
     if "snr_density_hz" in fields and "snr_density_db_hz" in fields:
         raise ParseError("give either snr_density_hz or snr_density_db_hz, not both")
     if "snr_density_db_hz" in fields:
-        snr_density = 10.0 ** (_field(fields, "snr_density_db_hz", float) / 10.0)
+        snr_density = _field(fields, "snr_density_db_hz", _from_db)
     else:
         snr_density = _field(fields, "snr_density_hz", float)
 

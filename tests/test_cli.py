@@ -19,7 +19,7 @@ from widecap.bounds import (
     rate_lower_bound,
     rate_upper_bound,
 )
-from widecap.cli import _BLOCK, DEFAULT_SCENARIO, GridAxis, SweepSpec, main
+from widecap.cli import _BLOCK, DEFAULT_SCENARIO, GridAxis, main
 from widecap.scenario import parse_scenario, serialize_scenario
 
 FLAT_2X2 = """
@@ -77,16 +77,17 @@ class TestGridAxis:
             with pytest.raises(ValueError, match="grid bounds must be finite"):
                 GridAxis(lo, hi, 5, log=False)
 
-    def test_sweep_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec()
-        with pytest.raises(ValueError):
-            SweepSpec(
-                occupancy_axis=GridAxis(1.0, 2.0, 2),
-                bandwidth_axis=GridAxis(1.0, 2.0, 2),
-            )
-        with pytest.raises(ValueError, match="a delta grid needs a bandwidth grid"):
-            SweepSpec(delta_axis=GridAxis(0.1, 1.0, 2))
+    def test_sweep_spec_validation(self, tmp_path, scenario_file, capsys):
+        for options, message in [
+            ([], "no sweep axes given"),
+            (["--db-grid", "1:2:2", "--b-grid", "1:2:2"],
+             "give either a dB grid or (delta, B) axes, not both"),
+            (["--delta-grid", "0.1:1:2"], "a delta grid needs a bandwidth grid"),
+        ]:
+            out = tmp_path / "never.csv"
+            assert main(["bounds", "--scenario", scenario_file, *options, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
 
 class TestBoundsCommand:
@@ -293,6 +294,17 @@ class TestBoundsUsageErrors:
         else:
             assert capsys.readouterr().err.startswith("error: ")
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [
+        ["--b-grid", "1e4:1e10:400"], ["--db-grid", "1e4:1e10:7"], ["--delta-grid", "0.1:1:3"],
+    ])
+    def test_single_point_excludes_grid_axes(self, tmp_path, scenario_file, grid, capsys):
+        out = tmp_path / "never.csv"
+        code = main(["bounds", "--scenario", scenario_file, "--delta", "0.5",
+                     "--bandwidth", "1e7", *grid, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: single-point mode excludes grid axes\n"
         assert not out.exists()
 
     def test_subnormal_grid_message(self, tmp_path, scenario_file, capsys):
@@ -728,6 +740,32 @@ class TestVerifyCommand:
         out = tmp_path / "never.json"
         assert main(["verify", *options, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestScenarioLimits:
+    """Overflowing and infinite scenario values are usage errors (exit 2, no file)."""
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("nt.json", '{"snr_density_hz": 1e7, "coherence_time_s": 1e-3, '
+         '"coherence_bandwidth_hz": 1e6, "nt": 1e999, "nr": 2, "fading": "rayleigh"}',
+         "error: field 'nt': cannot convert float infinity to integer\n"),
+        ("db.txt", FLAT_2X2.replace("snr_density_hz = 1e7", "snr_density_db_hz = 4000"),
+         "error: field 'snr_density_db_hz': 4000.0 dB overflows a float\n"),
+        ("digits.txt", FLAT_2X2.replace("nt = 2", "nt = " + "1" * 401),
+         "error: field 'nt': int too large to convert to float\n"),
+        ("snr.txt", FLAT_2X2.replace("1e7", "inf"), "error: snr_density must be finite\n"),
+        ("tc.txt", FLAT_2X2.replace("coherence_time_s = 1e-3", "coherence_time_s = inf"),
+         "error: coherence_time must be finite\n"),
+        ("product.txt", FLAT_2X2.replace("1e-3", "1e200").replace("1e6", "1e200"),
+         "error: coherence_product must be finite\n"),
+    ], ids=["json-nt-1e999", "db-4000", "nt-401-digits", "snr-inf", "tc-inf", "tc-bc-1e200"])
+    def test_critical_refuses(self, tmp_path, name, text, message, capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "never.csv"
+        assert main(["critical", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
 

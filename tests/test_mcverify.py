@@ -13,7 +13,9 @@ from widecap import mcverify
 from widecap.mcverify import (
     McConfig,
     McEstimate,
+    _coherent_draw,
     _estimate,
+    _expected_record,
     _folded_power,
     _lag_table,
     _min_tap_power,
@@ -26,7 +28,6 @@ from widecap.mcverify import (
     coherent_term_mc,
     empirical_kurtosis,
     gram_logdet,
-    kurtosis_check,
     kurtosis_estimate,
     penalty_sandwich,
     run_verification_suite,
@@ -379,14 +380,22 @@ class TestOccupancyDomain:
 
         monkeypatch.setattr(mcverify, "_chunk_rngs", refuse)
 
-    @pytest.mark.parametrize("occupancy", [math.inf, math.nan, 0.0, -1.0])
-    def test_penalty_sandwich(self, occupancy):
-        with pytest.raises(ValueError, match=r"occupancy must be finite and > 0"):
+    # The messages of bounds._check_occupancy: nan fails the "> 0" test first.
+    CASES = [
+        pytest.param(math.inf, r"^occupancy must be finite$", id="inf"),
+        pytest.param(math.nan, r"^occupancy must be > 0$", id="nan"),
+        pytest.param(0.0, r"^occupancy must be > 0$", id="0.0"),
+        pytest.param(-1.0, r"^occupancy must be > 0$", id="-1.0"),
+    ]
+
+    @pytest.mark.parametrize("occupancy, message", CASES)
+    def test_penalty_sandwich(self, occupancy, message):
+        with pytest.raises(ValueError, match=message):
             penalty_sandwich(desk_scenario(), occupancy=occupancy, k_samples=32, cfg=SMALL)
 
-    @pytest.mark.parametrize("occupancy", [math.inf, math.nan, 0.0, -1.0])
-    def test_coherent_term(self, occupancy):
-        with pytest.raises(ValueError, match=r"occupancy must be finite and > 0"):
+    @pytest.mark.parametrize("occupancy, message", CASES)
+    def test_coherent_term(self, occupancy, message):
+        with pytest.raises(ValueError, match=message):
             coherent_term_mc(scenario(), occupancy, SMALL)
 
 
@@ -444,7 +453,8 @@ class TestSharedCoherentDraw:
     def test_list_equals_single_occupancies(self):
         s = scenario(snr=1e7, nt=2, nr=3)
         grid = [1e6, 3e7, 1e9]
-        assert coherent_term_mc(s, grid, SMALL) == [coherent_term_mc(s, x, SMALL) for x in grid]
+        estimates, _ = _coherent_draw(s, grid, SMALL, mcverify._TAG_COHERENT)
+        assert estimates == [coherent_term_mc(s, x, SMALL) for x in grid]
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_shared_sweep_matches_independent_draws(self, seed):
@@ -454,7 +464,7 @@ class TestSharedCoherentDraw:
         grid = [opt * factor for factor in (0.1, 1.0, 10.0)]
         _, estimates, _ = bound_sandwich_sweep(s, grid, cfg)
         for index, shared in enumerate(estimates):
-            independent = coherent_term_mc(s, grid[index], cfg, tag=("independent", index))
+            [independent], _ = _coherent_draw(s, [grid[index]], cfg, ("independent", index))
             gap = shared.mean - independent.mean
             assert abs(gap) <= 4.0 * math.hypot(shared.std_error, independent.std_error)
 
@@ -541,7 +551,7 @@ class TestSharedRayleighDraws:
 
     def test_sub_block_and_kurtosis_estimates(self):
         s = scenario(nt=2, nr=2)
-        traces, kurt = _nested_trace_draw(s, SMALL, sub_blocks=[(2, 1), (1, 1)])
+        traces, kurt = _nested_trace_draw(2, 2, s.fading, SMALL, sub_blocks=[(2, 1), (1, 1)])
         assert list(traces) == [(2, 2), (2, 1), (1, 1)]
         own, wide, single = traces.values()
         assert own == trace_identity_check(s, SMALL)
@@ -638,12 +648,10 @@ class TestPassRule:
         assert not _within(math.nextafter(1e-9, 1.0), 0.0, -math.inf, 1e-9)
 
     @pytest.mark.parametrize("expected, passed", [(2.0, False), (1.0, True)])
-    def test_zero_se_two_sided_record_needs_the_expected_value(self, monkeypatch,
-                                                               expected, passed):
+    def test_zero_se_two_sided_record_needs_the_expected_value(self, expected, passed):
         # A constant power gives kurtosis exactly 1 with standard error 0.
-        monkeypatch.setattr(mcverify, "empirical_kurtosis",
-                            lambda fading, cfg: kurtosis_estimate(np.ones(37)))
-        record = kurtosis_check(FadingFamily.rayleigh(), SMALL, expected=expected)
+        record = _expected_record("kurtosis[rayleigh]", {"fading": "rayleigh", "trials": 37},
+                                  kurtosis_estimate(np.ones(37)), expected)
         assert (record.estimate, record.std_error) == (1.0, 0.0)
         assert record.passed is passed
         assert record.z == 0.0
@@ -678,11 +686,46 @@ class TestMonteCarloRecordPins:
          None, True),
     ]
 
+    # The same for 2x2 rice:1.0, where the scenario's own trace identity and
+    # coherent check are drawn apart from the shared Rayleigh draws.
+    RICE_PINS = [
+        ("kurtosis[rice:1.0]", "0x1.8b283f93db758p+0", "0x1.326c9878435b7p-7",
+         "-0x1.47c2e3599c25ep+0", True),
+        ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
+         "0x1.a33c2b9454c10p+0", True),
+        ("trace_identity[2x2:rice:1.0]", "0x1.c03f884b53803p+3", "0x1.c1f11295e9e01p-4",
+         "-0x1.f3cf02b1b68f4p+0", True),
+        ("trace_identity[1x1:rayleigh]", "0x1.ef8d6322990a9p+0", "0x1.55725e73cd721p-5",
+         "-0x1.8a9d235d07806p+0", True),
+        ("trace_identity[2x2:rayleigh]", "0x1.00a9d035ed373p+4", "0x1.5f57041c32ac6p-3",
+         "0x1.eeee368f031dep-3", True),
+        ("trace_identity[2x1:rayleigh]", "0x1.7aa5a2bf1d81fp+2", "0x1.68d00d4ae84dfp-4",
+         "-0x1.e624a5fd58e6ep-1", True),
+        ("coherent_expansion", "0x1.1fd3eb9685b42p+24", "0x1.050e63c2b9f0fp+16",
+         "0x1.e4391d4c347d0p+1", True),
+        ("penalty_sandwich", "0x1.c09a286832467p+1", "0x1.2da8fd4e97241p-12",
+         "0x1.7db0c36684a80p+13", True),
+        ("bound_sandwich[dB=1.27922e+07]", "0x1.78102265f40a6p+23", "0x1.61696f9546e73p+15",
+         None, True),
+        ("bound_sandwich[dB=1.27922e+08]", "0x1.fe6f17f554902p+23", "0x1.53a9fd76fd0cfp+16",
+         None, True),
+        ("bound_sandwich[dB=1.27922e+09]", "0x1.652f08d90bed6p+23", "0x1.80385ae9828d7p+16",
+         None, True),
+    ]
+
     def test_records_match_pins(self):
-        records = run_verification_suite(scenario(snr=1e7, nt=2, nr=2), McConfig(10_000, 42))
+        self.assert_pins(scenario(snr=1e7, nt=2, nr=2), self.PINS)
+
+    def test_rice_records_match_pins(self):
+        self.assert_pins(scenario(snr=1e7, nt=2, nr=2, fading=FadingFamily.rice(1.0)),
+                         self.RICE_PINS)
+
+    @staticmethod
+    def assert_pins(s, pins):
+        records = run_verification_suite(s, McConfig(10_000, 42))
         mc = [r for r in records if r.std_error is not None]
-        assert [r.check for r in mc] == [pin[0] for pin in self.PINS]
-        for record, (check, estimate, std_error, z, passed) in zip(mc, self.PINS):
+        assert [r.check for r in mc] == [pin[0] for pin in pins]
+        for record, (check, estimate, std_error, z, passed) in zip(mc, pins):
             assert record.estimate.hex() == estimate, check
             assert record.std_error.hex() == std_error, check
             assert (None if record.z is None else record.z.hex()) == z, check
@@ -691,7 +734,9 @@ class TestMonteCarloRecordPins:
 
 class TestSuite:
     def test_negative_control_fails_loudly(self):
-        record = kurtosis_check(FadingFamily.rayleigh(), SMALL, expected=2.5)
+        estimate = empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
+        params = {"fading": "rayleigh", "trials": SMALL.trials}
+        record = _expected_record("kurtosis[rayleigh]", params, estimate, 2.5)
         assert not record.passed
         assert abs(record.z) > 4.0
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,11 @@ class TestScenarioInvariants:
             (dict(nt=0), "nt"),
             (dict(nr=0), "nr"),
             (dict(coherence_time=1e-6, coherence_bandwidth=5e5), "coherence product"),
+            (dict(snr_density=math.inf), "^snr_density must be finite$"),
+            (dict(coherence_time=math.inf), "^coherence_time must be finite$"),
+            (dict(coherence_bandwidth=math.inf), "^coherence_bandwidth must be finite$"),
+            (dict(coherence_time=1e200, coherence_bandwidth=1e200),
+             "^coherence_product must be finite$"),
         ],
     )
     def test_invariant_violations(self, overrides, message):
@@ -138,6 +145,18 @@ class TestParsing:
     def test_coherence_product_violation(self):
         doc = FLAT_DOC.replace("coherence_bandwidth_hz = 1e6", "coherence_bandwidth_hz = 500")
         with pytest.raises(ValidationError, match="coherence product <= 1"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        (JSON_DOC.replace('"nt": 2', '"nt": 1e999'),
+         r"^field 'nt': cannot convert float infinity to integer$"),
+        (FLAT_DOC.replace("snr_density_hz = 1e7", "snr_density_db_hz = 4000"),
+         r"^field 'snr_density_db_hz': 4000\.0 dB overflows a float$"),
+        (FLAT_DOC.replace("nt = 2", "nt = " + "1" * 401),
+         r"^field 'nt': int too large to convert to float$"),
+    ], ids=["json-nt-1e999", "db-4000", "nt-401-digits"])
+    def test_overflowing_value_names_the_field(self, doc, message):
+        with pytest.raises(ParseError, match=message):
             parse_scenario(doc)
 
     def test_unknown_key_reports_line(self):
