@@ -43,4 +43,4 @@ from .scenario import (
     snr_per_dof,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

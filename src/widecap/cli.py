@@ -304,10 +304,15 @@ def cmd_alpha(args) -> int:
     if len(set(header)) < len(header):
         raise ValueError("--p values must differ in their first 6 significant digits")
 
+    # Each row's scenario has Bc = BcTc/Tc, which overflows before BcTc does when Tc < 1.
+    values = axis.values()
+    largest, tc = float(values.max()), scenario.coherence_time
+    if not math.isfinite(largest / tc * tc):
+        raise ValueError(f"--bctc-grid value {largest!r} over Tc = {tc!r} s overflows Bc = BcTc/Tc")
+
     rows = []
-    for lc in axis.values():
-        variant = replace(
-            scenario, coherence_bandwidth=float(lc) / scenario.coherence_time)
+    for lc in values:
+        variant = replace(scenario, coherence_bandwidth=float(lc) / tc)
         norm = math.log(variant.coherence_product) if args.normalize else 1.0
         mins = []
         for p in p_list:
@@ -443,6 +448,10 @@ def main(argv=None) -> int:
         # ScenarioError is a ValueError: bad files and bad parameter domains
         # are both usage errors.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A grid or --trials too large to allocate fails before --out opens.
+        print(f"error: grid or trial count too large: {exc}", file=sys.stderr)
         return 2
 
 

@@ -9,11 +9,13 @@ identities) into the pass/fail records the CLI reports.  Every pass comes from
 one rule (:func:`_within`): low - 4*SE <= value <= high + 4*SE + slack.
 
 No Monte-Carlo log-det needs an eigendecomposition.  The penalty's
-ln det(I + T) with T Hermitian Toeplitz is a batched Levinson-Durbin
-recursion (:func:`toeplitz_logdet`); the coherent ln det(I + rho H H^H) is a
-batched elimination (:func:`gram_logdet`) on the smaller of H H^H and H^H H
+ln det(I + T) with T Hermitian Toeplitz is a Levinson-Durbin recursion
+(:func:`toeplitz_logdet`); the coherent ln det(I + rho H H^H) is an
+elimination (:func:`gram_logdet`) on the smaller of H H^H and H^H H
 (:func:`small_gram`).  Both sum log1p of pivots minus one, so they keep full
-relative accuracy at low SNR.
+relative accuracy at low SNR.  Every per-trial array keeps trials last, like
+the (rows, trials) block of :func:`_draw` ((K, n) spectra, (cols, n) lags,
+(Nr, Nt, n) channel blocks), so each ufunc runs along contiguous trials.
 
 Four functions draw, each into one per-trial block of :func:`_draw`:
 :func:`empirical_kurtosis`, :func:`_nested_trace_draw`, :func:`_coherent_draw`
@@ -225,8 +227,8 @@ def trace_identity_expected(nt: int, nr: int, kappa: float) -> float:
 
 
 def _gram_trace(gram: np.ndarray) -> np.ndarray:
-    """Per-block tr((H H^H)^2), the squared Frobenius norm of either Gram (:func:`small_gram`)."""
-    return np.sum(np.abs(gram) ** 2, axis=(1, 2))
+    """Per-trial tr((H H^H)^2), the squared Frobenius norm of either Gram (:func:`small_gram`)."""
+    return np.sum(np.abs(gram) ** 2, axis=(0, 1))
 
 
 def _nested_trace_draw(nt: int, nr: int, fading: FadingFamily, cfg: McConfig, sub_blocks=()):
@@ -241,10 +243,10 @@ def _nested_trace_draw(nt: int, nr: int, fading: FadingFamily, cfg: McConfig, su
     blocks = [(nt, nr), *sub_blocks]
 
     def fill(rng, n, out):
-        h = unit_fading_samples(rng, fading, (n, nr, nt))
+        h = unit_fading_samples(rng, fading, (nr, nt, n))
         for row, (sub_nt, sub_nr) in zip(out, blocks):
-            row[:] = _gram_trace(small_gram(h[:, :sub_nr, :sub_nt]))
-        out[-1] = np.abs(h[:, -1, -1]) ** 2
+            row[:] = _gram_trace(small_gram(h[:sub_nr, :sub_nt]))
+        out[-1] = np.abs(h[-1, -1]) ** 2
 
     values = _draw(cfg, (_TAG_TRACE, nt, nr, fading.kind), len(blocks) + 1, fill)
     traces = {block: _estimate(row) for block, row in zip(blocks, values)}
@@ -257,73 +259,73 @@ def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate
     return traces[(scenario.nt, scenario.nr)]
 
 
-def toeplitz_logdet(column: np.ndarray) -> np.ndarray:
-    """Per-row ln det(I + T) for stacked Hermitian Toeplitz T given by first columns.
+def toeplitz_logdet(lags: np.ndarray) -> np.ndarray:
+    """Per-trial ln det(I + T) for Hermitian Toeplitz T with first columns ``lags``.
 
-    ``column`` has shape (n, size) with T[a, b] = column[a - b] for a >= b
-    and a real lag-0 entry.  A Levinson-Durbin recursion over the size steps,
-    vectorized over the rows, carries the forward predictor and
-    d_k = E_k - 1, the k-th prediction-error power minus one, updated as
-    d_k = d_(k-1) - (1 + d_(k-1)) |kappa_k|^2.  The log-det is sum log1p(d_k),
-    which keeps full relative accuracy when T is tiny against I.  The
-    recursion runs on (size, n) arrays, so each step's inner product sums
-    whole rows over the batch, and one work array takes every step's
-    products: a call allocates two (size, n) arrays, not several per step.
+    ``lags`` is (size, n), trials last: T[a, b] = lags[a - b] for a >= b, with
+    a real lag-0 row.  A Levinson-Durbin recursion carries the forward
+    predictor and d_k = E_k - 1, the k-th prediction-error power minus one:
+    d_k = d_(k-1) - (1 + d_(k-1)) |kappa_k|^2, and the log-det is
+    sum log1p(d_k), which keeps full relative accuracy when T is tiny against I.
+    The predictor's row 0 is 1 throughout, so step k's inner product is lags[k]
+    plus rows 1..k-1, the update touches rows 1..k-1, and row k is kappa_k.
     """
-    n, size = column.shape
-    lags = column.T
+    size, n = lags.shape
     d = lags[0].real.copy()
     total = np.log1p(d)
-    predictor = np.zeros((size, n), dtype=complex)
-    predictor[0] = 1.0
+    predictor = np.empty((size, n), dtype=complex)
     work = np.empty((size, n), dtype=complex)
     for k in range(1, size):
-        delta = np.multiply(predictor[:k], lags[k:0:-1], out=work[:k]).sum(axis=0)
-        kappa = -delta / (1.0 + d)
-        update = np.conjugate(predictor[k::-1], out=work[:k + 1])
+        kappa = np.multiply(predictor[1:k], lags[k - 1:0:-1], out=work[:k - 1]).sum(axis=0)
+        kappa += lags[k]
+        error = 1.0 + d
+        gain = -1.0 / error  # a real factor on each part: no complex division
+        kappa.real *= gain
+        kappa.imag *= gain
+        update = np.conjugate(predictor[k - 1:0:-1], out=work[:k - 1])
         update *= kappa
-        predictor[:k + 1] += update
-        d = d - (1.0 + d) * (kappa.real**2 + kappa.imag**2)
+        predictor[1:k] += update
+        predictor[k] = kappa
+        d = d - error * (kappa.real**2 + kappa.imag**2)
         total += np.log1p(d)
     return total
 
 
 def small_gram(blocks: np.ndarray) -> np.ndarray:
-    """The smaller of H H^H and H^H H for stacked blocks H (leading batch axes).
+    """The smaller of H H^H and H^H H for blocks H of shape (rows, cols, n), trials last.
 
     Both have the same nonzero spectrum, so tr((H H^H)^2) and
-    ln det(I + rho H H^H) can be taken from either.  With the shorter side s
-    and the longer, contracted side L, small blocks sum L elementwise outer
-    products over the batch: a batched complex ``@`` pays about 180 ns of
-    dispatch per block, which dominates below (s + 1) * L = 24 (measured on
-    a 2-core x86 VM with numpy 2.4, per 4096 blocks: 0.13 against 0.76 ms at
-    2x2, 7.0 against 1.4 ms at 8x8).
-    The last bits differ from ``@``, whose inner loop uses fused multiply-adds.
+    ln det(I + rho H H^H) can be taken from either.  Each lower-triangle
+    column sums elementwise products over the longer side, and the upper
+    triangle is its conjugate (at 8x8, 3.9 ms per 4096 blocks against 16 ms
+    for a batched ``@`` on trials-first blocks; 2-core x86 VM, numpy 2.4).
     """
-    a = blocks if blocks.shape[-2] <= blocks.shape[-1] else blocks.conj().swapaxes(-1, -2)
-    short, long = a.shape[-2:]
-    if (short + 1) * long > 24:
-        return a @ a.conj().swapaxes(-1, -2)
+    a = blocks if blocks.shape[0] <= blocks.shape[1] else blocks.swapaxes(0, 1).conj()
+    short, long = a.shape[:2]
     conj = a.conj()
-    gram = a[..., :, None, 0] * conj[..., None, :, 0]
-    for k in range(1, long):
-        gram += a[..., :, None, k] * conj[..., None, :, k]
+    gram = np.empty((short, short, a.shape[2]), dtype=complex)
+    for j in range(short):
+        column = gram[j:, j]
+        np.multiply(a[j:, 0], conj[j, 0], out=column)
+        for k in range(1, long):
+            column += a[j:, k] * conj[j, k]
+        np.conjugate(column[1:], out=gram[j, j + 1:])
     return gram
 
 
 def gram_logdet(m: np.ndarray) -> np.ndarray:
-    """Per-block ln det(I + M) for stacked Hermitian PSD M, by elimination; overwrites M.
+    """Per-trial ln det(I + M) for Hermitian PSD M (s, s, n); overwrites its lower triangle.
 
     Each pivot p adds log1p(p) and removes col col^H / (1 + p) from the trailing block.
     """
-    total = np.zeros(m.shape[:-2])
-    for p in range(m.shape[-1]):
-        pivot = m[..., p, p].real
+    total = np.zeros(m.shape[2])
+    for p in range(m.shape[0]):
+        pivot = m[p, p].real
         total += np.log1p(pivot)
-        col = m[..., p + 1:, p]
-        m[..., p + 1:, p + 1:] -= (
-            col[..., :, None] * col[..., None, :].conj() / (1.0 + pivot)[..., None, None]
-        )
+        col = m[p + 1:, p]
+        scaled = col.conj() / (1.0 + pivot)
+        for j in range(p + 1, m.shape[0]):
+            m[j:, j] -= col[j - p - 1:] * scaled[j - p - 1]
     return total
 
 
@@ -336,7 +338,7 @@ def _coherent_draw(scenario: ChannelScenario, occupancies: list, cfg: McConfig, 
     bounds._check_occupancy(occupancies)
 
     def fill(rng, n, out):
-        gram = small_gram(unit_fading_samples(rng, scenario.fading, (n, scenario.nr, scenario.nt)))
+        gram = small_gram(unit_fading_samples(rng, scenario.fading, (scenario.nr, scenario.nt, n)))
         for row, x in zip(out, occupancies):
             row[:] = x * gram_logdet(scenario.snr_density / (x * scenario.nt) * gram)
         out[-1] = _gram_trace(gram)
@@ -365,39 +367,40 @@ def _min_tap_power(rng: np.random.Generator, n: int, m: int, count: int) -> np.n
     return rng.standard_exponential(n) / (m * count)
 
 
-def _pilot_power(rng: np.random.Generator, n: int, k_samples: int) -> np.ndarray:
-    """n power spectra |FFT_K(x)|^2 of unit-power Gaussian pilots x, drawn directly.
+def _pilot_power(rng: np.random.Generator, n: int, k_samples: int):
+    """(K, n) Exp(1) draws and the per-trial scale that makes them power spectra |FFT_K(x)|^2.
 
     The DFT of i.i.d. circular Gaussians is i.i.d. circular Gaussian, so the
-    |X_k|^2 are i.i.d. exponential, and a unit-power pilot fixes their sum at
-    K^2 (Parseval).  Normalized i.i.d. exponentials are a flat Dirichlet
-    (Devroye, *Non-Uniform Random Variate Generation*, ch. V), so K exponentials
-    replace 2K normals, the normalization and the forward FFT.
+    |X_k|^2 are i.i.d. exponential, and a unit-power pilot x fixes their sum at
+    K^2 (Parseval): normalized, they are a flat Dirichlet (Devroye, *Non-Uniform
+    Random Variate Generation*, ch. V).  The spectra are scale * power with
+    scale = K^2 / sum, applied per trial after reductions and products.
     """
-    power = rng.standard_exponential((n, k_samples))
-    power *= k_samples * k_samples / np.sum(power, axis=1, keepdims=True)
-    return power
+    power = rng.standard_exponential((k_samples, n))
+    return power, k_samples * k_samples / np.sum(power, axis=0)
 
 
 def _folded_power(rng: np.random.Generator, power: np.ndarray, cols: int) -> np.ndarray:
-    """The folded pilot spectrum (:func:`~widecap.channel.pilot_spectrum`) for these power spectra.
+    """(cols, n) folded pilot spectra (:func:`~widecap.channel.pilot_spectrum`) of (K, n) spectra.
 
     When cols divides K, folding modulo cols samples the K-point DFT at
-    multiples of K/cols, so the result is every (K/cols)-th entry of power.
+    multiples of K/cols, so the result is every (K/cols)-th row of power.
     Otherwise the rest of the pilot is drawn: given its power spectrum, a
     normalized Gaussian pilot has i.i.d. uniform spectral phases phi, so
     x = ifft(sqrt(power) * e^(i*phi)).  The phasor is (1 - t^2 + 2it)/(1 + t^2)
     with t = tan(phi/2), as numpy's float64 tan costs a fraction of cos and sin.
+    Only this path works on (n, K).  Both paths are linear in the spectra's scale.
     """
-    k_samples = power.shape[-1]
+    k_samples = power.shape[0]
     if k_samples % cols == 0:
-        return power[:, ::k_samples // cols]
+        return power[::k_samples // cols]
+    power = power.T
     t = np.tan(np.pi * (rng.random(power.shape) - 0.5))
     scale = np.sqrt(power) / (1.0 + t * t)
     spectrum = np.empty(power.shape, dtype=complex)
     np.multiply(scale, 1.0 - t * t, out=spectrum.real)
     np.multiply(2.0 * scale, t, out=spectrum.imag)
-    return pilot_spectrum(np.fft.ifft(spectrum, axis=-1), cols)
+    return pilot_spectrum(np.fft.ifft(spectrum, axis=-1), cols).T
 
 
 def _lag_table(k_samples: int, cols: int, scale: float) -> np.ndarray:
@@ -412,27 +415,28 @@ def _lag_table(k_samples: int, cols: int, scale: float) -> np.ndarray:
     return table
 
 
-# OpenBLAS runs a dgemm of at most 65536 * GEMM_MULTITHREAD_THRESHOLD (default
-# 4) multiply-adds on the calling thread.
+# OpenBLAS runs dgemms of at most 65536 * GEMM_MULTITHREAD_THRESHOLD (4) multiply-adds serially.
 _SERIAL_GEMM = 65536 * 4
 
 
-def _pilot_lags(power: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(n, cols) complex lags of power spectra (n, K) by a real product with :func:`_lag_table`.
+def _pilot_lags(power: np.ndarray, scale: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(cols, n) complex lags of the spectra scale * power, power (K, n), by :func:`_lag_table`.
 
-    The product runs in row blocks of at most ``_SERIAL_GEMM`` multiply-adds
-    (512 rows at K = 32, cols = 8), which OpenBLAS keeps on the calling
-    thread; a full-width product per 4096-row chunk wakes OpenBLAS's own
-    threads, which compete with the chunk threads of :func:`_each_chunk`
-    (process CPU time / wall time 0.98-1.00 blocked against 1.95-1.98
-    full-width at cols 8 to 20, OpenBLAS 0.3.31 on 2 CPUs).
+    ``table.T @ power`` runs in column blocks of at most ``_SERIAL_GEMM``
+    multiply-adds (512 trials at K = 32, cols = 8), which OpenBLAS keeps on
+    the calling thread; a full-width product wakes OpenBLAS's own threads,
+    which compete with those of :func:`_each_chunk` (process CPU / wall time
+    0.98-1.00 blocked, 1.95-1.98 full-width; OpenBLAS 0.3.31 on 2 CPUs).
     """
-    column = np.empty((power.shape[0], table.shape[1] // 2), dtype=complex)
-    parts = column.view(float)
-    rows = max(1, _SERIAL_GEMM // table.size)
-    for start in range(0, power.shape[0], rows):
-        np.matmul(power[start:start + rows], table, out=parts[start:start + rows])
-    return column
+    n = power.shape[1]
+    parts = np.empty((table.shape[1], n))
+    step = max(1, _SERIAL_GEMM // table.size)
+    for start in range(0, n, step):
+        np.matmul(table.T, power[:, start:start + step], out=parts[:, start:start + step])
+    lags = np.empty((table.shape[1] // 2, n), dtype=complex)
+    np.multiply(parts[0::2], scale, out=lags.real)
+    np.multiply(parts[1::2], scale, out=lags.imag)
+    return lags
 
 
 @dataclass(frozen=True)
@@ -453,12 +457,8 @@ class PenaltySandwich:
     folded_chain: float
 
 
-def penalty_sandwich(
-    scenario: ChannelScenario,
-    occupancy: float,
-    k_samples: int,
-    cfg: McConfig,
-) -> PenaltySandwich:
+def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int,
+                     cfg: McConfig) -> PenaltySandwich:
     """Estimate the channel-uncertainty penalty and bracket it.
 
     Per trial the penalty is (delta/Tc) * sum_v ln det(I + rho * Gram *
@@ -500,8 +500,7 @@ def penalty_sandwich(
     m = k_samples // l_c
     nt, nr = scenario.nt, scenario.nr
     cols = m * nt
-    s = scenario.snr_density
-    lc = scenario.coherence_product
+    s, lc = scenario.snr_density, scenario.coherence_product
     rho = s / (occupancy * nt)
     prefactor = occupancy / k_samples  # delta/Tc with K = B*Tc
     chain_scale = occupancy * nt * nr / lc
@@ -510,15 +509,15 @@ def penalty_sandwich(
     table = _lag_table(k_samples, cols, rho / m)
 
     def fill(rng, n, out):
-        power = _pilot_power(rng, n, k_samples)
-        g_min = _min_tap_power(rng, n, m, nr * nt * m)
-        psi = np.min(power, axis=1) / k_samples if cols <= k_samples else np.zeros(n)
-        out[1] = chain_scale * np.log1p(chain_arg * g_min * psi)
-        folded_psi = np.min(_folded_power(rng, power, cols), axis=1) / k_samples
-        out[2] = chain_scale * np.log1p(chain_arg * g_min * folded_psi)
-        column = _pilot_lags(power, table)
+        power, scale = _pilot_power(rng, n, k_samples)
+        # chain_arg * g_min * psi, for psi the smallest entry of power / K.
+        weight = (chain_arg / k_samples) * _min_tap_power(rng, n, m, nr * nt * m) * scale
+        psi = np.min(power, axis=0) if cols <= k_samples else np.zeros(n)
+        out[1] = chain_scale * np.log1p(weight * psi)
+        out[2] = chain_scale * np.log1p(weight * np.min(_folded_power(rng, power, cols), axis=0))
+        lags = _pilot_lags(power, scale, table)
         del power
-        out[0] = prefactor * nr * toeplitz_logdet(column)
+        out[0] = prefactor * nr * toeplitz_logdet(lags)
 
     penalties, lowers, folded = _draw(cfg, _TAG_PENALTY, 3, fill)
     return PenaltySandwich(

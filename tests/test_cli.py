@@ -282,6 +282,7 @@ class TestBoundsUsageErrors:
         ["--delta", "1", "--bandwidth", "inf"],
         ["--b-grid", "1e6:inf:3"],
         ["--db-grid", "1e6:1e400:3"],  # the upper bound overflows to inf
+        ["--db-grid", "1e6:1e9:1000000000000000"],  # numpy cannot allocate the axis
     ])
     def test_no_output_on_error(self, tmp_path, scenario_file, options, capsys):
         out = tmp_path / "never.csv"
@@ -501,6 +502,18 @@ class TestAlphaCommand:
         assert code == 2
         assert not out.exists()
         assert "--p values must differ" in capsys.readouterr().err
+
+    def test_refuses_grid_whose_bandwidth_overflows(self, tmp_path, scenario_file, capsys):
+        # Every BcTc here is finite, but Bc = BcTc/Tc overflows at Tc = 1e-3.
+        out = tmp_path / "never.csv"
+        code = main([
+            "alpha", "--scenario", scenario_file, "--snr", "0.01",
+            "--bctc-grid", "1e300:1e308:3", "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --bctc-grid value 1e+308 over Tc = 0.001 s overflows Bc = BcTc/Tc\n")
+        assert not out.exists()
 
     def test_rejects_zero_error_percentage(self, tmp_path, scenario_file):
         out = tmp_path / "x.txt"
@@ -735,7 +748,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("options, message", [
         (["--seed", "-1"], "error: seed must be >= 0, got -1"),
         (["--trials", "9999"], "error: need at least 10000 trials"),
-    ], ids=["negative-seed", "too-few-trials"])
+        (["--trials", "1000000000000000"],
+         "error: grid or trial count too large: Unable to allocate "),
+    ], ids=["negative-seed", "too-few-trials", "unallocatable-trials"])
     def test_bad_seed_or_trials_exit_code(self, tmp_path, capsys, options, message):
         out = tmp_path / "never.json"
         assert main(["verify", *options, "--out", str(out)]) == 2

@@ -150,7 +150,7 @@ class TestTraceIdentity:
 class TestCoherentTerm:
     def test_zero_snr_is_exactly_zero(self):
         rng = np.random.default_rng(0)
-        blocks = rng.standard_normal((16, 2, 2)) + 1j * rng.standard_normal((16, 2, 2))
+        blocks = rng.standard_normal((2, 2, 16)) + 1j * rng.standard_normal((2, 2, 16))
         assert np.all(123.0 * gram_logdet(0.0 * small_gram(blocks)) == 0.0)
 
     def test_dominates_quadratic_expansion(self):
@@ -258,16 +258,16 @@ class TestPenaltySandwich:
         # (two-sample KS), both at 4 sigma.  cols = 36 wraps the lags.
         k_samples, n, c = 32, 20_000, 1.0 / 128.0
         rng = np.random.default_rng(23)
-        power = _pilot_power(rng, n, k_samples)
+        power, scale = _pilot_power(rng, n, k_samples)
         direct = {
-            "logdet": toeplitz_logdet(_pilot_lags(power, _lag_table(k_samples, cols, c))),
-            "folded_psi": np.min(_folded_power(rng, power, cols), axis=1) / k_samples,
+            "logdet": toeplitz_logdet(_pilot_lags(power, scale, _lag_table(k_samples, cols, c))),
+            "folded_psi": np.min(_folded_power(rng, power, cols), axis=0) * scale / k_samples,
         }
         x = unit_pilots(np.random.default_rng(24), n, k_samples)
         lags = np.arange(cols) % k_samples
         autocorr = np.fft.ifft(np.abs(np.fft.fft(x, axis=1)) ** 2, axis=1)[:, lags]
         built = {
-            "logdet": toeplitz_logdet(c * autocorr),
+            "logdet": toeplitz_logdet(np.ascontiguousarray(c * autocorr.T)),
             "folded_psi": np.min(pilot_spectrum(x, cols), axis=1) / k_samples,
         }
         four_sigma = math.erfc(4.0 / math.sqrt(2.0))
@@ -280,16 +280,16 @@ class TestPenaltySandwich:
     # cols = 20 takes lags above K/2, and 36 wraps past K.
     @pytest.mark.parametrize("cols", [8, 12, 20, 36])
     def test_pilot_lags_match_inverse_fft(self, cols):
-        k_samples, scale = 32, 0.3
-        # 1100 rows: whole product blocks (512 rows at cols = 8, 113 at 36)
+        k_samples, c = 32, 0.3
+        # 1100 trials: whole product blocks (512 trials at cols = 8, 113 at 36)
         # and a short last one.
-        power = _pilot_power(np.random.default_rng(25), 1100, k_samples)
-        lags = _pilot_lags(power, _lag_table(k_samples, cols, scale))
-        expected = scale * np.fft.ifft(power, axis=1)[:, np.arange(cols) % k_samples]
+        power, scale = _pilot_power(np.random.default_rng(25), 1100, k_samples)
+        lags = _pilot_lags(power, scale, _lag_table(k_samples, cols, c))
+        expected = c * np.fft.ifft(power * scale, axis=0)[np.arange(cols) % k_samples]
         assert lags.shape == expected.shape
-        # Relative to the largest lag, lag 0, which is K * scale for every pilot.
-        assert np.max(np.abs(lags - expected)) <= 1e-14 * k_samples * scale
-        assert np.all(lags[:, 0].imag == 0.0)
+        # Relative to the largest lag, lag 0, which is K * c for every pilot.
+        assert np.max(np.abs(lags - expected)) <= 1e-14 * k_samples * c
+        assert np.all(lags[0].imag == 0.0)
 
     def test_requires_divisible_k(self):
         with pytest.raises(ValueError):
@@ -314,16 +314,17 @@ class TestLogDetKernels:
         autocorr[:, 0] = autocorr[:, 0].real
         column = c * autocorr
         lag = np.subtract.outer(np.arange(cols), np.arange(cols))
-        for row, value in zip(column, toeplitz_logdet(column)):
+        for row, value in zip(column, toeplitz_logdet(np.ascontiguousarray(column.T))):
             toeplitz = np.where(lag >= 0, row[np.abs(lag)], row[np.abs(lag)].conj())
             exact = mp_logdet(toeplitz)
             assert abs(value - exact) <= 1e-13 * abs(exact)
 
     @pytest.mark.parametrize("c", SCALES)
-    @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 3), (3, 2), (2, 2)])
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 3), (3, 2), (2, 2),
+                                       (3, 8), (8, 3), (8, 8)])
     def test_gram_elimination(self, c, shape):
         rng = np.random.default_rng(12)
-        blocks = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        blocks = rng.standard_normal((*shape, 3)) + 1j * rng.standard_normal((*shape, 3))
         self.assert_gram_exact(blocks, c)
 
     def test_tall_block_at_huge_snr(self):
@@ -331,25 +332,26 @@ class TestLogDetKernels:
         # rounding-size eigenvalues where zeros belong, and rho = 1e12 turns
         # them into relative errors up to about 1e-4.  H^H H is the exact 1x1 norm.
         rng = np.random.default_rng(13)
-        blocks = rng.standard_normal((3, 4, 1)) + 1j * rng.standard_normal((3, 4, 1))
+        blocks = rng.standard_normal((4, 1, 3)) + 1j * rng.standard_normal((4, 1, 3))
         self.assert_gram_exact(blocks, 1e12)
 
     @staticmethod
     def assert_gram_exact(blocks, c):
-        for block, value in zip(blocks, gram_logdet(c * small_gram(blocks))):
+        for block, value in zip(np.moveaxis(blocks, -1, 0), gram_logdet(c * small_gram(blocks))):
             exact = mp_logdet(block, c, gram=True)
             assert abs(value - exact) <= 1e-13 * abs(exact)
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2), (4, 2), (3, 5), (8, 8)])
     def test_small_gram_matches_matmul(self, shape):
         rng = np.random.default_rng(15)
-        blocks = rng.standard_normal((512, *shape)) + 1j * rng.standard_normal((512, *shape))
-        herm = blocks.conj().swapaxes(-1, -2)
-        expected = blocks @ herm if shape[0] <= shape[1] else herm @ blocks
+        blocks = rng.standard_normal((*shape, 512)) + 1j * rng.standard_normal((*shape, 512))
+        stacked = np.moveaxis(blocks, -1, 0)
+        herm = stacked.conj().swapaxes(-1, -2)
+        expected = np.moveaxis(stacked @ herm if shape[0] <= shape[1] else herm @ stacked, 0, -1)
         gram = small_gram(blocks)
         assert gram.shape == expected.shape
-        limit = 8.0 * np.finfo(float).eps * np.sum(np.abs(blocks) ** 2, axis=(1, 2))
-        assert np.all(np.max(np.abs(gram - expected), axis=(1, 2)) <= limit)
+        limit = 8.0 * np.finfo(float).eps * np.sum(np.abs(blocks) ** 2, axis=(0, 1))
+        assert np.all(np.max(np.abs(gram - expected), axis=(0, 1)) <= limit)
 
     @pytest.mark.parametrize("nt", [2, 3])
     def test_psi_fold_fft_matches_phase_product(self, nt):
@@ -429,16 +431,16 @@ class TestBoundSandwichSweep:
 
 
 class TestSharedCoherentDraw:
-    # Single-occupancy bits at (dB)* from before the sweep shared the
-    # coherent check's draw of H (20 000 trials, seed 42): scenario options,
+    # Single-occupancy bits at (dB)* of the coherent check's draw of H with
+    # trials on the last axis (20 000 trials, seed 42): scenario options,
     # (dB)*, mean and standard error, as float.hex.
     PINS = [
         ({"nt": 2, "nr": 2}, "0x1.0616e72ae6571p+27",
-         "0x1.1d4d13ad62f4bp+24", "0x1.e30c3e8c08db5p+15"),
+         "0x1.1d4522d65434dp+24", "0x1.e4e74a3e84debp+15"),
         ({"nt": 3, "nr": 2}, "0x1.90903a6b81016p+26",
-         "0x1.1c468e577db23p+24", "0x1.852401fc0764ep+15"),
+         "0x1.1c4fdf3b644dcp+24", "0x1.8928159813979p+15"),
         ({"nt": 2, "nr": 2, "fading": FadingFamily.rice(1.0)}, "0x1.e7fbde6151f85p+26",
-         "0x1.1fbb6e4f5d495p+24", "0x1.6e98dcb372e2bp+15"),
+         "0x1.1fb3b01d3a68cp+24", "0x1.6c86d938e7ae6p+15"),
     ]
 
     @pytest.mark.parametrize("options, optimum, mean, std_error", PINS)
@@ -508,7 +510,7 @@ class TestSharedRayleighDraws:
         cfg = McConfig(10_000, 42)
         run_verification_suite(scenario(snr=1e7, nt=2, nr=2), cfg)
         chunks = -(-cfg.trials // mcverify._CHUNK)
-        rayleigh = sorted(shape[1:] for kind, shape in draws if kind == "rayleigh")
+        rayleigh = sorted(shape[:-1] for kind, shape in draws if kind == "rayleigh")
         # The sweep's 2x2 block and the nested 1x2 block of the (2, 1) case.
         assert rayleigh == [(1, 2)] * chunks + [(2, 2)] * chunks
 
@@ -662,27 +664,27 @@ class TestMonteCarloRecordPins:
     # seed 42: check, estimate, std_error and z as float.hex (None where the
     # record has no z), and pass.
     PINS = [
-        ("kurtosis[rayleigh]", "0x1.00f50151d4a5fp+1", "0x1.3d322c7b1bc3dp-6",
-         "0x1.8b793d9737687p-2", True),
+        ("kurtosis[rayleigh]", "0x1.fae91651b9819p+0", "0x1.27e83aee42263p-6",
+         "-0x1.19cc9d4d9d94ep+0", True),
         ("kurtosis[rice:1.0]", "0x1.8b283f93db758p+0", "0x1.326c9878435b7p-7",
          "-0x1.47c2e3599c25ep+0", True),
         ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
          "0x1.a33c2b9454c10p+0", True),
-        ("trace_identity[2x2:rayleigh]", "0x1.00a9d035ed373p+4", "0x1.5f57041c32ac6p-3",
-         "0x1.eeee368f031dep-3", True),
-        ("trace_identity[1x1:rayleigh]", "0x1.ef8d6322990a9p+0", "0x1.55725e73cd721p-5",
-         "-0x1.8a9d235d07806p+0", True),
-        ("trace_identity[2x1:rayleigh]", "0x1.7aa5a2bf1d81fp+2", "0x1.68d00d4ae84dfp-4",
-         "-0x1.e624a5fd58e6ep-1", True),
-        ("coherent_expansion", "0x1.1d574c99cd23dp+24", "0x1.569a52662a149p+16",
-         "0x1.c62dc202fc56dp+0", True),
-        ("penalty_sandwich", "0x1.c09a286832467p+1", "0x1.2da8fd4e97241p-12",
-         "0x1.7db0c36684a80p+13", True),
-        ("bound_sandwich[dB=1.3741e+07]", "0x1.7fd6dee0af58ep+23", "0x1.6d58d491cc523p+15",
+        ("trace_identity[2x2:rayleigh]", "0x1.0211e53f3b82cp+4", "0x1.6cdac8237f841p-3",
+         "0x1.73cd02ccf1cd7p-1", True),
+        ("trace_identity[1x1:rayleigh]", "0x1.0231a203a01f7p+1", "0x1.70584862196b1p-5",
+         "0x1.8655d8de81a02p-2", True),
+        ("trace_identity[2x1:rayleigh]", "0x1.7a73403edf86fp+2", "0x1.6a4e00a015f8dp-4",
+         "-0x1.f5f11ac8fa01cp-1", True),
+        ("coherent_expansion", "0x1.1d430a190456dp+24", "0x1.596752e323797p+16",
+         "0x1.b37aeaf8f5bc3p+0", True),
+        ("penalty_sandwich", "0x1.c09ab22a70131p+1", "0x1.254b281f63b19p-12",
+         "0x1.88246079ee3abp+13", True),
+        ("bound_sandwich[dB=1.3741e+07]", "0x1.7fa866b1f831cp+23", "0x1.6e356cd111fc5p+15",
          None, True),
-        ("bound_sandwich[dB=1.3741e+08]", "0x1.fdf05434e8125p+23", "0x1.569a52662a149p+16",
+        ("bound_sandwich[dB=1.3741e+08]", "0x1.fdc7cf3356785p+23", "0x1.596752e323797p+16",
          None, True),
-        ("bound_sandwich[dB=1.3741e+09]", "0x1.5c9064044a927p+23", "0x1.809fef1645941p+16",
+        ("bound_sandwich[dB=1.3741e+09]", "0x1.5c8a70a1e0d83p+23", "0x1.84a39458e9b5bp+16",
          None, True),
     ]
 
@@ -693,23 +695,23 @@ class TestMonteCarloRecordPins:
          "-0x1.47c2e3599c25ep+0", True),
         ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
          "0x1.a33c2b9454c10p+0", True),
-        ("trace_identity[2x2:rice:1.0]", "0x1.c03f884b53803p+3", "0x1.c1f11295e9e01p-4",
-         "-0x1.f3cf02b1b68f4p+0", True),
-        ("trace_identity[1x1:rayleigh]", "0x1.ef8d6322990a9p+0", "0x1.55725e73cd721p-5",
-         "-0x1.8a9d235d07806p+0", True),
-        ("trace_identity[2x2:rayleigh]", "0x1.00a9d035ed373p+4", "0x1.5f57041c32ac6p-3",
-         "0x1.eeee368f031dep-3", True),
-        ("trace_identity[2x1:rayleigh]", "0x1.7aa5a2bf1d81fp+2", "0x1.68d00d4ae84dfp-4",
-         "-0x1.e624a5fd58e6ep-1", True),
-        ("coherent_expansion", "0x1.1fd3eb9685b42p+24", "0x1.050e63c2b9f0fp+16",
-         "0x1.e4391d4c347d0p+1", True),
-        ("penalty_sandwich", "0x1.c09a286832467p+1", "0x1.2da8fd4e97241p-12",
-         "0x1.7db0c36684a80p+13", True),
-        ("bound_sandwich[dB=1.27922e+07]", "0x1.78102265f40a6p+23", "0x1.61696f9546e73p+15",
+        ("trace_identity[2x2:rice:1.0]", "0x1.be02ac903d98bp+3", "0x1.b78a94956ef1fp-4",
+         "-0x1.533ab44c23754p+1", True),
+        ("trace_identity[1x1:rayleigh]", "0x1.0231a203a01f7p+1", "0x1.70584862196b1p-5",
+         "0x1.8655d8de81a02p-2", True),
+        ("trace_identity[2x2:rayleigh]", "0x1.0211e53f3b82cp+4", "0x1.6cdac8237f841p-3",
+         "0x1.73cd02ccf1cd7p-1", True),
+        ("trace_identity[2x1:rayleigh]", "0x1.7a73403edf86fp+2", "0x1.6a4e00a015f8dp-4",
+         "-0x1.f5f11ac8fa01cp-1", True),
+        ("coherent_expansion", "0x1.1fbb9ad5e1c6fp+24", "0x1.04f65ca2b87a9p+16",
+         "0x1.d878819449777p+1", True),
+        ("penalty_sandwich", "0x1.c09ab22a70131p+1", "0x1.254b281f63b19p-12",
+         "0x1.88246079ee3abp+13", True),
+        ("bound_sandwich[dB=1.27922e+07]", "0x1.77e4709187bd5p+23", "0x1.622e0b42723d3p+15",
          None, True),
-        ("bound_sandwich[dB=1.27922e+08]", "0x1.fe6f17f554902p+23", "0x1.53a9fd76fd0cfp+16",
+        ("bound_sandwich[dB=1.27922e+08]", "0x1.fe44c7ecf8ccap+23", "0x1.5664b24b52497p+16",
          None, True),
-        ("bound_sandwich[dB=1.27922e+09]", "0x1.652f08d90bed6p+23", "0x1.80385ae9828d7p+16",
+        ("bound_sandwich[dB=1.27922e+09]", "0x1.6528aa4676ca2p+23", "0x1.84388170b8fc3p+16",
          None, True),
     ]
 
