@@ -11,14 +11,12 @@ from .bounds import (
     AlphaBracket,
     CriticalBracket,
     alpha_brackets,
-    coherence_requirement,
     critical_bracket,
     epsilon_for_error_pct,
     optimal_occupancy,
     peak_gap,
     rate_lower_bound,
     rate_upper_bound,
-    sublinear_rate_bound,
 )
 from .channel import (
     DiscreteChannel,
@@ -27,8 +25,6 @@ from .channel import (
     block_idft_matrix,
     circulant_eigenvalues,
     filterbank_equivalence_check,
-    frequency_response,
-    sample_taps,
 )
 from .mcverify import McConfig, McEstimate, run_verification_suite
 from .scenario import (
@@ -40,7 +36,6 @@ from .scenario import (
     kurtosis,
     parse_scenario,
     serialize_scenario,
-    snr_per_dof,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

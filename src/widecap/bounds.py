@@ -11,11 +11,9 @@ cycle delta and bandwidth B depends on those two knobs only through the
     its gap Delta from the wideband limit C_inf = Nr*P/N0,
   * the bracket [(dB)-, (dB)+] that contains the critical occupancy, in the
     loose closed form and via the exact quadratic roots,
-  * the sublinear-exponent algebra: the polynomial lower bound at duty cycle
-    delta = SNR^(1-alpha), the bracket [alpha_min, alpha_max] and the
-    occupancy-derived bracket [alpha-, alpha+], the precision/accuracy
-    selector eps(p), and the coherence length required to support a given
-    exponent.
+  * the sublinear-exponent algebra: the bracket [alpha_min, alpha_max], the
+    occupancy-derived bracket [alpha-, alpha+] and the precision/accuracy
+    selector eps(p).
 
 All functions are pure; occupancy arguments may be numpy arrays and broadcast
 through.
@@ -24,7 +22,6 @@ through.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +32,6 @@ from .scenario import RAYLEIGH, ChannelScenario, kurtosis
 __all__ = [
     "CriticalBracket",
     "AlphaBracket",
-    "OccupancyAboveOptimalWarning",
     "rate_lower_bound",
     "rate_upper_bound",
     "optimal_occupancy",
@@ -43,12 +39,8 @@ __all__ = [
     "critical_coefficients",
     "peak_gap",
     "rate_derivative_terms",
-    "stationarity_residual",
-    "sublinear_rate_bound",
     "alpha_brackets",
     "epsilon_for_error_pct",
-    "coherence_requirement",
-    "sublinear_support_range",
 ]
 
 LN_PI = math.log(math.pi)
@@ -61,10 +53,6 @@ LN_PI = math.log(math.pi)
 # relative in g.
 _SERIES_Y = 2.0
 _S_SERIES = tuple(1.0 / (2 * n + 3) for n in range(25, -1, -1))
-
-
-class OccupancyAboveOptimalWarning(UserWarning):
-    """The implied occupancy exceeds (dB)*, outside the bound's hypothesis."""
 
 
 def _check_occupancy(occupancy):
@@ -225,12 +213,6 @@ def rate_derivative_terms(scenario: ChannelScenario, occupancy: float):
     return t1, t2, t3
 
 
-def stationarity_residual(scenario: ChannelScenario, occupancy: float) -> float:
-    """|t1 - t2 + t3| relative to the largest derivative term at ``occupancy``."""
-    t1, t2, t3 = rate_derivative_terms(scenario, occupancy)
-    return abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3))
-
-
 def _optimum_y(shape: float, lc: float) -> float:
     """Root y* of g(y)/y^2 = K/(2*Lc), g(y) = ln(1+y) - y/(1+y), for Lc > K.
 
@@ -382,31 +364,6 @@ def critical_bracket(scenario: ChannelScenario) -> CriticalBracket:
     )
 
 
-def sublinear_rate_bound(scenario: ChannelScenario, bandwidth: float, alpha: float) -> float:
-    """Polynomial lower bound at duty cycle delta = SNR^(1-alpha).
-
-    Returns C_inf * [1 - SNR^alpha * (kappa-2+Nt+Nr)/Nt] with
-    SNR = (P/N0)/B.  Requires SNR < 1 (the duty-cycle substitution is
-    undefined otherwise); warns when the implied occupancy exceeds (dB)*.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    from .scenario import snr_per_dof
-
-    snr = snr_per_dof(scenario, bandwidth)
-    if snr >= 1:
-        raise ValueError("per-dof SNR must be < 1 for the duty-cycle substitution")
-    delta = snr ** (1.0 - alpha)
-    occupancy = delta * bandwidth
-    if occupancy > _closed_form_optimum(scenario):
-        warnings.warn(
-            "implied occupancy exceeds the optimal occupancy; bound hypothesis violated",
-            OccupancyAboveOptimalWarning,
-            stacklevel=2,
-        )
-    return scenario.wideband_limit * (1.0 - snr**alpha * _shape(scenario) / scenario.nt)
-
-
 @dataclass(frozen=True)
 class AlphaBracket:
     """Sublinear-exponent estimates from the two bracketing methods.
@@ -479,33 +436,3 @@ def epsilon_for_error_pct(p: float, snr: float) -> float:
     if not 0 < snr < 1:
         raise ValueError("snr must be in (0, 1)")
     return math.log(100.0 / p) / math.log(1.0 / snr)
-
-
-def coherence_requirement(alpha: float, sigma: float, snr: float, nt: int, nr: int) -> float:
-    """Coherence length supporting exponent alpha with margin sigma.
-
-    L_c = Nt^2/(Nt+Nr)^2 * SNR^(-2*(sigma+alpha)); sigma -> 0 recovers the
-    minimum coherence for the bare exponent.
-    """
-    if not sigma > 0:
-        raise ValueError("sigma must be > 0")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    if not 0 < snr < 1:
-        raise ValueError("snr must be in (0, 1)")
-    return nt**2 / (nt + nr) ** 2 * snr ** (-2.0 * (sigma + alpha))
-
-
-def sublinear_support_range(scenario: ChannelScenario, epsilon: float):
-    """Occupancy constraints supporting the polynomial family at margin epsilon.
-
-    Returns (cap, floor_const): admissible operating points satisfy
-    dB < cap = P/N0 * (Nt+Nr)/Nt * sqrt(Bc*Tc) and
-    delta*B^(1+eps) > floor_const = (P/N0)^(1+eps) * (Nt+Nr)/Nt * sqrt(Bc*Tc).
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be > 0")
-    s = scenario.snr_density
-    shape = (scenario.nt + scenario.nr) / scenario.nt
-    root = math.sqrt(scenario.coherence_product)
-    return s * shape * root, s ** (1.0 + epsilon) * shape * root

@@ -1,30 +1,26 @@
-"""Discrete block-fading MIMO channel: taps, DFT response, pilot circulants.
+"""Discrete block-fading MIMO channel: fading draws, taps, pilot circulants.
 
 One coherence block carries K = B*Tc complex samples; the channel impulse
-response between each antenna pair has M = K/(Bc*Tc) i.i.d. taps.  The
-K-point DFT of the zero-padded taps gives the per-subcarrier channel blocks
-H[k].  A unit-power pilot sequence defines a tall circulant regressor whose
-Gram spectrum controls the channel-uncertainty penalty, and a block-IDFT
-matrix maps the repeated-coefficient filter-bank signaling model onto the
-K-sample DFT model.
+response between each antenna pair has M = K/(Bc*Tc) i.i.d. taps, drawn from
+the fading law by :func:`unit_fading_samples`.  A unit-power pilot sequence
+defines a tall circulant regressor whose Gram spectrum controls the
+channel-uncertainty penalty, and a block-IDFT matrix maps the
+repeated-coefficient filter-bank signaling model onto the K-sample DFT model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import NAKAGAMI, RAYLEIGH, RICE, ChannelScenario
+from .scenario import NAKAGAMI, RAYLEIGH, RICE
 
 __all__ = [
     "DiscreteChannel",
     "PilotCirculant",
     "FilterBankCodeword",
-    "sample_taps",
-    "frequency_response",
     "pilot_spectrum",
     "circulant_eigenvalues",
     "block_idft_matrix",
@@ -42,18 +38,16 @@ def integer_coherence_length(coherence_product: float) -> int:
 
 @dataclass(frozen=True)
 class DiscreteChannel:
-    """Sampled channel taps for one fading block, with derived DFT blocks.
+    """Channel taps for one fading block of K samples.
 
     ``taps`` has shape (nr, nt, M); ``gains`` is the average power profile
-    (length M, shared by all antenna pairs, summing to one); ``freq_blocks``
-    has shape (K, nr, nt) once :func:`frequency_response` has run.
+    (length M, shared by all antenna pairs, summing to one).
     """
 
     k_samples: int
     m_taps: int
     taps: np.ndarray
     gains: np.ndarray
-    freq_blocks: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.m_taps < 1:
@@ -66,10 +60,6 @@ class DiscreteChannel:
             raise ValueError("gains must have shape (m_taps,)")
         if abs(self.gains.sum() - 1.0) > 1e-12:
             raise ValueError("gain profile must sum to one")
-
-    @property
-    def coherence_length(self) -> int:
-        return self.k_samples // self.m_taps
 
     @property
     def nr(self) -> int:
@@ -115,51 +105,6 @@ def unit_fading_samples(rng: np.random.Generator, fading, shape) -> np.ndarray:
         theta = rng.uniform(0.0, 2.0 * math.pi, shape)
         return amplitude * np.exp(1j * theta)
     raise ValueError(f"cannot synthesize taps for fading kind {fading.kind!r}")
-
-
-def sample_taps(
-    scenario: ChannelScenario,
-    k_samples: int,
-    rng_seed: int,
-    gains: Optional[np.ndarray] = None,
-) -> DiscreteChannel:
-    """Draw one channel realization with M = K/ceil(Bc*Tc) taps per pair.
-
-    Taps are i.i.d. across delays and antenna pairs, scaled so the n-th tap
-    has average power gains[n] (uniform 1/M by default; a custom profile is
-    renormalized to unit sum).  Deterministic for a given seed.
-    """
-    l_c = integer_coherence_length(scenario.coherence_product)
-    if k_samples % l_c != 0:
-        raise ValueError("k_samples must be divisible by the integer coherence length")
-    m = k_samples // l_c
-    if gains is None:
-        gains = np.full(m, 1.0 / m)
-    else:
-        gains = np.asarray(gains, dtype=float)
-        if gains.shape != (m,) or np.any(gains < 0) or gains.sum() <= 0:
-            raise ValueError("gain profile must be non-negative with positive sum")
-        gains = gains / gains.sum()
-    rng = np.random.default_rng(rng_seed)
-    taps = unit_fading_samples(rng, scenario.fading, (scenario.nr, scenario.nt, m))
-    taps = taps * np.sqrt(gains)
-    return DiscreteChannel(k_samples=k_samples, m_taps=m, taps=taps, gains=gains)
-
-
-def frequency_response(channel: DiscreteChannel) -> DiscreteChannel:
-    """Populate the K-point DFT blocks H[k][v,u] = sum_n h[v,u,n] e^(-j2*pi*k*n/K).
-
-    Parseval (sum_k |H[k]|^2 = K * sum_n |h[n]|^2 per antenna pair) is
-    checked inline to 1e-9 relative.
-    """
-    k = channel.k_samples
-    spectrum = np.fft.fft(channel.taps, n=k, axis=-1)  # (nr, nt, K)
-    power_freq = np.sum(np.abs(spectrum) ** 2, axis=-1)
-    power_time = k * np.sum(np.abs(channel.taps) ** 2, axis=-1)
-    if not np.allclose(power_freq, power_time, rtol=1e-9, atol=0.0):
-        raise RuntimeError("Parseval check failed in frequency_response")
-    blocks = np.ascontiguousarray(np.moveaxis(spectrum, -1, 0))  # (K, nr, nt)
-    return replace(channel, freq_blocks=blocks)
 
 
 @dataclass(frozen=True)

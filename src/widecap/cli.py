@@ -181,6 +181,11 @@ def _sweep_axes(args):
 
 def cmd_bounds(args) -> int:
     scenario = _load_scenario(args.scenario)
+    rayleigh = scenario.fading.kind == "rayleigh"
+    if args.penalty_factor is not None and not rayleigh:
+        raise ValueError("--penalty-factor sets R_UB, which exists only for Rayleigh fading, "
+                         f"not {scenario.fading.label}")
+    penalty_factor = 1.0 if args.penalty_factor is None else args.penalty_factor
     deltas, bands = _sweep_axes(args)
     # Rounding is monotone, so delta*B over the product grid is smallest and
     # largest at corners of the axis ranges: checking the corners checks every
@@ -201,7 +206,6 @@ def cmd_bounds(args) -> int:
     # largest at the largest corner; where they overflow, the bounds are -inf
     # or nan.
     largest = float(corners.max())
-    rayleigh = scenario.fading.kind == "rayleigh"
     if not math.isfinite(largest * scenario.nt * scenario.nr):
         raise ValueError(f"dB*Nt*Nr overflows at occupancy {largest!r}")
     if rayleigh and not math.isfinite(largest * scenario.nt
@@ -247,7 +251,7 @@ def cmd_bounds(args) -> int:
                  for clamp, text in zip((0.0 > lower).tolist(), lower_text)],
             ]
             if rayleigh:
-                upper = bounds.rate_upper_bound(scenario, occupancy, args.penalty_factor)
+                upper = bounds.rate_upper_bound(scenario, occupancy, penalty_factor)
                 columns.append(_reprs(upper, fmt))
             columns += [[c_inf_text] * index.size, _reprs(1.0 - lower / c_inf, fmt)]
             yield columns
@@ -400,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--delta", type=float, default=None, help="single-point duty cycle")
     p_bounds.add_argument("--bandwidth", type=float, default=None,
                           help="single-point bandwidth in Hz")
-    p_bounds.add_argument("--penalty-factor", type=_penalty_factor, default=1.0,
-                          help="penalty factor in (0, 1] of the Rayleigh upper bound")
+    p_bounds.add_argument("--penalty-factor", type=_penalty_factor, default=None,
+                          help="penalty factor in (0, 1] of the Rayleigh upper bound (default 1)")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_crit = sub.add_parser("critical", help="critical-occupancy report")

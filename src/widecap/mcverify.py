@@ -36,10 +36,9 @@ The penalty depends on the pilot only through its power spectrum
 |FFT_K(x)|^2, so it draws that spectrum directly: normalized i.i.d.
 exponentials, the exact law for a unit-power Gaussian pilot.  The Toeplitz
 lags are its inverse DFT, taken by a blocked real product with a cosine and
-sine table (:func:`_pilot_lags`), and the folded-pilot spectrum of the
-paper's chain is a subsample of the power when the column count divides K;
-otherwise the pilot's uniform spectral phases are drawn as well.  The lower
-chain draws its smallest tap power directly.
+sine table (:func:`_pilot_lags`), and the lower chain's psi is the smallest
+entry of the same spectrum.  The lower chain draws its smallest tap power
+directly.
 
 Sampling is chunked with a fixed chunk size; every chunk draws from its own
 seed derived from (base_seed, check tag, chunk start) and fills only its own
@@ -70,7 +69,6 @@ from .channel import (
     circulant_eigenvalues,
     filterbank_equivalence_check,
     integer_coherence_length,
-    pilot_spectrum,
     unit_fading_samples,
 )
 from .scenario import ChannelScenario, FadingFamily, kurtosis
@@ -380,29 +378,6 @@ def _pilot_power(rng: np.random.Generator, n: int, k_samples: int):
     return power, k_samples * k_samples / np.sum(power, axis=0)
 
 
-def _folded_power(rng: np.random.Generator, power: np.ndarray, cols: int) -> np.ndarray:
-    """(cols, n) folded pilot spectra (:func:`~widecap.channel.pilot_spectrum`) of (K, n) spectra.
-
-    When cols divides K, folding modulo cols samples the K-point DFT at
-    multiples of K/cols, so the result is every (K/cols)-th row of power.
-    Otherwise the rest of the pilot is drawn: given its power spectrum, a
-    normalized Gaussian pilot has i.i.d. uniform spectral phases phi, so
-    x = ifft(sqrt(power) * e^(i*phi)).  The phasor is (1 - t^2 + 2it)/(1 + t^2)
-    with t = tan(phi/2), as numpy's float64 tan costs a fraction of cos and sin.
-    Only this path works on (n, K).  Both paths are linear in the spectra's scale.
-    """
-    k_samples = power.shape[0]
-    if k_samples % cols == 0:
-        return power[::k_samples // cols]
-    power = power.T
-    t = np.tan(np.pi * (rng.random(power.shape) - 0.5))
-    scale = np.sqrt(power) / (1.0 + t * t)
-    spectrum = np.empty(power.shape, dtype=complex)
-    np.multiply(scale, 1.0 - t * t, out=spectrum.real)
-    np.multiply(2.0 * scale, t, out=spectrum.imag)
-    return pilot_spectrum(np.fft.ifft(spectrum, axis=-1), cols).T
-
-
 def _lag_table(k_samples: int, cols: int, scale: float) -> np.ndarray:
     """K x 2*cols table that maps power spectra P to ``scale`` * ifft(P) at lags l mod K, l < cols.
 
@@ -446,15 +421,12 @@ class PenaltySandwich:
     ``margin`` is the paired estimate of (penalty - lower chain).
     :func:`run_verification_suite` gates the sandwich: margin >= 0 and
     estimate <= upper_chain, each within 4 of its own standard errors.
-    ``folded_chain`` is the mean of the paper's lower chain, which uses the
-    folded-pilot psi; it is reported, not gated.
     """
 
     estimate: McEstimate
     lower_chain: McEstimate
     margin: McEstimate
     upper_chain: float
-    folded_chain: float
 
 
 def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int,
@@ -469,7 +441,7 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
     the pilot's cyclic autocorrelation plus one at lag 0; the cols lags it
     needs are a real product of the spectra (:func:`_pilot_lags`), and
     :func:`toeplitz_logdet` gets the log-det by a Levinson-Durbin recursion
-    once the chains are done and the spectra freed.  Neither the pilot nor
+    once the lower chain is done and the spectra freed.  Neither the pilot nor
     the Gram is formed.  The upper chain is the deterministic trace/Jensen cap.
 
     The lower chain is the worst-eigenvalue form
@@ -485,11 +457,9 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
     then below the penalty in every trial with g_min <= 1 when Bc*Tc is the
     integer coherence length.  The paper's chain takes psi from the folded
     pilot's cols-point spectrum (:func:`~widecap.channel.pilot_spectrum`)
-    instead; that psi is no bound (K * psi exceeded lambda_min for 53 of
-    2000 Gaussian pilots at K = 32, cols = 8, and 55 at cols = 12), so it is
-    reported as ``folded_chain`` and not gated.  When cols divides K that
-    spectrum is a subsample of the power spectrum; otherwise the pilot's
-    phases are drawn to form it (:func:`_folded_power`).
+    instead.  That psi is no bound: K * psi exceeded lambda_min for 53 of
+    2000 Gaussian pilots at K = 32, cols = 8, and 55 at cols = 12.  So the
+    gated chain uses the K-point psi.
     """
     bounds._check_occupancy(occupancy)
     if scenario.fading.kind != "rayleigh":
@@ -514,18 +484,16 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
         weight = (chain_arg / k_samples) * _min_tap_power(rng, n, m, nr * nt * m) * scale
         psi = np.min(power, axis=0) if cols <= k_samples else np.zeros(n)
         out[1] = chain_scale * np.log1p(weight * psi)
-        out[2] = chain_scale * np.log1p(weight * np.min(_folded_power(rng, power, cols), axis=0))
         lags = _pilot_lags(power, scale, table)
         del power
         out[0] = prefactor * nr * toeplitz_logdet(lags)
 
-    penalties, lowers, folded = _draw(cfg, _TAG_PENALTY, 3, fill)
+    penalties, lowers = _draw(cfg, _TAG_PENALTY, 2, fill)
     return PenaltySandwich(
         estimate=_estimate(penalties),
         lower_chain=_estimate(lowers),
         margin=_estimate(penalties - lowers),
         upper_chain=cap,
-        folded_chain=float(folded.mean()),
     )
 
 
@@ -708,11 +676,7 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
         passed=(_within(margin.mean, margin.std_error, 0.0, math.inf)
                 and _within(estimate.mean, estimate.std_error, -math.inf, sandwich.upper_chain)),
         estimate=estimate.mean, std_error=estimate.std_error, z=_z(margin.mean, margin.std_error),
-        bound_values={
-            "lower_chain": sandwich.lower_chain.mean,
-            "upper_chain": sandwich.upper_chain,
-            "folded_chain": sandwich.folded_chain,
-        },
+        bound_values={"lower_chain": sandwich.lower_chain.mean, "upper_chain": sandwich.upper_chain},
     ))
 
     return records + sweep

@@ -20,7 +20,6 @@ __all__ = [
     "FadingFamily",
     "ChannelScenario",
     "kurtosis",
-    "snr_per_dof",
     "parse_scenario",
     "serialize_scenario",
 ]
@@ -148,13 +147,6 @@ class ChannelScenario:
     def wideband_limit(self) -> float:
         """Infinite-bandwidth AWGN capacity Nr*P/N0 in nats/s."""
         return self.nr * self.snr_density
-
-
-def snr_per_dof(scenario: ChannelScenario, bandwidth: float) -> float:
-    """SNR per degree of freedom at each receive antenna, (P/N0)/B."""
-    if not bandwidth > 0:
-        raise ValidationError("bandwidth must be > 0")
-    return scenario.snr_density / bandwidth
 
 
 # Scenario-file keys.  snr_density_hz and snr_density_db_hz are mutually

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -12,9 +11,7 @@ from widecap.bounds import (
     LN_PI,
     AlphaBracket,
     CriticalBracket,
-    OccupancyAboveOptimalWarning,
     alpha_brackets,
-    coherence_requirement,
     critical_bracket,
     critical_coefficients,
     epsilon_for_error_pct,
@@ -23,9 +20,6 @@ from widecap.bounds import (
     rate_derivative_terms,
     rate_lower_bound,
     rate_upper_bound,
-    stationarity_residual,
-    sublinear_rate_bound,
-    sublinear_support_range,
 )
 from widecap.scenario import ChannelScenario, FadingFamily, kurtosis
 
@@ -82,6 +76,12 @@ def closed_form_bracket(s):
 def slope(s, occupancy):
     t1, t2, t3 = rate_derivative_terms(s, occupancy)
     return t1 - t2 + t3
+
+
+def stationarity_residual(s, occupancy):
+    """|t1 - t2 + t3| relative to the largest derivative term at ``occupancy``."""
+    t1, t2, t3 = rate_derivative_terms(s, occupancy)
+    return abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3))
 
 
 def mpmath_maximizer(s):
@@ -433,54 +433,6 @@ class TestCriticalBracket:
             )
 
 
-class TestSublinearRateBound:
-    def test_alpha_to_zero_limit(self):
-        s = scenario(snr=100.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OccupancyAboveOptimalWarning)
-            value = sublinear_rate_bound(s, 1e6, 1e-9)
-        limit = s.wideband_limit * (1 - (2.0) / 1)
-        assert value == pytest.approx(limit, rel=1e-6)
-
-    def test_direct_substitution(self):
-        s = scenario(snr=100.0)
-        value = sublinear_rate_bound(s, 1e4, 0.5)  # SNR = 1e-2
-        assert value == pytest.approx(0.8 * s.wideband_limit, rel=1e-12)
-
-    def test_approaches_wideband_limit(self):
-        s = scenario(snr=100.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OccupancyAboveOptimalWarning)
-            value = sublinear_rate_bound(s, 1e12, 0.5)
-        assert value == pytest.approx(s.wideband_limit, rel=1e-4)
-
-    def test_rejects_snr_at_least_one(self):
-        with pytest.raises(ValueError):
-            sublinear_rate_bound(scenario(snr=100.0), 50.0, 0.5)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            sublinear_rate_bound(scenario(), 1e4, 1.0)
-
-    def test_warns_above_optimal_occupancy(self):
-        s = scenario(snr=100.0)
-        with pytest.warns(OccupancyAboveOptimalWarning):
-            sublinear_rate_bound(s, 1e9, 0.9)
-
-    def test_defined_without_interior_maximum(self):
-        # Lc = 10 < K = 16: optimal_occupancy raises, but the polynomial
-        # bound only compares against the closed-form (dB)* ~= 104.2.
-        s = scenario(snr=100.0, nt=8, nr=8, lc=10.0)
-        with pytest.raises(ValueError):
-            optimal_occupancy(s)
-        with pytest.warns(OccupancyAboveOptimalWarning):
-            assert sublinear_rate_bound(s, 1e4, 0.5).hex() == "0x1.4000000000000p+9"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", OccupancyAboveOptimalWarning)
-            value = sublinear_rate_bound(s, 1e3, 0.01)  # occupancy ~= 102.3
-        assert value == s.wideband_limit * (1.0 - 0.1**0.01 * 16.0 / 8)
-
-
 class TestAlphaBrackets:
     def test_frozen_alpha_max(self):
         bracket = alpha_brackets(scenario(), 1e-2, 0.5)
@@ -557,34 +509,3 @@ class TestEpsilonForErrorPct:
             epsilon_for_error_pct(0.0, 1e-2)
         with pytest.raises(ValueError):
             epsilon_for_error_pct(10.0, 1.0)
-
-
-class TestCoherenceRequirement:
-    def test_direct_substitution(self):
-        assert coherence_requirement(0.25, 0.25, 1e-2, 1, 1) == pytest.approx(25.0)
-
-    def test_sigma_to_zero_gives_minimum(self):
-        alpha, snr = 0.4, 1e-2
-        minimum = 1 / 4 * snr ** (-2 * alpha)
-        value = coherence_requirement(alpha, 1e-12, snr, 1, 1)
-        assert value == pytest.approx(minimum, rel=1e-9)
-
-    def test_monotone_in_sigma_plus_alpha(self):
-        values = [
-            coherence_requirement(0.3, sigma, 1e-2, 2, 2) for sigma in (0.1, 0.2, 0.4)
-        ]
-        assert values[0] < values[1] < values[2]
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            coherence_requirement(0.5, 0.0, 1e-2, 1, 1)
-        with pytest.raises(ValueError):
-            coherence_requirement(0.5, 0.1, 2.0, 1, 1)
-
-
-class TestSupportRangeAndCoarseRate:
-    def test_support_range_formulas(self):
-        s = scenario(snr=100.0, nt=2, nr=1)
-        cap, floor = sublinear_support_range(s, 0.5)
-        assert cap == pytest.approx(100.0 * 1.5 * math.sqrt(1e3), rel=1e-14)
-        assert floor == pytest.approx(100.0**1.5 * 1.5 * math.sqrt(1e3), rel=1e-14)

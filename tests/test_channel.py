@@ -10,32 +10,11 @@ from widecap.channel import (
     block_idft_matrix,
     circulant_eigenvalues,
     filterbank_equivalence_check,
-    frequency_response,
     integer_coherence_length,
     pilot_spectrum,
-    sample_taps,
     unit_fading_samples,
 )
-from widecap.scenario import ChannelScenario, FadingFamily
-
-
-def scenario(nt=1, nr=1, lc=8.0, fading=None):
-    return ChannelScenario(
-        snr_density=100.0,
-        coherence_time=1.0,
-        coherence_bandwidth=lc,
-        nt=nt,
-        nr=nr,
-        fading=fading or FadingFamily.rayleigh(),
-    )
-
-
-def naive_dft(taps, k):
-    out = np.zeros(k, dtype=complex)
-    for idx in range(k):
-        for n, tap in enumerate(taps):
-            out[idx] += tap * np.exp(-2j * np.pi * idx * n / k)
-    return out
+from widecap.scenario import FadingFamily
 
 
 def make_channel(taps, k_samples):
@@ -46,23 +25,16 @@ def make_channel(taps, k_samples):
     )
 
 
+def seeded_channel(k_samples, m_taps, seed, nt=1, nr=1):
+    """Seeded Rayleigh taps of power 1/M each (the uniform profile), shape (nr, nt, M)."""
+    rng = np.random.default_rng(seed)
+    taps = unit_fading_samples(rng, FadingFamily.rayleigh(), (nr, nt, m_taps)) / math.sqrt(m_taps)
+    return DiscreteChannel(
+        k_samples=k_samples, m_taps=m_taps, taps=taps, gains=np.full(m_taps, 1.0 / m_taps)
+    )
+
+
 class TestSampleTaps:
-    def test_tap_count(self):
-        channel = sample_taps(scenario(), 32, rng_seed=1)
-        assert channel.m_taps == 4
-        assert channel.taps.shape == (1, 1, 4)
-        assert channel.coherence_length == 8
-
-    def test_non_divisible_k_rejected(self):
-        with pytest.raises(ValueError):
-            sample_taps(scenario(), 30, rng_seed=1)
-
-    def test_deterministic_for_seed(self):
-        a = sample_taps(scenario(nt=2, nr=2), 32, rng_seed=7)
-        b = sample_taps(scenario(nt=2, nr=2), 32, rng_seed=7)
-        assert np.array_equal(a.taps, b.taps)
-        assert not np.array_equal(a.taps, sample_taps(scenario(nt=2, nr=2), 32, 8).taps)
-
     def test_unit_total_power(self):
         # The per-tap scaling makes E[sum_n |h[n]|^2] = 1; check the sampler
         # core over 1e5 realizations of a 4-tap profile.
@@ -86,12 +58,6 @@ class TestSampleTaps:
         kurt = np.mean(power**2) / np.mean(power) ** 2
         assert abs(kurt - 2.0) < 0.02
 
-    def test_custom_gain_profile_renormalized(self):
-        profile = np.array([4.0, 2.0, 1.0, 1.0])
-        channel = sample_taps(scenario(), 32, rng_seed=3, gains=profile)
-        assert channel.gains.sum() == pytest.approx(1.0, abs=1e-15)
-        assert channel.gains[0] == pytest.approx(0.5)
-
     def test_integer_coherence_length_rounding(self):
         assert integer_coherence_length(8.0) == 8
         assert integer_coherence_length(7.9999999999) == 8
@@ -99,30 +65,6 @@ class TestSampleTaps:
 
 
 class TestFrequencyResponse:
-    def test_flat_for_single_tap(self):
-        channel = frequency_response(make_channel([1.0], 8))
-        assert channel.freq_blocks.shape == (8, 1, 1)
-        assert np.allclose(channel.freq_blocks[:, 0, 0], 1.0, atol=1e-14)
-
-    def test_delay_theorem(self):
-        channel = frequency_response(make_channel([0.0, math.sqrt(2)], 16))
-        response = channel.freq_blocks[:, 0, 0] / math.sqrt(2)
-        expected = np.exp(-2j * np.pi * np.arange(16) / 16)
-        assert np.allclose(response, expected, atol=1e-14)
-        assert np.allclose(np.abs(response), 1.0, atol=1e-14)
-
-    def test_matches_naive_dft(self):
-        channel = sample_taps(scenario(), 64, rng_seed=5)
-        channel = frequency_response(channel)
-        expected = naive_dft(channel.taps[0, 0], 64)
-        assert np.max(np.abs(channel.freq_blocks[:, 0, 0] - expected)) < 1e-12
-
-    def test_parseval(self):
-        channel = frequency_response(sample_taps(scenario(nt=2, nr=2), 64, rng_seed=9))
-        power_freq = np.sum(np.abs(channel.freq_blocks) ** 2, axis=0)
-        power_time = 64 * np.sum(np.abs(channel.taps) ** 2, axis=-1)
-        assert np.allclose(power_freq, power_time, rtol=1e-9)
-
     def test_correlation_structure(self):
         # Sample correlation across subcarriers tracks the DFT of the gain
         # profile; it is zero (to MC noise) at multiples of the coherence
@@ -238,7 +180,7 @@ class TestFilterBankEquivalence:
 
     def test_random_channel_and_codeword(self):
         codeword = self.random_codeword(4, 8, seed=1)
-        channel = sample_taps(scenario(lc=8.0), 32, rng_seed=13)
+        channel = seeded_channel(32, 4, seed=13)
         assert filterbank_equivalence_check(codeword, channel) < 1e-9
 
     def test_precoding_identity(self):
@@ -253,13 +195,13 @@ class TestFilterBankEquivalence:
 
     def test_rejects_mimo(self):
         codeword = self.random_codeword(4, 8, seed=2)
-        channel = sample_taps(scenario(nt=2, nr=2, lc=8.0), 32, rng_seed=1)
+        channel = seeded_channel(32, 4, seed=1, nt=2, nr=2)
         with pytest.raises(ValueError):
             filterbank_equivalence_check(codeword, channel)
 
     def test_rejects_grid_mismatch(self):
         codeword = self.random_codeword(4, 8, seed=2)
-        channel = sample_taps(scenario(lc=8.0), 64, rng_seed=1)
+        channel = seeded_channel(64, 8, seed=1)
         with pytest.raises(ValueError):
             filterbank_equivalence_check(codeword, channel)
 

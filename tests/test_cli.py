@@ -805,6 +805,21 @@ class TestOptionScope:
         assert not out.exists()
         assert "unrecognized arguments: " + " ".join(options[-2:]) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fading", ["rice:1.0", "nakagami:2.0"])
+    @pytest.mark.parametrize("factor", ["0.5", "1"])
+    def test_penalty_factor_needs_rayleigh(self, tmp_path, fading, factor, capsys):
+        # Only the Rayleigh R_UB column reads --penalty-factor, even at its default 1.
+        path = tmp_path / "scenario.txt"
+        path.write_text(FLAT_2X2.replace("rayleigh", fading))
+        out = tmp_path / "never.csv"
+        code = main(["bounds", "--scenario", str(path), "--db-grid", "1e6:1e8:3",
+                     "--penalty-factor", factor, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: --penalty-factor sets R_UB, which exists only for Rayleigh fading, "
+            f"not {fading}\n")
+
 
 class TestSeedScope:
     def test_seed_changes_verify_report(self, tmp_path):

@@ -16,7 +16,6 @@ from widecap.mcverify import (
     _coherent_draw,
     _estimate,
     _expected_record,
-    _folded_power,
     _lag_table,
     _min_tap_power,
     _nested_trace_draw,
@@ -180,8 +179,6 @@ class TestPenaltySandwich:
         assert result.margin.mean >= -4.0 * result.margin.std_error
         assert result.estimate.mean <= result.upper_chain + 4.0 * result.estimate.std_error
         assert result.lower_chain.mean <= result.estimate.mean
-        # cols = 4 divides K: the folded spectrum is a subsample of the K-point one.
-        assert result.lower_chain.mean < result.folded_chain
 
     def test_mimo_sandwich(self):
         result = penalty_sandwich(
@@ -252,30 +249,21 @@ class TestPenaltySandwich:
 
     @pytest.mark.parametrize("cols", [8, 12, 36])
     def test_pilot_draws_match_gaussian_pilots(self, cols):
-        # The direct spectrum draw (and, for cols not dividing K = 32, the
-        # drawn phases) against normalized Gaussian pilots, per trial: the
-        # penalty log-det and the folded psi have equal means and one law
-        # (two-sample KS), both at 4 sigma.  cols = 36 wraps the lags.
+        # The direct spectrum draw against normalized Gaussian pilots, per
+        # trial: the penalty log-det has equal means and one law (two-sample
+        # KS), both at 4 sigma.  cols = 12 does not divide K = 32, and cols =
+        # 36 wraps the lags.
         k_samples, n, c = 32, 20_000, 1.0 / 128.0
-        rng = np.random.default_rng(23)
-        power, scale = _pilot_power(rng, n, k_samples)
-        direct = {
-            "logdet": toeplitz_logdet(_pilot_lags(power, scale, _lag_table(k_samples, cols, c))),
-            "folded_psi": np.min(_folded_power(rng, power, cols), axis=0) * scale / k_samples,
-        }
+        power, scale = _pilot_power(np.random.default_rng(23), n, k_samples)
+        direct = toeplitz_logdet(_pilot_lags(power, scale, _lag_table(k_samples, cols, c)))
         x = unit_pilots(np.random.default_rng(24), n, k_samples)
         lags = np.arange(cols) % k_samples
         autocorr = np.fft.ifft(np.abs(np.fft.fft(x, axis=1)) ** 2, axis=1)[:, lags]
-        built = {
-            "logdet": toeplitz_logdet(np.ascontiguousarray(c * autocorr.T)),
-            "folded_psi": np.min(pilot_spectrum(x, cols), axis=1) / k_samples,
-        }
+        built = toeplitz_logdet(np.ascontiguousarray(c * autocorr.T))
+        se = math.sqrt((direct.var(ddof=1) + built.var(ddof=1)) / n)
+        assert abs(direct.mean() - built.mean()) <= 4.0 * se
         four_sigma = math.erfc(4.0 / math.sqrt(2.0))
-        for key in direct:
-            a, b = direct[key], built[key]
-            se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / n)
-            assert abs(a.mean() - b.mean()) <= 4.0 * se, key
-            assert stats.ks_2samp(a, b).pvalue >= four_sigma, key
+        assert stats.ks_2samp(direct, built).pvalue >= four_sigma
 
     # cols = 20 takes lags above K/2, and 36 wraps past K.
     @pytest.mark.parametrize("cols", [8, 12, 20, 36])
@@ -717,6 +705,16 @@ class TestMonteCarloRecordPins:
 
     def test_records_match_pins(self):
         self.assert_pins(scenario(snr=1e7, nt=2, nr=2), self.PINS)
+
+    def test_3x2_penalty_record_matches_pin(self):
+        # 3x2 Rayleigh: the penalty's 12 pilot columns do not divide K = 32.
+        records = run_verification_suite(scenario(snr=1e7, nt=3, nr=2), McConfig(10_000, 42))
+        [record] = [r for r in records if r.check == "penalty_sandwich"]
+        assert record.estimate.hex() == "0x1.4d11fdcd284acp+2"
+        assert record.std_error.hex() == "0x1.16dac3e3e2d5fp-11"
+        assert record.z.hex() == "0x1.32aac5eec5c7dp+13"
+        assert record.passed is True
+        assert record.bound_values["lower_chain"] == 0.0019332801132239898
 
     def test_rice_records_match_pins(self):
         self.assert_pins(scenario(snr=1e7, nt=2, nr=2, fading=FadingFamily.rice(1.0)),

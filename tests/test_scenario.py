@@ -12,7 +12,6 @@ from widecap.scenario import (
     kurtosis,
     parse_scenario,
     serialize_scenario,
-    snr_per_dof,
 )
 
 FLAT_DOC = """
@@ -204,21 +203,3 @@ class TestParsing:
             fading=fading,
         )
         assert parse_scenario(serialize_scenario(scenario)) == scenario
-
-
-class TestSnrPerDof:
-    def test_direct_division(self):
-        assert snr_per_dof(make_scenario(), 1e4) == 0.01
-
-    def test_unity_boundary(self):
-        assert snr_per_dof(make_scenario(snr_density=1e7), 1e7) == 1.0
-
-    def test_near_optimal_occupancy(self):
-        # Cross-checked in test_bounds against the optimal occupancy itself.
-        assert snr_per_dof(make_scenario(snr_density=1e7), 1.203e8) == pytest.approx(
-            0.08312551953449709, rel=1e-12
-        )
-
-    def test_rejects_nonpositive_bandwidth(self):
-        with pytest.raises(ValidationError):
-            snr_per_dof(make_scenario(), 0.0)
