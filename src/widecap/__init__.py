@@ -19,12 +19,10 @@ from .bounds import (
     rate_upper_bound,
 )
 from .channel import (
-    DiscreteChannel,
-    FilterBankCodeword,
-    PilotCirculant,
     block_idft_matrix,
     circulant_eigenvalues,
     filterbank_equivalence_check,
+    pilot_gram,
 )
 from .mcverify import McConfig, McEstimate, run_verification_suite
 from .scenario import (
@@ -38,4 +36,4 @@ from .scenario import (
     serialize_scenario,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -398,8 +398,8 @@ def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> Alp
     """
     if not 0 < snr < 1:
         raise ValueError("snr must be in (0, 1)")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be > 0")
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be >= 0")
     nt, nr = scenario.nt, scenario.nr
     lc = scenario.coherence_product
     two_l = 2.0 * math.log(1.0 / snr)

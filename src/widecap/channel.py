@@ -1,4 +1,4 @@
-"""Discrete block-fading MIMO channel: fading draws, taps, pilot circulants.
+"""Discrete block-fading MIMO channel: fading draws and the pilot and filter-bank identities.
 
 One coherence block carries K = B*Tc complex samples; the channel impulse
 response between each antenna pair has M = K/(Bc*Tc) i.i.d. taps, drawn from
@@ -11,17 +11,13 @@ repeated-coefficient filter-bank signaling model onto the K-sample DFT model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import NAKAGAMI, RAYLEIGH, RICE
 
 __all__ = [
-    "DiscreteChannel",
-    "PilotCirculant",
-    "FilterBankCodeword",
-    "pilot_spectrum",
+    "pilot_gram",
     "circulant_eigenvalues",
     "block_idft_matrix",
     "filterbank_equivalence_check",
@@ -34,40 +30,6 @@ def integer_coherence_length(coherence_product: float) -> int:
     if abs(coherence_product - nearest) < 1e-9 * max(1.0, abs(coherence_product)):
         return int(nearest)
     return int(math.ceil(coherence_product))
-
-
-@dataclass(frozen=True)
-class DiscreteChannel:
-    """Channel taps for one fading block of K samples.
-
-    ``taps`` has shape (nr, nt, M); ``gains`` is the average power profile
-    (length M, shared by all antenna pairs, summing to one).
-    """
-
-    k_samples: int
-    m_taps: int
-    taps: np.ndarray
-    gains: np.ndarray
-
-    def __post_init__(self):
-        if self.m_taps < 1:
-            raise ValueError("need at least one tap")
-        if self.k_samples % self.m_taps != 0:
-            raise ValueError("k_samples must be an integer multiple of m_taps")
-        if self.taps.ndim != 3 or self.taps.shape[2] != self.m_taps:
-            raise ValueError("taps must have shape (nr, nt, m_taps)")
-        if self.gains.shape != (self.m_taps,):
-            raise ValueError("gains must have shape (m_taps,)")
-        if abs(self.gains.sum() - 1.0) > 1e-12:
-            raise ValueError("gain profile must sum to one")
-
-    @property
-    def nr(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def nt(self) -> int:
-        return self.taps.shape[1]
 
 
 def _circular_normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -107,89 +69,32 @@ def unit_fading_samples(rng: np.random.Generator, fading, shape) -> np.ndarray:
     raise ValueError(f"cannot synthesize taps for fading kind {fading.kind!r}")
 
 
-@dataclass(frozen=True)
-class PilotCirculant:
-    """Tall circulant regressor built from a unit-power pilot sequence.
+def pilot_gram(signal: np.ndarray, cols: int) -> np.ndarray:
+    """Gram matrix (cols x cols, Hermitian Toeplitz) of the tall circulant regressor of a pilot.
 
-    Entry (i, j) is base_signal[(i - j) mod K] for j = 0..cols-1; column
-    u*M + m is the pilot delayed by u*M + m, which realizes the
-    delayed-copies pilot layout across transmit antennas.
+    The regressor's entry (i, j) is signal[(i - j) mod K] for j = 0..cols-1:
+    column u*M + m is the pilot delayed by u*M + m, the delayed-copies pilot
+    layout across transmit antennas.  Given the pilot folded modulo cols, it
+    is the circulant Gram whose eigenvalues :func:`circulant_eigenvalues` gives.
     """
-
-    k_rows: int
-    cols: int
-    base_signal: np.ndarray
-
-    def __post_init__(self):
-        if self.base_signal.shape != (self.k_rows,):
-            raise ValueError("base_signal must have length k_rows")
-        if not 1 <= self.cols <= self.k_rows:
-            raise ValueError("cols must be in [1, k_rows]")
-        power = np.mean(np.abs(self.base_signal) ** 2)
-        if abs(power - 1.0) > 1e-12:
-            raise ValueError("base_signal must have exactly unit average power")
-
-    def materialize(self) -> np.ndarray:
-        """The literal K x cols matrix of delayed pilot copies."""
-        i = np.arange(self.k_rows)[:, None]
-        j = np.arange(self.cols)[None, :]
-        return self.base_signal[(i - j) % self.k_rows]
-
-    def gram(self) -> np.ndarray:
-        """The literal Gram matrix (cols x cols, Hermitian Toeplitz)."""
-        xi = self.materialize()
-        return xi.conj().T @ xi
-
-    def folded_gram(self) -> np.ndarray:
-        """Circulant form of the Gram: alias the pilot into cols bins first.
-
-        Its eigenvalues are exactly the closed-form spectrum returned by
-        :func:`circulant_eigenvalues`; requires cols to divide K.
-        """
-        if self.k_rows % self.cols != 0:
-            raise ValueError("folded form needs cols to divide k_rows")
-        folded = self.base_signal.reshape(-1, self.cols).sum(axis=0)
-        i = np.arange(self.cols)[:, None]
-        j = np.arange(self.cols)[None, :]
-        circulant = folded[(i - j) % self.cols]
-        return circulant.conj().T @ circulant
+    k = signal.shape[0]
+    regressor = signal[(np.arange(k)[:, None] - np.arange(cols)[None, :]) % k]
+    return regressor.conj().T @ regressor
 
 
-def pilot_spectrum(signal: np.ndarray, cols: int) -> np.ndarray:
-    """|sum_k x[k] e^(-j2*pi*k*m/cols)|^2 for m = 0..cols-1, along the last axis.
-
-    The phase depends on k only modulo cols, so this is the cols-point FFT of
-    the signal folded modulo cols: its cols-blocks summed in order, a short
-    last block onto the leading entries.  Leading axes are batch axes.
-    """
-    folded = np.zeros(signal.shape[:-1] + (cols,), dtype=signal.dtype)
-    for start in range(0, signal.shape[-1], cols):
-        block = signal[..., start:start + cols]
-        folded[..., :block.shape[-1]] += block
-    return np.abs(np.fft.fft(folded, axis=-1)) ** 2
-
-
-def circulant_eigenvalues(pilot: PilotCirculant):
+def circulant_eigenvalues(signal: np.ndarray, cols: int):
     """Pilot Gram spectrum lambda_m = |sum_k x[k] e^(-j2*pi*k*m/cols)|^2 and psi.
 
-    Returns (eigenvalues, psi) with psi = min_m lambda_m / K, the normalized
-    worst eigenvalue entering the channel-uncertainty penalty.
+    The phase depends on k only modulo cols, so lambda is the cols-point FFT
+    of the pilot folded modulo cols (its cols-blocks summed), which needs cols
+    to divide K.  Returns (eigenvalues, psi) with psi = min_m lambda_m / K, the
+    normalized worst eigenvalue entering the channel-uncertainty penalty.
     """
-    eigenvalues = pilot_spectrum(pilot.base_signal, pilot.cols)
-    return eigenvalues, float(eigenvalues.min() / pilot.k_rows)
-
-
-@dataclass(frozen=True)
-class FilterBankCodeword:
-    """Symbols x[m, l] on M frequency bins over L_c periods of one block."""
-
-    m_bins: int
-    l_symbols: int
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        if self.symbols.shape != (self.m_bins, self.l_symbols):
-            raise ValueError("symbols must have shape (m_bins, l_symbols)")
+    k = signal.shape[0]
+    if cols < 1 or k % cols != 0:
+        raise ValueError(f"cols must divide K = {k}, got {cols}")
+    eigenvalues = np.abs(np.fft.fft(signal.reshape(-1, cols).sum(axis=0))) ** 2
+    return eigenvalues, float(eigenvalues.min() / k)
 
 
 def block_idft_matrix(l_symbols: int, m_bins: int) -> np.ndarray:
@@ -215,9 +120,11 @@ def _periodic_pulse(z, l_symbols: int):
     return np.where(integral, 1.0 + 0.0j, pulse)  # p is exactly 1 at integer z
 
 
-def filterbank_equivalence_check(codeword: FilterBankCodeword, channel: DiscreteChannel) -> float:
+def filterbank_equivalence_check(symbols: np.ndarray, taps: np.ndarray) -> float:
     """Max-abs gap between the synthesized filter-bank signal and H*Phi*x.
 
+    ``symbols`` (M, L_c) holds x[m, l] on M frequency bins over the L_c
+    periods of one block, and ``taps`` (M,) the SISO channel impulse response.
     Path one synthesizes the continuous-time signal of the M-bin model
     (pulse-shaped, bin-modulated, scaled by the per-bin channel
     coefficients), samples it at rate B and applies the K-point analysis
@@ -225,14 +132,12 @@ def filterbank_equivalence_check(codeword: FilterBankCodeword, channel: Discrete
     block-IDFT precoded codeword.  With K = M*L_c both are exact and the
     discrepancy is at machine level.
     """
-    if channel.nt != 1 or channel.nr != 1:
-        raise ValueError("equivalence check is defined for SISO channels")
-    m_bins, l_symbols = codeword.m_bins, codeword.l_symbols
+    m_bins, l_symbols = symbols.shape
+    if taps.shape != (m_bins,):
+        raise ValueError(f"taps must have shape ({m_bins},), one per bin, got {taps.shape}")
     k = m_bins * l_symbols
-    if channel.k_samples != k or channel.m_taps != m_bins:
-        raise ValueError("channel grid does not match the codeword grid")
 
-    bin_coeff = np.fft.fft(channel.taps[0, 0])  # per-bin coefficients h[u]
+    bin_coeff = np.fft.fft(taps)  # per-bin coefficients h[u]
 
     # Path one: continuous-time synthesis sampled at rate B, then the
     # K-point analysis transform (kernel conjugate to the bin modulation).
@@ -240,13 +145,13 @@ def filterbank_equivalence_check(codeword: FilterBankCodeword, channel: Discrete
     z = n[:, None] / k - np.arange(l_symbols)[None, :] / l_symbols  # (n, l)
     pulse = _periodic_pulse(z, l_symbols)
     modulation = np.exp(-2j * np.pi * np.outer(n, np.arange(m_bins)) / m_bins)  # (n, m)
-    samples = np.einsum("m,nm,nl,ml->n", bin_coeff, modulation, pulse, codeword.symbols)
+    samples = np.einsum("m,nm,nl,ml->n", bin_coeff, modulation, pulse, symbols)
     analysis = np.exp(2j * np.pi * np.outer(np.arange(k), n) / k)  # (k, n)
     spectrum = analysis @ samples
 
     # Path two: diagonal channel times block-IDFT precoding.
     phi = block_idft_matrix(l_symbols, m_bins)
-    x_vec = codeword.symbols.reshape(-1)
+    x_vec = symbols.reshape(-1)
     direct = np.repeat(bin_coeff, l_symbols) * (phi @ x_vec)
 
     return float(np.max(np.abs(spectrum - m_bins * math.sqrt(l_symbols) * direct)))

@@ -318,14 +318,8 @@ def cmd_alpha(args) -> int:
     for lc in values:
         variant = replace(scenario, coherence_bandwidth=float(lc) / tc)
         norm = math.log(variant.coherence_product) if args.normalize else 1.0
-        mins = []
-        for p in p_list:
-            eps = bounds.epsilon_for_error_pct(p, snr)
-            if eps == 0.0:
-                # p = 100 collapses the bracket onto alpha_max.
-                mins.append(bounds.alpha_brackets(variant, snr, 1e-300).alpha_max)
-            else:
-                mins.append(bounds.alpha_brackets(variant, snr, eps).alpha_min)
+        mins = [bounds.alpha_brackets(variant, snr, bounds.epsilon_for_error_pct(p, snr)).alpha_min
+                for p in p_list]
         ab = bounds.alpha_brackets(variant, snr, 1.0)
         row = [float(lc), ab.alpha_max / norm, ab.alpha_max / 2.0 / norm]
         row += [v / norm for v in mins]

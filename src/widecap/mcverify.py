@@ -62,13 +62,11 @@ import numpy as np
 from . import bounds
 from .bounds import _coherent_term as coherent_quadratic_lower
 from .channel import (
-    DiscreteChannel,
-    FilterBankCodeword,
-    PilotCirculant,
     block_idft_matrix,
     circulant_eigenvalues,
     filterbank_equivalence_check,
     integer_coherence_length,
+    pilot_gram,
     unit_fading_samples,
 )
 from .scenario import ChannelScenario, FadingFamily, kurtosis
@@ -132,15 +130,6 @@ def _entropy_component(value) -> int:
     return int(value)
 
 
-def _chunk_rngs(cfg: McConfig, tag):
-    entropy = tag if isinstance(tag, tuple) else (tag,)
-    entropy = tuple(_entropy_component(part) for part in entropy)
-    for start in range(0, cfg.trials, _CHUNK):
-        seed = np.random.SeedSequence((cfg.base_seed, *entropy, start))
-        n = min(_CHUNK, cfg.trials - start)
-        yield np.random.default_rng(seed), slice(start, start + n), n
-
-
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -148,15 +137,22 @@ def _usable_cpus() -> int:
 def _each_chunk(cfg: McConfig, tag, body):
     """Call body(rng, rows, n) per chunk, here and, with two usable CPUs, on one helper thread.
 
-    An exception on either thread stops both and is raised here after the join.
+    Both threads pull chunk starts from one shared iterator, and each builds
+    its chunk's generator from the seed (base_seed, *tag, start), so the draws
+    do not depend on which thread runs a chunk.  An exception on either thread
+    stops both and is raised here after the join.
     """
-    pending = iter(list(_chunk_rngs(cfg, tag)))
+    entropy = tag if isinstance(tag, tuple) else (tag,)
+    entropy = tuple(_entropy_component(part) for part in entropy)
+    pending = iter(range(0, cfg.trials, _CHUNK))
     errors = []
 
     def work():
         try:
-            for chunk in pending:
-                body(*chunk)
+            for start in pending:
+                rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, *entropy, start)))
+                n = min(_CHUNK, cfg.trials - start)
+                body(rng, slice(start, start + n), n)
         except BaseException as error:
             errors.append(error)
             for _ in pending:  # leave the other thread no chunk to start
@@ -455,11 +451,11 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
     the Gram repeats columns, lambda_min is 0 and so is psi.  As
     ln det(I + c Gram) >= cols * ln(1 + c * lambda_min), the lower chain is
     then below the penalty in every trial with g_min <= 1 when Bc*Tc is the
-    integer coherence length.  The paper's chain takes psi from the folded
-    pilot's cols-point spectrum (:func:`~widecap.channel.pilot_spectrum`)
-    instead.  That psi is no bound: K * psi exceeded lambda_min for 53 of
-    2000 Gaussian pilots at K = 32, cols = 8, and 55 at cols = 12.  So the
-    gated chain uses the K-point psi.
+    integer coherence length.  The paper's chain takes psi from the
+    cols-point spectrum of the pilot folded modulo cols instead.  That psi is
+    no bound: K * psi exceeded lambda_min for 53 of 2000 Gaussian pilots at
+    K = 32, cols = 8, and 55 at cols = 12.  So the gated chain uses the
+    K-point psi.
     """
     bounds._check_occupancy(occupancy)
     if scenario.fading.kind != "rayleigh":
@@ -584,13 +580,12 @@ def _channel_identity_checks(cfg: McConfig):
     k, cols = 64, 8
     x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     x *= math.sqrt(k / np.sum(np.abs(x) ** 2))
-    pilot = PilotCirculant(k_rows=k, cols=cols, base_signal=x)
-    formula, _ = circulant_eigenvalues(pilot)
-    dense = np.linalg.eigvalsh(pilot.folded_gram()).real
+    formula, _ = circulant_eigenvalues(x, cols)
+    dense = np.linalg.eigvalsh(pilot_gram(x.reshape(-1, cols).sum(axis=0), cols)).real
     rel = np.max(np.abs(np.sort(formula) - np.sort(dense))) / np.max(dense)
     checks.append(("circulant_spectrum", {"k": k, "cols": cols}, float(rel), 1e-9))
 
-    trace_gap = abs(float(np.trace(pilot.gram()).real) / (cols * k) - 1.0)
+    trace_gap = abs(float(np.trace(pilot_gram(x, cols)).real) / (cols * k) - 1.0)
     checks.append(("pilot_gram_trace", {"k": k, "cols": cols}, trace_gap, 1e-12))
 
     phi = block_idft_matrix(8, 4)
@@ -598,16 +593,10 @@ def _channel_identity_checks(cfg: McConfig):
     checks.append(("idft_unitarity", {"l_symbols": 8, "m_bins": 4}, unitarity, 1e-12))
 
     m_bins, l_symbols = 4, 8
-    k_fb = m_bins * l_symbols
     taps = (rng.standard_normal(m_bins) + 1j * rng.standard_normal(m_bins)) / math.sqrt(2 * m_bins)
-    channel = DiscreteChannel(
-        k_samples=k_fb, m_taps=m_bins,
-        taps=taps.reshape(1, 1, m_bins), gains=np.full(m_bins, 1.0 / m_bins),
-    )
     symbols = (rng.standard_normal((m_bins, l_symbols))
                + 1j * rng.standard_normal((m_bins, l_symbols))) / math.sqrt(2.0)
-    gap = filterbank_equivalence_check(
-        FilterBankCodeword(m_bins=m_bins, l_symbols=l_symbols, symbols=symbols), channel)
+    gap = filterbank_equivalence_check(symbols, taps)
     checks.append(("filterbank_equivalence", {"m_bins": m_bins, "l_symbols": l_symbols}, gap, 1e-9))
 
     return [

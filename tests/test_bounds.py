@@ -483,8 +483,16 @@ class TestAlphaBrackets:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             alpha_brackets(scenario(), 1.5, 0.1)
-        with pytest.raises(ValueError):
-            alpha_brackets(scenario(), 1e-2, 0.0)
+        for epsilon in (-0.1, -1e-300, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be >= 0"):
+                alpha_brackets(scenario(), 1e-2, epsilon)
+
+    @pytest.mark.parametrize("snr", [1e-300, 1e-2, 0.5, 0.999999])
+    def test_full_error_collapses_onto_alpha_max(self, snr):
+        # p = 100 gives epsilon exactly 0: alpha_min is alpha_max, not an error.
+        for s in (scenario(), scenario(nt=2, nr=2, lc=1.0000001), scenario(nt=4, nr=1, lc=1e300)):
+            bracket = alpha_brackets(s, snr, epsilon_for_error_pct(100.0, snr))
+            assert bracket.alpha_min == bracket.alpha_max
 
     def test_floor_enforced_at_construction(self):
         with pytest.raises(ValueError):

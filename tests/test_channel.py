@@ -4,34 +4,22 @@ import numpy as np
 import pytest
 
 from widecap.channel import (
-    DiscreteChannel,
-    FilterBankCodeword,
-    PilotCirculant,
     block_idft_matrix,
     circulant_eigenvalues,
     filterbank_equivalence_check,
     integer_coherence_length,
-    pilot_spectrum,
+    pilot_gram,
     unit_fading_samples,
 )
 from widecap.scenario import FadingFamily
 
-
-def make_channel(taps, k_samples):
-    taps = np.asarray(taps, dtype=complex).reshape(1, 1, -1)
-    m = taps.shape[-1]
-    return DiscreteChannel(
-        k_samples=k_samples, m_taps=m, taps=taps, gains=np.full(m, 1.0 / m)
-    )
+from test_mcverify import pilot_spectrum
 
 
-def seeded_channel(k_samples, m_taps, seed, nt=1, nr=1):
-    """Seeded Rayleigh taps of power 1/M each (the uniform profile), shape (nr, nt, M)."""
+def seeded_taps(m_taps, seed):
+    """Seeded SISO Rayleigh taps of power 1/M each (the uniform profile)."""
     rng = np.random.default_rng(seed)
-    taps = unit_fading_samples(rng, FadingFamily.rayleigh(), (nr, nt, m_taps)) / math.sqrt(m_taps)
-    return DiscreteChannel(
-        k_samples=k_samples, m_taps=m_taps, taps=taps, gains=np.full(m_taps, 1.0 / m_taps)
-    )
+    return unit_fading_samples(rng, FadingFamily.rayleigh(), m_taps) / math.sqrt(m_taps)
 
 
 class TestSampleTaps:
@@ -86,53 +74,55 @@ class TestFrequencyResponse:
 
 
 class TestPilotCirculant:
-    def make_pilot(self, k=64, cols=8, seed=2):
+    def make_pilot(self, k=64, seed=2):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        x *= math.sqrt(k / np.sum(np.abs(x) ** 2))
-        return PilotCirculant(k_rows=k, cols=cols, base_signal=x)
-
-    def test_unit_power_enforced(self):
-        with pytest.raises(ValueError):
-            PilotCirculant(k_rows=4, cols=2, base_signal=np.ones(4) * 2.0)
+        return x * math.sqrt(k / np.sum(np.abs(x) ** 2))
 
     def test_entry_layout(self):
-        pilot = self.make_pilot(k=8, cols=3)
-        xi = pilot.materialize()
-        for i in range(8):
-            for j in range(3):
-                assert xi[i, j] == pilot.base_signal[(i - j) % 8]
+        # Gram[a, b] = sum_i conj(x[(i - a) mod K]) * x[(i - b) mod K].
+        k, cols = 8, 3
+        x = self.make_pilot(k=k)
+        gram = pilot_gram(x, cols)
+        assert gram.shape == (cols, cols)
+        for a in range(cols):
+            for b in range(cols):
+                expected = sum(np.conj(x[(i - a) % k]) * x[(i - b) % k] for i in range(k))
+                assert abs(gram[a, b] - expected) <= 1e-12 * k
 
     def test_impulse_pilot_flat_spectrum(self):
         k = 32
         x = np.zeros(k, dtype=complex)
         x[0] = math.sqrt(k)
-        pilot = PilotCirculant(k_rows=k, cols=8, base_signal=x)
-        eigs, psi = circulant_eigenvalues(pilot)
+        eigs, psi = circulant_eigenvalues(x, 8)
         assert np.allclose(eigs, k, rtol=1e-12)
         assert psi == pytest.approx(1.0, rel=1e-12)
 
     def test_constant_pilot_degenerate_spectrum(self):
         k = 64
-        pilot = PilotCirculant(k_rows=k, cols=8, base_signal=np.ones(k, dtype=complex))
-        eigs, psi = circulant_eigenvalues(pilot)
+        eigs, psi = circulant_eigenvalues(np.ones(k, dtype=complex), 8)
         assert eigs[0] == pytest.approx(k**2, rel=1e-12)
         assert np.all(np.abs(eigs[1:]) < 1e-9 * k**2)
         assert psi == pytest.approx(0.0, abs=1e-12)
 
     def test_formula_matches_dense_eigensolver(self):
-        pilot = self.make_pilot(k=64, cols=8)
-        formula, _ = circulant_eigenvalues(pilot)
-        dense = np.linalg.eigvalsh(pilot.folded_gram()).real
+        x, cols = self.make_pilot(k=64), 8
+        formula, _ = circulant_eigenvalues(x, cols)
+        dense = np.linalg.eigvalsh(pilot_gram(x.reshape(-1, cols).sum(axis=0), cols)).real
         gap = np.max(np.abs(np.sort(formula) - np.sort(dense)))
         assert gap < 1e-9 * np.max(dense)
 
+    @pytest.mark.parametrize("cols", [0, 5, 12, 70])
+    def test_cols_must_divide_k(self, cols):
+        with pytest.raises(ValueError, match="cols must divide K = 64"):
+            circulant_eigenvalues(self.make_pilot(k=64), cols)
+
     def test_gram_trace_identity(self):
         # Unit pilot power pins the mean normalized Gram eigenvalue at one.
+        k, cols = 64, 8
         for seed in range(5):
-            pilot = self.make_pilot(seed=seed)
-            trace = float(np.trace(pilot.gram()).real)
-            assert abs(trace / (pilot.cols * pilot.k_rows) - 1.0) < 1e-12
+            trace = float(np.trace(pilot_gram(self.make_pilot(k=k, seed=seed), cols)).real)
+            assert abs(trace / (cols * k) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("cols", [1, 5, 8, 12, 32, 36, 70])
     @pytest.mark.parametrize("shape", [(32,), (3, 32), (2, 2, 32)])
@@ -165,23 +155,20 @@ class TestBlockIdft:
 
 
 class TestFilterBankEquivalence:
-    def random_codeword(self, m_bins, l_symbols, seed):
+    def random_symbols(self, m_bins, l_symbols, seed):
         rng = np.random.default_rng(seed)
-        symbols = (
+        return (
             rng.standard_normal((m_bins, l_symbols))
             + 1j * rng.standard_normal((m_bins, l_symbols))
         ) / math.sqrt(2)
-        return FilterBankCodeword(m_bins=m_bins, l_symbols=l_symbols, symbols=symbols)
 
     def test_degenerate_single_bin_flat(self):
-        codeword = self.random_codeword(1, 4, seed=0)
-        channel = make_channel([1.0], 4)
-        assert filterbank_equivalence_check(codeword, channel) < 1e-12
+        symbols = self.random_symbols(1, 4, seed=0)
+        assert filterbank_equivalence_check(symbols, np.ones(1, dtype=complex)) < 1e-12
 
     def test_random_channel_and_codeword(self):
-        codeword = self.random_codeword(4, 8, seed=1)
-        channel = seeded_channel(32, 4, seed=13)
-        assert filterbank_equivalence_check(codeword, channel) < 1e-9
+        symbols = self.random_symbols(4, 8, seed=1)
+        assert filterbank_equivalence_check(symbols, seeded_taps(4, seed=13)) < 1e-9
 
     def test_precoding_identity(self):
         # H * Phi * Phi^H * x equals H * x.
@@ -193,30 +180,8 @@ class TestFilterBankEquivalence:
         x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         assert np.max(np.abs(h * (phi @ (phi.conj().T @ x)) - h * x)) < 1e-12
 
-    def test_rejects_mimo(self):
-        codeword = self.random_codeword(4, 8, seed=2)
-        channel = seeded_channel(32, 4, seed=1, nt=2, nr=2)
-        with pytest.raises(ValueError):
-            filterbank_equivalence_check(codeword, channel)
-
-    def test_rejects_grid_mismatch(self):
-        codeword = self.random_codeword(4, 8, seed=2)
-        channel = seeded_channel(64, 8, seed=1)
-        with pytest.raises(ValueError):
-            filterbank_equivalence_check(codeword, channel)
-
-
-class TestDiscreteChannelInvariants:
-    def test_k_multiple_of_m(self):
-        with pytest.raises(ValueError):
-            DiscreteChannel(
-                k_samples=10, m_taps=4,
-                taps=np.ones((1, 1, 4), dtype=complex), gains=np.full(4, 0.25),
-            )
-
-    def test_gains_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            DiscreteChannel(
-                k_samples=8, m_taps=4,
-                taps=np.ones((1, 1, 4), dtype=complex), gains=np.full(4, 0.3),
-            )
+    @pytest.mark.parametrize("shape", [(8,), (1, 1, 4), (2, 2, 4)])
+    def test_rejects_taps_not_one_per_bin(self, shape):
+        symbols = self.random_symbols(4, 8, seed=2)
+        with pytest.raises(ValueError, match=r"taps must have shape \(4,\)"):
+            filterbank_equivalence_check(symbols, np.ones(shape, dtype=complex))

@@ -36,7 +36,7 @@ from widecap.mcverify import (
     trace_identity_expected,
 )
 from widecap.bounds import _penalty_cap, optimal_occupancy, rate_lower_bound
-from widecap.channel import PilotCirculant, pilot_spectrum, unit_fading_samples
+from widecap.channel import pilot_gram, unit_fading_samples
 from widecap.scenario import ChannelScenario, FadingFamily, kurtosis
 
 CFG = McConfig(trials=100_000, base_seed=42)
@@ -69,6 +69,21 @@ def desk_scenario(nt=1, nr=1, snr=None):
 def unit_pilots(rng, n, k_samples):
     x = rng.standard_normal((n, k_samples)) + 1j * rng.standard_normal((n, k_samples))
     return x * np.sqrt(k_samples / np.sum(np.abs(x) ** 2, axis=1, keepdims=True))
+
+
+def pilot_spectrum(signal: np.ndarray, cols: int) -> np.ndarray:
+    """|sum_k x[k] e^(-j2*pi*k*m/cols)|^2 for m = 0..cols-1, along the last axis.
+
+    The oracle of the folded-pilot psi.  The phase depends on k only modulo
+    cols, so this is the cols-point FFT of the signal folded modulo cols: its
+    cols-blocks summed in order, a short last block onto the leading entries.
+    Leading axes are batch axes.
+    """
+    folded = np.zeros(signal.shape[:-1] + (cols,), dtype=signal.dtype)
+    for start in range(0, signal.shape[-1], cols):
+        block = signal[..., start:start + cols]
+        folded[..., :block.shape[-1]] += block
+    return np.abs(np.fft.fft(folded, axis=-1)) ** 2
 
 
 def mp_logdet(a, c=1.0, gram=False) -> float:
@@ -224,7 +239,7 @@ class TestPenaltySandwich:
         # paper's psi) is no bound; the counts are the ones the docs quote.
         k_samples = 32
         x = unit_pilots(np.random.default_rng(3), 2000, k_samples)
-        grams = np.stack([PilotCirculant(k_samples, cols, row).gram() for row in x])
+        grams = np.stack([pilot_gram(row, cols) for row in x])
         lam_min = np.linalg.eigvalsh(grams)[:, 0]
         tol = 1e-12 * k_samples
         psi_k = np.min(np.abs(np.fft.fft(x, axis=1)) ** 2, axis=1)
@@ -368,7 +383,7 @@ class TestOccupancyDomain:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled before validating the occupancy")
 
-        monkeypatch.setattr(mcverify, "_chunk_rngs", refuse)
+        monkeypatch.setattr(mcverify, "_each_chunk", refuse)
 
     # The messages of bounds._check_occupancy: nan fails the "> 0" test first.
     CASES = [
@@ -578,10 +593,10 @@ class TestDeterminism:
 
         monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 1)
         serial = records()
-        in_order = mcverify._chunk_rngs
-        monkeypatch.setattr(mcverify, "_chunk_rngs", lambda *args: reversed(list(in_order(*args))))
+        # _each_chunk pulls chunk starts from iter(range(...)); run them last first.
+        monkeypatch.setattr(mcverify, "iter", reversed, raising=False)
         assert records() == serial
-        monkeypatch.setattr(mcverify, "_chunk_rngs", in_order)
+        monkeypatch.delattr(mcverify, "iter")
         monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 2)
         # Frequent thread switches stress the chunk iterator both threads share.
         interval = sys.getswitchinterval()
