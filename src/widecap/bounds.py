@@ -84,14 +84,11 @@ def _coherent_term(scenario: ChannelScenario, occupancy):
     return scenario.wideband_limit * (1.0 - 0.5 * (s * _shape(scenario)) / (occupancy * scenario.nt))
 
 
-def _penalty_cap(scenario: ChannelScenario, occupancy, log1p=np.log1p):
-    """Channel-uncertainty penalty cap dB*Nt*Nr/(Bc*Tc) * ln(1 + P*Bc*Tc/(dB*Nt*N0)).
-
-    ``log1p`` is ``np.log1p`` for arrays; scalar callers pass ``math.log1p``,
-    whose last bit can differ from numpy's.
-    """
+def _penalty_cap(scenario: ChannelScenario, occupancy):
+    """Channel-uncertainty penalty cap dB*Nt*Nr/(Bc*Tc) * ln(1 + P*Bc*Tc/(dB*Nt*N0))."""
     nt, lc = scenario.nt, scenario.coherence_product
-    return (occupancy * nt * scenario.nr / lc) * log1p(scenario.snr_density * lc / (occupancy * nt))
+    log_term = np.log1p(scenario.snr_density * lc / (occupancy * nt))
+    return (occupancy * nt * scenario.nr / lc) * log_term
 
 
 def _closed_form_optimum(scenario: ChannelScenario) -> float:
@@ -366,26 +363,18 @@ def critical_bracket(scenario: ChannelScenario) -> CriticalBracket:
 
 @dataclass(frozen=True)
 class AlphaBracket:
-    """Sublinear-exponent estimates from the two bracketing methods.
+    """Sublinear-exponent estimates from the two bracketing methods, stored raw.
 
     ``alpha_max``/``alpha_min`` come from the coherence-length condition
-    (alpha_min is alpha_max - epsilon floored at alpha_max/2);
-    ``alpha_plus``/``alpha_minus`` come from the critical-occupancy bracket.
-    Values are stored raw; ``clamped`` flags any of them leaving (0, 1].
+    (alpha_min is alpha_max - epsilon floored at alpha_max/2, the only value
+    that depends on epsilon); ``alpha_plus``/``alpha_minus`` come from the
+    critical-occupancy bracket.  No value is clipped to (0, 1].
     """
 
     alpha_max: float
     alpha_min: float
     alpha_plus: float
     alpha_minus: float
-    epsilon: float
-    sigma_range: tuple
-    snr: float
-    clamped: bool
-
-    def __post_init__(self):
-        if self.alpha_min < self.alpha_max / 2.0 - 1e-15:
-            raise ValueError("alpha_min must be floored at alpha_max/2")
 
 
 def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> AlphaBracket:
@@ -403,25 +392,13 @@ def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> Alp
     nt, nr = scenario.nt, scenario.nr
     lc = scenario.coherence_product
     two_l = 2.0 * math.log(1.0 / snr)
-    ratio2 = (nt + nr) ** 2 / nt**2
-    alpha_max = math.log(ratio2 * lc) / two_l
-    alpha_min = max(alpha_max - epsilon, alpha_max / 2.0)
-    alpha_plus = alpha_max - math.log((nt + nr) * math.log(lc) / (4.0 * LN_PI)) / two_l
-    alpha_minus = alpha_max - math.log(
-        4.0 * LN_PI * (nt + nr) ** 3 / nt**2 * math.log(lc)
-    ) / two_l
-    clamped = any(
-        not 0.0 < value <= 1.0 for value in (alpha_max, alpha_min, alpha_plus, alpha_minus)
-    )
+    log_lc = math.log(lc)
+    alpha_max = math.log((nt + nr) ** 2 / nt**2 * lc) / two_l
     return AlphaBracket(
         alpha_max=alpha_max,
-        alpha_min=alpha_min,
-        alpha_plus=alpha_plus,
-        alpha_minus=alpha_minus,
-        epsilon=epsilon,
-        sigma_range=(0.0, epsilon),
-        snr=snr,
-        clamped=clamped,
+        alpha_min=max(alpha_max - epsilon, alpha_max / 2.0),
+        alpha_plus=alpha_max - math.log((nt + nr) * log_lc / (4.0 * LN_PI)) / two_l,
+        alpha_minus=alpha_max - math.log(4.0 * LN_PI * (nt + nr) ** 3 / nt**2 * log_lc) / two_l,
     )
 
 

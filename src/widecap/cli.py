@@ -147,6 +147,13 @@ def _freq_scale(unit: str) -> float:
     return 1e-6 if unit == "mhz" else 1.0
 
 
+def _percentages(text: str) -> list:
+    try:
+        return [float(value) for value in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _penalty_factor(text: str) -> float:
     value = float(text)
     if not 0 < value <= 1:
@@ -211,6 +218,11 @@ def cmd_bounds(args) -> int:
     if rayleigh and not math.isfinite(largest * scenario.nt
                                       / (scenario.snr_density * scenario.coherence_product)):
         raise ValueError(f"dB*Nt*N0/(P*Lc) overflows at occupancy {largest!r}")
+    # delta is a fraction of time.  A positive delta*B can hide two negative
+    # axes, but with every delta > 0 every B is > 0 too.
+    if not (deltas.min() > 0 and deltas.max() <= 1):
+        option = "--delta" if args.delta is not None else "--delta-grid"
+        raise ValueError(f"{option} is a duty cycle and must lie in (0, 1]")
     header = ["delta", "B", "deltaB", "R_LB", "R_LB_plot"]
     if rayleigh:
         header.append("R_UB")
@@ -271,16 +283,7 @@ def cmd_critical(args) -> int:
         "occupancy_optimal_exact", "occupancy_high_exact", "occupancy_high",
         "peak_rate_lower", "gap_delta",
     ]
-    row = [
-        bracket.occupancy_low * scale,
-        bracket.occupancy_low_exact * scale,
-        bracket.occupancy_optimal * scale,
-        bracket.occupancy_optimal_exact * scale,
-        bracket.occupancy_high_exact * scale,
-        bracket.occupancy_high * scale,
-        bracket.peak_rate_lower,
-        gap,
-    ]
+    row = [getattr(bracket, name) * scale for name in header[:6]] + [bracket.peak_rate_lower, gap]
     with _output(args.out) as out:
         if args.format == "csv":
             cells = _reprs(np.array(row), "csv")
@@ -318,11 +321,12 @@ def cmd_alpha(args) -> int:
     for lc in values:
         variant = replace(scenario, coherence_bandwidth=float(lc) / tc)
         norm = math.log(variant.coherence_product) if args.normalize else 1.0
-        mins = [bounds.alpha_brackets(variant, snr, bounds.epsilon_for_error_pct(p, snr)).alpha_min
-                for p in p_list]
-        ab = bounds.alpha_brackets(variant, snr, 1.0)
+        brackets = [bounds.alpha_brackets(variant, snr, bounds.epsilon_for_error_pct(p, snr))
+                    for p in p_list]
+        # alpha_max, alpha_plus and alpha_minus do not depend on epsilon.
+        ab = brackets[0]
         row = [float(lc), ab.alpha_max / norm, ab.alpha_max / 2.0 / norm]
-        row += [v / norm for v in mins]
+        row += [b.alpha_min / norm for b in brackets]
         row += [ab.alpha_plus / norm, ab.alpha_minus / norm]
         rows.append(row)
     columns = [_reprs(column, args.format) for column in np.array(rows).T]
@@ -409,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_alpha = sub.add_parser("alpha", help="sublinear-exponent bracket columns")
     common(p_alpha, scenario_required=True)
     p_alpha.add_argument("--snr", type=float, required=True, help="per-dof SNR in (0, 1)")
-    p_alpha.add_argument("--p", type=lambda s: [float(v) for v in s.split(",")],
+    p_alpha.add_argument("--p", type=_percentages,
                          default=[1.0, 10.0], help="error percentages, comma separated")
     p_alpha.add_argument("--bctc-grid", type=_parse_axis, default=None,
                          metavar="LO:HI:N[:log|lin]")

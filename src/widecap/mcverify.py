@@ -28,9 +28,11 @@ on Rayleigh fading, and that block's trace identity: the Gram is formed
 once, eliminated once per occupancy, and its squared norm is tr((H H^H)^2).
 One draw of the largest fixed Rayleigh trace case left gives the smaller
 ones from its leading sub-blocks, and the Rayleigh kurtosis from its last
-entry, which no smaller block holds.  Every other statistic gets a draw of
-its own.  Each keeps the marginal law of its own independent draw, so every
-4-SE gate holds as before; only the records are correlated.
+entry, which no smaller block holds.  On other fading, one draw of the
+scenario's own law gives its coherent check and its trace identity, and the
+Rice and Nakagami kurtosis cases each draw their own |h|^2.  Each statistic
+keeps the marginal law of its own independent draw, so every 4-SE gate holds
+as before; only the records are correlated.
 
 The penalty depends on the pilot only through its power spectrum
 |FFT_K(x)|^2, so it draws that spectrum directly: normalized i.i.d.
@@ -74,7 +76,6 @@ from .scenario import ChannelScenario, FadingFamily, kurtosis
 __all__ = [
     "McConfig",
     "McEstimate",
-    "PenaltySandwich",
     "CheckRecord",
     "kurtosis_estimate",
     "empirical_kurtosis",
@@ -118,7 +119,6 @@ class McEstimate:
 
     mean: float
     std_error: float
-    trials: int
 
 
 def _entropy_component(value) -> int:
@@ -164,6 +164,10 @@ def _each_chunk(cfg: McConfig, tag, body):
     work()
     if helper:
         helper.join()
+        # join() returns before glibc frees the thread's malloc arena; a helper
+        # started before then gets a new one, 2.7 MB more resident (Linux).
+        while os.path.exists(f"/proc/self/task/{helper.native_id}"):
+            os.sched_yield()
     if errors:
         raise errors[0]
 
@@ -175,11 +179,7 @@ def _draw(cfg: McConfig, tag, rows: int, fill) -> np.ndarray:
     allocates per-trial values and runs :func:`_each_chunk`.
     """
     values = np.empty((rows, cfg.trials))
-
-    def body(rng, trials, n):
-        fill(rng, n, values[:, trials])
-
-    _each_chunk(cfg, tag, body)
+    _each_chunk(cfg, tag, lambda rng, trials, n: fill(rng, n, values[:, trials]))
     return values
 
 
@@ -187,7 +187,7 @@ def _estimate(values: np.ndarray) -> McEstimate:
     values = np.asarray(values, dtype=float)
     n = values.size
     sd = values.std(ddof=1) if n > 1 else 0.0
-    return McEstimate(mean=float(values.mean()), std_error=float(sd / math.sqrt(n)), trials=n)
+    return McEstimate(mean=float(values.mean()), std_error=float(sd / math.sqrt(n)))
 
 
 def kurtosis_estimate(power_samples) -> McEstimate:
@@ -197,13 +197,10 @@ def kurtosis_estimate(power_samples) -> McEstimate:
     linearization of the ratio, so a deterministic input yields zero error.
     """
     x = np.asarray(power_samples, dtype=float)
-    n = x.size
     a = float(np.mean(x * x))
     b = float(np.mean(x))
-    mean = a / (b * b)
     influence = (x * x - a) / (b * b) - 2.0 * a * (x - b) / b**3
-    sd = influence.std(ddof=1) if n > 1 else 0.0
-    return McEstimate(mean=mean, std_error=float(sd / math.sqrt(n)), trials=n)
+    return McEstimate(mean=a / (b * b), std_error=_estimate(influence).std_error)
 
 
 def empirical_kurtosis(fading: FadingFamily, cfg: McConfig) -> McEstimate:
@@ -410,24 +407,13 @@ def _pilot_lags(power: np.ndarray, scale: np.ndarray, table: np.ndarray) -> np.n
     return lags
 
 
-@dataclass(frozen=True)
-class PenaltySandwich:
-    """Penalty-term estimate with its closed-form chain ends.
-
-    ``margin`` is the paired estimate of (penalty - lower chain).
-    :func:`run_verification_suite` gates the sandwich: margin >= 0 and
-    estimate <= upper_chain, each within 4 of its own standard errors.
-    """
-
-    estimate: McEstimate
-    lower_chain: McEstimate
-    margin: McEstimate
-    upper_chain: float
-
-
 def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int,
-                     cfg: McConfig) -> PenaltySandwich:
-    """Estimate the channel-uncertainty penalty and bracket it.
+                     cfg: McConfig) -> CheckRecord:
+    """The record of the channel-uncertainty penalty between its two chain ends.
+
+    It passes when the paired margin penalty - lower chain is >= 0 and the
+    penalty <= the upper chain, each within 4 of its own SEs (:func:`_within`);
+    ``z`` is margin/SE, and ``bound_values`` holds both chain values.
 
     Per trial the penalty is (delta/Tc) * sum_v ln det(I + rho * Gram *
     Lambda_v) for a unit-power Gaussian pilot, with Lambda the uniform
@@ -471,7 +457,7 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
     prefactor = occupancy / k_samples  # delta/Tc with K = B*Tc
     chain_scale = occupancy * nt * nr / lc
     chain_arg = s * lc / (occupancy * nt)
-    cap = bounds._penalty_cap(scenario, occupancy, math.log1p)
+    cap = float(bounds._penalty_cap(scenario, occupancy))
     table = _lag_table(k_samples, cols, rho / m)
 
     def fill(rng, n, out):
@@ -485,11 +471,14 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
         out[0] = prefactor * nr * toeplitz_logdet(lags)
 
     penalties, lowers = _draw(cfg, _TAG_PENALTY, 2, fill)
-    return PenaltySandwich(
-        estimate=_estimate(penalties),
-        lower_chain=_estimate(lowers),
-        margin=_estimate(penalties - lowers),
-        upper_chain=cap,
+    penalty, margin = _estimate(penalties), _estimate(penalties - lowers)
+    return CheckRecord(
+        check="penalty_sandwich",
+        params={"k_samples": k_samples, "nt": nt, "nr": nr, "trials": cfg.trials},
+        passed=(_within(margin.mean, margin.std_error, 0.0, math.inf)
+                and _within(penalty.mean, penalty.std_error, -math.inf, cap)),
+        estimate=penalty.mean, std_error=penalty.std_error, z=_z(margin.mean, margin.std_error),
+        bound_values={"lower_chain": float(lowers.mean()), "upper_chain": cap},
     )
 
 
@@ -549,7 +538,7 @@ def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
     estimates, trace = _coherent_draw(scenario, grid, cfg, _TAG_COHERENT)
     records = []
     for occupancy, coherent in zip(grid, estimates):
-        mc_value = coherent.mean - bounds._penalty_cap(scenario, occupancy, math.log1p)
+        mc_value = coherent.mean - float(bounds._penalty_cap(scenario, occupancy))
         rate_lower = float(bounds.rate_lower_bound(scenario, occupancy))
         rate_upper = float(bounds.rate_upper_bound(scenario, occupancy, 1.0))
         snr_dof = scenario.snr_density / occupancy
@@ -610,12 +599,13 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
     """All Monte-Carlo and channel-identity checks for one scenario, each gated by :func:`_within`.
 
     The one place that decides which draw gives each estimate (see the module
-    docstring): shared Rayleigh draws where they exist, a draw of its own for
-    every other statistic.
+    docstring): shared Rayleigh draws, one draw of the scenario's own law on
+    other fading, and a draw of its own for each non-Rayleigh kurtosis case.
     """
     rayleigh = FadingFamily.rayleigh()
     nt, nr = scenario.nt, scenario.nr
-    fadings = dict.fromkeys([scenario.fading, FadingFamily.rice(1.0), FadingFamily.nakagami(2.0)])
+    fadings = dict.fromkeys([scenario.fading, rayleigh, FadingFamily.rice(1.0),
+                             FadingFamily.nakagami(2.0)])
     antenna_cases = dict.fromkeys([(nt, nr, scenario.fading), (1, 1, rayleigh),
                                    (2, 2, rayleigh), (2, 1, rayleigh)])
 
@@ -628,8 +618,13 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
     nested_traces, rayleigh_kurtosis = _nested_trace_draw(*nested[0], rayleigh, cfg, nested[1:])
     traces = {(*block, rayleigh): trace for block, trace in nested_traces.items()}
     traces[(nt, nr, rayleigh)] = sweep_trace
-    if scenario.fading != rayleigh:
-        traces[(nt, nr, scenario.fading)] = trace_identity_check(scenario, cfg)
+    # On Rayleigh fading the coherent check at (dB)* is the sweep's middle
+    # point; on other fading one draw of its own law gives it and its trace.
+    if scenario.fading == rayleigh:
+        coherent = estimates[1]
+    else:
+        [coherent], traces[(nt, nr, scenario.fading)] = _coherent_draw(
+            scenario, [optimum], cfg, _TAG_COHERENT)
     kurtoses = {f: rayleigh_kurtosis if f == rayleigh else empirical_kurtosis(f, cfg) for f in fadings}
 
     records = [_expected_record(f"kurtosis[{f.label}]", {"fading": f.label, "trials": cfg.trials},
@@ -640,8 +635,6 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
                 for t, r, f in antenna_cases]
     records += _channel_identity_checks(cfg)
 
-    # On Rayleigh fading the coherent check at (dB)* is the sweep's middle point.
-    coherent = estimates[1] if scenario.fading == rayleigh else coherent_term_mc(scenario, optimum, cfg)
     quad = coherent_quadratic_lower(scenario, optimum)
     records.append(CheckRecord(
         check="coherent_expansion",
@@ -657,15 +650,5 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
         snr_density=float(scenario.nt), coherence_time=1.0, coherence_bandwidth=8.0,
         nt=scenario.nt, nr=scenario.nr, fading=rayleigh,
     )
-    sandwich = penalty_sandwich(desk, occupancy=32.0, k_samples=32, cfg=cfg)
-    margin, estimate = sandwich.margin, sandwich.estimate
-    records.append(CheckRecord(
-        check="penalty_sandwich",
-        params={"k_samples": 32, "nt": desk.nt, "nr": desk.nr, "trials": cfg.trials},
-        passed=(_within(margin.mean, margin.std_error, 0.0, math.inf)
-                and _within(estimate.mean, estimate.std_error, -math.inf, sandwich.upper_chain)),
-        estimate=estimate.mean, std_error=estimate.std_error, z=_z(margin.mean, margin.std_error),
-        bound_values={"lower_chain": sandwich.lower_chain.mean, "upper_chain": sandwich.upper_chain},
-    ))
-
+    records.append(penalty_sandwich(desk, occupancy=32.0, k_samples=32, cfg=cfg))
     return records + sweep

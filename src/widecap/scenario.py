@@ -48,7 +48,8 @@ class FadingFamily:
     ``kind`` is one of ``rayleigh``, ``rice`` (``param`` = line-of-sight
     factor k >= 0) or ``nakagami`` (``param`` = shape m > 0).  Rayleigh has
     no parameter: any given one is replaced by 0.0, so every Rayleigh family
-    is one value.
+    is one value.  The parameter and its kurtosis must be finite: Rice k up to
+    about 6.7e153, where 4k^2 overflows, and Nakagami m from about 5.6e-309.
     """
 
     kind: str
@@ -63,6 +64,12 @@ class FadingFamily:
             raise ValidationError("rice factor k must be >= 0")
         if self.kind == NAKAGAMI and not self.param > 0:
             raise ValidationError("nakagami shape m must be > 0")
+        try:
+            finite = math.isfinite(self.param) and math.isfinite(kurtosis(self))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"{self.label}: the parameter and its kurtosis must be finite")
 
     @classmethod
     def rayleigh(cls) -> "FadingFamily":

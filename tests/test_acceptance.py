@@ -206,9 +206,9 @@ def test_criterion_5_proof_step_mc_suite():
 
     desk = ChannelScenario(1.0, 1.0, 8.0, 1, 1, FadingFamily.rayleigh())
     sandwich = penalty_sandwich(desk, occupancy=32.0, k_samples=32, cfg=cfg)
-    if sandwich.margin.mean < -4 * sandwich.margin.std_error:
+    if sandwich.z < -4:
         failures.append("penalty lower chain")
-    if sandwich.estimate.mean > sandwich.upper_chain + 4 * sandwich.estimate.std_error:
+    if sandwich.estimate > sandwich.bound_values["upper_chain"] + 4 * sandwich.std_error:
         failures.append("penalty upper chain")
 
     deterministic = empirical_kurtosis(FadingFamily.rayleigh(), cfg) == empirical_kurtosis(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -457,6 +458,16 @@ class TestAlphaBrackets:
         bracket = alpha_brackets(scenario(lc=100.0), 1e-2, 1.0)
         assert bracket.alpha_min == bracket.alpha_max / 2
 
+    def test_only_alpha_min_depends_on_epsilon(self):
+        # ``widecap alpha`` reads alpha_max, alpha+ and alpha- from the bracket
+        # of its first --p value.
+        s = scenario(nt=2, nr=3, lc=1e5)
+        one, other = alpha_brackets(s, 1e-2, 1.0), alpha_brackets(s, 1e-2, 0.25)
+        assert [f.name for f in fields(AlphaBracket)] == [
+            "alpha_max", "alpha_min", "alpha_plus", "alpha_minus"]
+        assert replace(one, alpha_min=other.alpha_min) == other
+        assert one.alpha_min != other.alpha_min
+
     @pytest.mark.parametrize("lc", [1e3, 1e4, 1e5, 1e6])
     def test_ordering(self, lc):
         bracket = alpha_brackets(scenario(lc=lc), 1e-2, 0.5)
@@ -476,10 +487,6 @@ class TestAlphaBrackets:
         ]:
             assert (hi - lo) / leading == pytest.approx(1.0, rel=0.05)
 
-    def test_clamped_flag(self):
-        assert alpha_brackets(scenario(lc=1e8), 0.5, 0.1).clamped
-        assert not alpha_brackets(scenario(lc=1e3), 1e-2, 0.1).clamped
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             alpha_brackets(scenario(), 1.5, 0.1)
@@ -493,13 +500,6 @@ class TestAlphaBrackets:
         for s in (scenario(), scenario(nt=2, nr=2, lc=1.0000001), scenario(nt=4, nr=1, lc=1e300)):
             bracket = alpha_brackets(s, snr, epsilon_for_error_pct(100.0, snr))
             assert bracket.alpha_min == bracket.alpha_max
-
-    def test_floor_enforced_at_construction(self):
-        with pytest.raises(ValueError):
-            AlphaBracket(
-                alpha_max=0.8, alpha_min=0.2, alpha_plus=0.7, alpha_minus=0.5,
-                epsilon=0.6, sigma_range=(0.0, 0.6), snr=1e-2, clamped=False,
-            )
 
 
 class TestEpsilonForErrorPct:

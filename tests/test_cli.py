@@ -361,6 +361,20 @@ class TestBoundsUsageErrors:
         _, rows = csv_rows(text)
         assert [(row["R_LB"], row["R_UB"]) for row in rows] == [("0.0", "0.0")] * 2
 
+    @pytest.mark.parametrize("options, option", [
+        (["--delta=-1", "--bandwidth=-1e6"], "--delta"),
+        (["--delta", "5", "--bandwidth", "1e6"], "--delta"),
+        (["--delta-grid=-1:-0.5:2:lin", "--b-grid=-2e6:-1e6:2:lin"], "--delta-grid"),
+        (["--delta-grid", "0.5:2:3", "--b-grid", "1e6:1e7:3"], "--delta-grid"),
+    ])
+    def test_duty_cycle_outside_unit_interval(self, tmp_path, scenario_file, options, option,
+                                              capsys):
+        # Every delta*B here is positive and finite; delta itself is impossible.
+        out = tmp_path / "never.csv"
+        assert main(["bounds", "--scenario", scenario_file, *options, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {option} is a duty cycle and must lie in (0, 1]\n"
+        assert not out.exists()
+
     def test_nonfinite_occupancy_message(self, tmp_path, scenario_file, capsys):
         main(["bounds", "--scenario", scenario_file, "--delta", "1e300",
               "--bandwidth", "1e300", "--out", str(tmp_path / "x.csv")])
@@ -513,6 +527,16 @@ class TestAlphaCommand:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: --bctc-grid value 1e+308 over Tc = 0.001 s overflows Bc = BcTc/Tc\n")
+        assert not out.exists()
+
+    def test_percentages_must_be_numbers(self, tmp_path, scenario_file, capsys):
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as err:
+            main(["alpha", "--scenario", scenario_file, "--snr", "0.01", "--p", "1,x",
+                  "--out", str(out)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --p: expected comma-separated numbers, got '1,x'\n")
         assert not out.exists()
 
     def test_rejects_zero_error_percentage(self, tmp_path, scenario_file):
@@ -781,6 +805,23 @@ class TestScenarioLimits:
         out = tmp_path / "never.csv"
         assert main(["critical", "--scenario", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command, fading, label", [
+        (["bounds", "--db-grid", "1e7:1e9:3"], "rice:inf", "rice:inf"),
+        (["bounds", "--db-grid", "1e7:1e9:3"], "rice:1e200", "rice:1e+200"),  # 4k^2 overflows
+        (["bounds", "--db-grid", "1e7:1e9:3"], "nakagami:5e-309", "nakagami:5e-309"),  # 1/m
+        (["verify"], "nakagami:inf", "nakagami:inf"),
+    ], ids=["bounds-rice-inf", "bounds-rice-1e200", "bounds-nakagami-5e-309",
+            "verify-nakagami-inf"])
+    def test_fading_without_finite_kurtosis(self, tmp_path, command, fading, label, capsys):
+        path = tmp_path / "scenario.txt"
+        path.write_text(FLAT_2X2.replace("rayleigh", fading))
+        out = tmp_path / "never.csv"
+        assert main([*command, "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {label}: the parameter and its kurtosis must be finite\n")
         assert not out.exists()
 
 

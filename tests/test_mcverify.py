@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -190,25 +191,28 @@ class TestCoherentTerm:
 
 class TestPenaltySandwich:
     def test_sandwich_at_unit_rho_k(self):
-        result = penalty_sandwich(desk_scenario(), occupancy=32.0, k_samples=32, cfg=CFG)
-        assert result.margin.mean >= -4.0 * result.margin.std_error
-        assert result.estimate.mean <= result.upper_chain + 4.0 * result.estimate.std_error
-        assert result.lower_chain.mean <= result.estimate.mean
+        record = penalty_sandwich(desk_scenario(), occupancy=32.0, k_samples=32, cfg=CFG)
+        chains = record.bound_values
+        assert record.z >= -4.0
+        assert record.estimate <= chains["upper_chain"] + 4.0 * record.std_error
+        assert chains["lower_chain"] <= record.estimate
+        assert record.passed is True
 
     def test_mimo_sandwich(self):
-        result = penalty_sandwich(
+        record = penalty_sandwich(
             desk_scenario(nt=2, nr=2), occupancy=64.0, k_samples=64, cfg=SMALL
         )
-        assert result.margin.mean >= -4.0 * result.margin.std_error
-        assert result.estimate.mean <= result.upper_chain + 4.0 * result.estimate.std_error
+        assert record.z >= -4.0
+        assert record.estimate <= record.bound_values["upper_chain"] + 4.0 * record.std_error
+        assert record.params == {"k_samples": 64, "nt": 2, "nr": 2, "trials": SMALL.trials}
 
     def test_vanishes_with_snr(self):
-        result = penalty_sandwich(
+        record = penalty_sandwich(
             desk_scenario(snr=1e-12), occupancy=32.0, k_samples=32, cfg=SMALL
         )
-        assert abs(result.estimate.mean) < 1e-10
-        assert abs(result.lower_chain.mean) < 1e-10
-        assert abs(result.upper_chain) < 1e-10
+        assert abs(record.estimate) < 1e-10
+        assert abs(record.bound_values["lower_chain"]) < 1e-10
+        assert abs(record.bound_values["upper_chain"]) < 1e-10
 
     @pytest.mark.parametrize("nt", [2, 9])
     def test_first_order_term_is_the_gram_trace(self, nt):
@@ -216,12 +220,12 @@ class TestPenaltySandwich:
         # = nr * snr: every one of the m * nt Gram diagonal entries is K.
         # nt = 9 gives 36 pilot columns against K = 32, so lags wrap modulo K.
         snr = 1e-9
-        result = penalty_sandwich(
+        record = penalty_sandwich(
             desk_scenario(nt=nt, nr=2, snr=snr), occupancy=32.0, k_samples=32, cfg=SMALL
         )
-        assert result.estimate.mean == pytest.approx(2 * snr, rel=1e-7)
+        assert record.estimate == pytest.approx(2 * snr, rel=1e-7)
         if 4 * nt > 32:  # more columns than K: the Gram is singular, psi is 0
-            assert result.lower_chain.mean == 0.0
+            assert record.bound_values["lower_chain"] == 0.0
 
     def test_cap_decreases_when_log_is_sublinear(self):
         # Doubling Bc*Tc at fixed occupancy raises the log argument but
@@ -453,7 +457,6 @@ class TestSharedCoherentDraw:
         estimate = coherent_term_mc(s, float.fromhex(optimum), SMALL)
         assert estimate.mean.hex() == mean
         assert estimate.std_error.hex() == std_error
-        assert estimate.trials == SMALL.trials
 
     def test_list_equals_single_occupancies(self):
         s = scenario(snr=1e7, nt=2, nr=3)
@@ -475,27 +478,36 @@ class TestSharedCoherentDraw:
 
     @staticmethod
     def _coherent_and_middle(s, cfg):
-        records = run_verification_suite(s, cfg)
-        [coherent] = [r for r in records if r.check == "coherent_expansion"]
+        records = {r.check: r for r in run_verification_suite(s, cfg)}
+        coherent = records["coherent_expansion"]
         optimum = coherent.params["occupancy"]
-        [middle] = [r for r in records
+        [middle] = [r for r in records.values()
                     if r.check.startswith("bound_sandwich") and r.params["occupancy"] == optimum]
-        return coherent, middle, _penalty_cap(s, optimum, math.log1p)
+        return records, coherent, middle, _penalty_cap(s, optimum)
 
     def test_rayleigh_middle_point_is_the_coherent_check(self):
         s = scenario(snr=1e7, nt=2, nr=2)
-        coherent, middle, cap = self._coherent_and_middle(s, McConfig(10_000, 7))
+        _, coherent, middle, cap = self._coherent_and_middle(s, McConfig(10_000, 7))
         assert middle.estimate == coherent.estimate - cap
         assert middle.std_error == coherent.std_error
 
-    def test_non_rayleigh_coherent_check_draws_its_own(self):
+    def test_non_rayleigh_coherent_check_and_trace_share_one_draw(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the suite drew the scenario's own law twice")
+
+        monkeypatch.setattr(mcverify, "trace_identity_check", refuse)
+        monkeypatch.setattr(mcverify, "coherent_term_mc", refuse)
         s = scenario(snr=1e7, nt=2, nr=2, fading=FadingFamily.rice(1.0))
         cfg = McConfig(10_000, 7)
-        coherent, middle, cap = self._coherent_and_middle(s, cfg)
-        own = coherent_term_mc(s, coherent.params["occupancy"], cfg)
+        records, coherent, middle, cap = self._coherent_and_middle(s, cfg)
+        optimum = coherent.params["occupancy"]
+        [own], own_trace = _coherent_draw(s, [optimum], cfg, mcverify._TAG_COHERENT)
         assert (coherent.estimate, coherent.std_error) == (own.mean, own.std_error)
-        shared = coherent_term_mc(replace(s, fading=FadingFamily.rayleigh()),
-                                  coherent.params["occupancy"], cfg)
+        trace = records["trace_identity[2x2:rice:1.0]"]
+        assert (trace.estimate, trace.std_error) == (own_trace.mean, own_trace.std_error)
+        # The sweep keeps its Rayleigh draw.
+        [shared], _ = _coherent_draw(replace(s, fading=FadingFamily.rayleigh()), [optimum], cfg,
+                                     mcverify._TAG_COHERENT)
         assert middle.estimate == shared.mean - cap
 
 
@@ -554,14 +566,26 @@ class TestSharedRayleighDraws:
                           "trace_identity[2x1:rayleigh]"]
         assert [r.as_dict() for r in odd] == [r.as_dict() for r in canonical]
 
+    @pytest.mark.parametrize("fading, laws", [
+        (FadingFamily.rice(1.0), ["rice:1.0", "rayleigh", "nakagami:2.0"]),
+        (FadingFamily.nakagami(3.0), ["nakagami:3.0", "rayleigh", "rice:1.0", "nakagami:2.0"]),
+    ])
+    def test_non_rayleigh_report_reads_rayleigh_kurtosis_from_the_nested_draw(self, fading, laws):
+        cfg = McConfig(10_000, 42)
+        records = run_verification_suite(scenario(snr=1e7, nt=2, nr=2, fading=fading), cfg)
+        kurtoses = {r.check: r for r in records if r.check.startswith("kurtosis")}
+        assert list(kurtoses) == [f"kurtosis[{law}]" for law in laws]
+        # A 2x2 scenario leaves the (2, 1) case as the largest nested block.
+        _, nested = _nested_trace_draw(2, 1, FadingFamily.rayleigh(), cfg, [(1, 1)])
+        record = kurtoses["kurtosis[rayleigh]"]
+        assert (record.estimate, record.std_error) == (nested.mean, nested.std_error)
+
     def test_sub_block_and_kurtosis_estimates(self):
         s = scenario(nt=2, nr=2)
         traces, kurt = _nested_trace_draw(2, 2, s.fading, SMALL, sub_blocks=[(2, 1), (1, 1)])
         assert list(traces) == [(2, 2), (2, 1), (1, 1)]
         own, wide, single = traces.values()
         assert own == trace_identity_check(s, SMALL)
-        for estimate in (wide, single, kurt):
-            assert estimate.trials == SMALL.trials
         # A 1x1 block's trace is |h|^4 and its kurtosis E|h|^4/(E|h|^2)^2, but
         # from different entries of H: equal means only up to Monte-Carlo error.
         assert single.mean != kurt.mean
@@ -621,6 +645,38 @@ class TestDeterminism:
         with pytest.raises(RuntimeError, match="third draw failed"):
             empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
         assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_helper_has_left_the_os_on_return(self, monkeypatch):
+        # Else the next helper can start before glibc frees this one's arena.
+        # The gap shows when the CPUs are busy, so BLAS products run meanwhile.
+        workers, each_chunk, done = set(), mcverify._each_chunk, threading.Event()
+        main = threading.get_native_id()
+
+        def record(*args):
+            workers.add(threading.get_native_id())
+            return unit_fading_samples(*args)
+
+        def each_chunk_then_look(*args):
+            each_chunk(*args)
+            assert not any(os.path.exists(f"/proc/self/task/{h}") for h in workers - {main})
+
+        def load(a=np.ones((300, 300))):
+            while not done.is_set():
+                a @ a
+
+        monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(mcverify, "unit_fading_samples", record)
+        monkeypatch.setattr(mcverify, "_each_chunk", each_chunk_then_look)
+        loader = threading.Thread(target=load)
+        loader.start()
+        try:
+            for _ in range(50):
+                empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
+        finally:
+            done.set()
+            loader.join()
+        assert workers - {main}
 
 
 class TestPassRule:
@@ -691,15 +747,18 @@ class TestMonteCarloRecordPins:
          None, True),
     ]
 
-    # The same for 2x2 rice:1.0, where the scenario's own trace identity and
-    # coherent check are drawn apart from the shared Rayleigh draws.
+    # The same for 2x2 rice:1.0, where one draw of the scenario's own law gives
+    # its trace identity and coherent check, apart from the shared Rayleigh
+    # draws, and the Rayleigh kurtosis comes from the nested Rayleigh draw.
     RICE_PINS = [
         ("kurtosis[rice:1.0]", "0x1.8b283f93db758p+0", "0x1.326c9878435b7p-7",
          "-0x1.47c2e3599c25ep+0", True),
+        ("kurtosis[rayleigh]", "0x1.fae91651b9819p+0", "0x1.27e83aee42263p-6",
+         "-0x1.19cc9d4d9d94ep+0", True),
         ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
          "0x1.a33c2b9454c10p+0", True),
-        ("trace_identity[2x2:rice:1.0]", "0x1.be02ac903d98bp+3", "0x1.b78a94956ef1fp-4",
-         "-0x1.533ab44c23754p+1", True),
+        ("trace_identity[2x2:rice:1.0]", "0x1.d0655a7f955afp+3", "0x1.da141af3c375bp-4",
+         "0x1.40e1343f95be3p+1", True),
         ("trace_identity[1x1:rayleigh]", "0x1.0231a203a01f7p+1", "0x1.70584862196b1p-5",
          "0x1.8655d8de81a02p-2", True),
         ("trace_identity[2x2:rayleigh]", "0x1.0211e53f3b82cp+4", "0x1.6cdac8237f841p-3",

@@ -84,6 +84,23 @@ class TestKurtosis:
         with pytest.raises(ValidationError):
             FadingFamily("weibull")
 
+    # Rice kurtosis 2 - 4k^2/(1+2k)^2 overflows for k above about 6.7e153 and
+    # Nakagami 1 + 1/m for m below about 5.6e-309.
+    @pytest.mark.parametrize("kind, param", [
+        ("rice", math.inf), ("rice", 6.8e153), ("rice", 1e200),
+        ("nakagami", math.inf), ("nakagami", 5.5e-309), ("nakagami", 5e-309),
+    ])
+    def test_parameter_needs_a_finite_kurtosis(self, kind, param):
+        with pytest.raises(ValidationError, match=r": the parameter and its kurtosis must be finite$"):
+            FadingFamily(kind, param)
+        doc = FLAT_DOC.replace("rayleigh", f"{kind}:{param!r}")
+        with pytest.raises(ValidationError, match="must be finite"):
+            parse_scenario(doc)
+
+    def test_largest_parameters_kept(self):
+        assert kurtosis(FadingFamily.rice(6.7e153)) == 1.0
+        assert kurtosis(FadingFamily.nakagami(5.6e-309)) == 1.0 + 1.0 / 5.6e-309 < math.inf
+
     def test_rayleigh_param_is_dropped(self):
         # Rayleigh has no parameter, so every Rayleigh family is one value.
         fading = FadingFamily("rayleigh", 3.0)
