@@ -108,6 +108,8 @@ def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float:
     occupancy is finite and > 0.  Limits: at occupancies so small that
     P*Bc*Tc/(dB*Nt*N0) overflows float64 (subnormal dB at ordinary P/N0),
     or so large that dB*Nt*Nr overflows (dB near 1e307 with 8x8 antennas),
+    and where P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0) overflows (a finite but huge
+    kurtosis, such as Nakagami m = 1e-300 at P/N0 = 1e10),
     the value is -inf or nan although the true one is finite; this is not
     checked here, and ``widecap bounds`` refuses such grids.  P/N0, Tc, Bc
     and Bc*Tc are always finite: :class:`ChannelScenario` refuses others.

@@ -2,7 +2,8 @@
 
 One coherence block carries K = B*Tc complex samples; the channel impulse
 response between each antenna pair has M = K/(Bc*Tc) i.i.d. taps, drawn from
-the fading law by :func:`unit_fading_samples`.  A unit-power pilot sequence
+the fading law by :func:`unit_fading_samples`; :func:`unit_fading_power`
+draws their powers |h|^2 alone.  A unit-power pilot sequence
 defines a tall circulant regressor whose Gram spectrum controls the
 channel-uncertainty penalty, and a block-IDFT matrix maps the
 repeated-coefficient filter-bank signaling model onto the K-sample DFT model.
@@ -47,6 +48,11 @@ def _circular_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
+def _los_power(k: float) -> float:
+    """Line-of-sight share 2k/(1 + 2k) of a unit-power Rice coefficient with factor k."""
+    return 2.0 * k / (1.0 + 2.0 * k)
+
+
 def unit_fading_samples(rng: np.random.Generator, fading, shape) -> np.ndarray:
     """Zero-mean unit-power complex coefficients from the given fading law.
 
@@ -57,7 +63,7 @@ def unit_fading_samples(rng: np.random.Generator, fading, shape) -> np.ndarray:
     if fading.kind == RAYLEIGH:
         return _circular_normals(rng, shape)
     if fading.kind == RICE:
-        los_power = 2.0 * fading.param / (1.0 + 2.0 * fading.param)
+        los_power = _los_power(fading.param)
         theta = rng.uniform(0.0, 2.0 * math.pi, shape)
         scatter = _circular_normals(rng, shape)
         return math.sqrt(los_power) * np.exp(1j * theta) + math.sqrt(1.0 - los_power) * scatter
@@ -67,6 +73,28 @@ def unit_fading_samples(rng: np.random.Generator, fading, shape) -> np.ndarray:
         theta = rng.uniform(0.0, 2.0 * math.pi, shape)
         return amplitude * np.exp(1j * theta)
     raise ValueError(f"cannot synthesize taps for fading kind {fading.kind!r}")
+
+
+def unit_fading_power(rng: np.random.Generator, fading, n: int) -> np.ndarray:
+    """n draws of |h|^2 for :func:`unit_fading_samples`' coefficients, with no phase drawn.
+
+    Rayleigh |h|^2 is Exp(1) and Nakagami-m |h|^2 is Gamma(m, 1/m).  The Rice
+    scatter is circular, so turning the line-of-sight phase onto the real
+    axis leaves its law alone: |h|^2 = (sqrt(L) + sqrt((1-L)/2)*a)^2 +
+    ((1-L)/2)*b^2 for L the line-of-sight share and a, b standard normals, a
+    scaled noncentral chi-square with 2 degrees of freedom (Simon & Alouini,
+    *Digital Communication over Fading Channels*, 2005, ch. 2).
+    """
+    if fading.kind == RAYLEIGH:
+        return rng.standard_exponential(n)
+    if fading.kind == RICE:
+        los_power = _los_power(fading.param)
+        half_scatter = 0.5 * (1.0 - los_power)
+        in_phase = math.sqrt(los_power) + math.sqrt(half_scatter) * rng.standard_normal(n)
+        return in_phase * in_phase + half_scatter * np.square(rng.standard_normal(n))
+    if fading.kind == NAKAGAMI:
+        return rng.gamma(fading.param, 1.0 / fading.param, n)
+    raise ValueError(f"cannot draw powers for fading kind {fading.kind!r}")
 
 
 def pilot_gram(signal: np.ndarray, cols: int) -> np.ndarray:

@@ -209,6 +209,10 @@ def cmd_bounds(args) -> int:
     if not math.isfinite(scenario.snr_density * scenario.coherence_product
                          / (smallest * scenario.nt)):
         raise ValueError(f"P*Lc/(dB*Nt*N0) overflows at occupancy {smallest!r}")
+    # So does R_LB's P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0), at a huge kurtosis.
+    if not math.isfinite(0.5 * (scenario.snr_density * bounds._shape(scenario))
+                         / (smallest * scenario.nt)):
+        raise ValueError(f"P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0) overflows at occupancy {smallest!r}")
     # The prefactors dB*Nt*Nr/Lc (both bounds) and dB*Nt*N0/(P*Lc) (R_UB) are
     # largest at the largest corner; where they overflow, the bounds are -inf
     # or nan.

@@ -30,7 +30,8 @@ One draw of the largest fixed Rayleigh trace case left gives the smaller
 ones from its leading sub-blocks, and the Rayleigh kurtosis from its last
 entry, which no smaller block holds.  On other fading, one draw of the
 scenario's own law gives its coherent check and its trace identity, and the
-Rice and Nakagami kurtosis cases each draw their own |h|^2.  Each statistic
+Rice and Nakagami kurtosis cases each draw their own |h|^2, directly by its
+exact law and with no phase (:func:`unit_fading_power`).  Each statistic
 keeps the marginal law of its own independent draw, so every 4-SE gate holds
 as before; only the records are correlated.
 
@@ -69,6 +70,7 @@ from .channel import (
     filterbank_equivalence_check,
     integer_coherence_length,
     pilot_gram,
+    unit_fading_power,
     unit_fading_samples,
 )
 from .scenario import ChannelScenario, FadingFamily, kurtosis
@@ -184,10 +186,13 @@ def _draw(cfg: McConfig, tag, rows: int, fill) -> np.ndarray:
 
 
 def _estimate(values: np.ndarray) -> McEstimate:
+    """Mean and SE of the mean, the bits of numpy's ``mean`` and ``std(ddof=1)/sqrt(n)``."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    sd = values.std(ddof=1) if n > 1 else 0.0
-    return McEstimate(mean=float(values.mean()), std_error=float(sd / math.sqrt(n)))
+    mean = values.sum() / n
+    deviations = values - mean
+    sd = math.sqrt(np.square(deviations, out=deviations).sum() / (n - 1)) if n > 1 else 0.0
+    return McEstimate(mean=float(mean), std_error=float(sd / math.sqrt(n)))
 
 
 def kurtosis_estimate(power_samples) -> McEstimate:
@@ -195,18 +200,28 @@ def kurtosis_estimate(power_samples) -> McEstimate:
 
     The standard error comes from the first-order (delta-method)
     linearization of the ratio, so a deterministic input yields zero error.
+    The influence row (x*x - a)/(b*b) - 2*a*(x - b)/b**3 reuses x*x, with the
+    same bits.
     """
     x = np.asarray(power_samples, dtype=float)
-    a = float(np.mean(x * x))
+    influence = x * x
+    a = float(np.mean(influence))
     b = float(np.mean(x))
-    influence = (x * x - a) / (b * b) - 2.0 * a * (x - b) / b**3
+    influence -= a
+    influence /= b * b
+    influence -= 2.0 * a * (x - b) / b**3
     return McEstimate(mean=a / (b * b), std_error=_estimate(influence).std_error)
 
 
 def empirical_kurtosis(fading: FadingFamily, cfg: McConfig) -> McEstimate:
-    """Estimate E|h|^4 / (E|h|^2)^2 over i.i.d. draws from the fading law."""
+    """Estimate E|h|^4 / (E|h|^2)^2 over i.i.d. draws from the fading law.
+
+    Each chunk draws |h|^2 by its exact law (:func:`unit_fading_power`):
+    Exp(1), Gamma(m, 1/m) for Nakagami-m, and for Rice two real normals and
+    no phase, which the circular scatter leaves out of |h|^2.
+    """
     def fill(rng, n, out):
-        out[0] = np.abs(unit_fading_samples(rng, fading, n)) ** 2
+        out[0] = unit_fading_power(rng, fading, n)
 
     [powers] = _draw(cfg, (_TAG_KURTOSIS, fading.kind, float(fading.param)), 1, fill)
     return kurtosis_estimate(powers)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from widecap.channel import (
     block_idft_matrix,
@@ -9,9 +10,11 @@ from widecap.channel import (
     filterbank_equivalence_check,
     integer_coherence_length,
     pilot_gram,
+    unit_fading_power,
     unit_fading_samples,
 )
-from widecap.scenario import FadingFamily
+from widecap.mcverify import _estimate, kurtosis_estimate
+from widecap.scenario import FadingFamily, kurtosis
 
 from test_mcverify import pilot_spectrum
 
@@ -50,6 +53,30 @@ class TestSampleTaps:
         assert integer_coherence_length(8.0) == 8
         assert integer_coherence_length(7.9999999999) == 8
         assert integer_coherence_length(8.3) == 9
+
+
+FADING_LAWS = [FadingFamily.rayleigh(), FadingFamily.rice(0.0), FadingFamily.rice(1.0),
+               FadingFamily.rice(10.0), FadingFamily.nakagami(0.5), FadingFamily.nakagami(2.0),
+               FadingFamily.nakagami(3.0)]
+
+
+class TestFadingPower:
+    """unit_fading_power draws the law of |h|^2 of unit_fading_samples' coefficients."""
+
+    @pytest.mark.parametrize("fading", FADING_LAWS, ids=lambda f: f.label)
+    def test_same_law_as_the_complex_draw(self, fading):
+        n = 200_000
+        direct = unit_fading_power(np.random.default_rng(11), fading, n)
+        complex_power = np.abs(unit_fading_samples(np.random.default_rng(12), fading, n)) ** 2
+        assert direct.shape == (n,)
+        assert stats.ks_2samp(direct, complex_power).pvalue > 1e-3
+
+    @pytest.mark.parametrize("fading", FADING_LAWS, ids=lambda f: f.label)
+    def test_unit_power_and_kurtosis(self, fading):
+        power = unit_fading_power(np.random.default_rng(13), fading, 200_000)
+        for estimate, expected in [(_estimate(power), 1.0),
+                                   (kurtosis_estimate(power), kurtosis(fading))]:
+            assert abs(estimate.mean - expected) <= 4.0 * estimate.std_error
 
 
 class TestFrequencyResponse:

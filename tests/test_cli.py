@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import widecap
+from widecap import mcverify
 from widecap.bounds import (
     alpha_brackets,
     critical_bracket,
@@ -19,6 +20,7 @@ from widecap.bounds import (
     rate_lower_bound,
     rate_upper_bound,
 )
+from widecap.channel import unit_fading_power
 from widecap.cli import _BLOCK, DEFAULT_SCENARIO, GridAxis, main
 from widecap.scenario import parse_scenario, serialize_scenario
 
@@ -335,6 +337,25 @@ class TestBoundsUsageErrors:
         out = tmp_path / f"never.{fmt}"
         code = main(["bounds", "--scenario", str(path), "--db-grid", db_grid,
                      "--format", fmt, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("snr, bc, db_grid, message", [
+        # P*K = 1e10 * 1e300 overflows at every occupancy.
+        ("1e10", "1e3", "1e14:1e16:3",
+         "error: P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0) overflows at occupancy 100000000000000.0\n"),
+        # P*K = 1e200 is finite, P*K/dB at dB = 1e-110 is not, though R_LB is (about -5e209).
+        ("1e-100", "2", "1e-110:1e-100:3",
+         "error: P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0) overflows at occupancy 1e-110\n"),
+    ])
+    def test_huge_kurtosis_refused(self, tmp_path, snr, bc, db_grid, message, capsys):
+        # Nakagami m = 1e-300 has the finite kurtosis 1 + 1e300.
+        path = tmp_path / "scenario.txt"
+        path.write_text(f"snr_density_hz = {snr}\ncoherence_time_s = 1\n"
+                        f"coherence_bandwidth_hz = {bc}\nnt = 1\nnr = 1\nfading = nakagami:1e-300\n")
+        out = tmp_path / "never.csv"
+        code = main(["bounds", "--scenario", str(path), "--db-grid", db_grid, "--out", str(out)])
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err == message
@@ -722,6 +743,23 @@ class TestVerifyCommand:
         assert report["all_pass"] is True
         assert report["seed"] == 42
         assert len(report["checks"]) >= 10
+
+    def test_rice_power_without_line_of_sight_fails(self, tmp_path, monkeypatch):
+        # Negative control of the direct Rice |h|^2 draw: with the line-of-sight
+        # term dropped, |h|^2 is the scatter's alone, with Rayleigh kurtosis 2.
+        def rice_without_los(rng, fading, n):
+            if fading.kind != "rice":
+                return unit_fading_power(rng, fading, n)
+            half_scatter = 0.5 / (1.0 + 2.0 * fading.param)
+            return half_scatter * (np.square(rng.standard_normal(n))
+                                   + np.square(rng.standard_normal(n)))
+
+        monkeypatch.setattr(mcverify, "unit_fading_power", rice_without_los)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--seed", "42", "--trials", "100000", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert [check["check"] for check in report["checks"] if not check["pass"]] == [
+            "kurtosis[rice:1.0]"]
 
     def test_byte_identical_reports(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"

@@ -37,7 +37,7 @@ from widecap.mcverify import (
     trace_identity_expected,
 )
 from widecap.bounds import _penalty_cap, optimal_occupancy, rate_lower_bound
-from widecap.channel import pilot_gram, unit_fading_samples
+from widecap.channel import pilot_gram, unit_fading_power, unit_fading_samples
 from widecap.scenario import ChannelScenario, FadingFamily, kurtosis
 
 CFG = McConfig(trials=100_000, base_seed=42)
@@ -109,6 +109,27 @@ class TestEstimators:
         expected = values.std(ddof=1) / math.sqrt(values.size)
         assert est.std_error == pytest.approx(expected, rel=1e-12)
         assert est.mean == pytest.approx(values.mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("n", [1, 2, 4097, 100_000])
+    def test_estimate_has_numpys_bits(self, n, offset):
+        values = np.random.default_rng(n).standard_normal(n) + offset
+        est = _estimate(values)
+        sd = np.std(values, ddof=1) if n > 1 else 0.0
+        assert est.mean.hex() == float(np.mean(values)).hex()
+        assert est.std_error.hex() == float(sd / math.sqrt(n)).hex()
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("n", [1, 2, 4097, 100_000])
+    def test_kurtosis_has_the_bits_of_its_formula(self, n, offset):
+        x = np.random.default_rng(n).standard_exponential(n) + offset
+        a = float(np.mean(x * x))
+        b = float(np.mean(x))
+        influence = (x * x - a) / (b * b) - 2 * a * (x - b) / b**3
+        sd = np.std(influence, ddof=1) if n > 1 else 0.0
+        est = kurtosis_estimate(x)
+        assert est.mean.hex() == (a / (b * b)).hex()
+        assert est.std_error.hex() == float(sd / math.sqrt(n)).hex()
 
     def test_constant_phasor_kurtosis_is_exactly_one(self):
         est = kurtosis_estimate(np.ones(37))
@@ -637,10 +658,10 @@ class TestDeterminism:
         def fail_third(*args):
             if next(calls) == 2:
                 raise RuntimeError("third draw failed")
-            return unit_fading_samples(*args)
+            return unit_fading_power(*args)
 
         monkeypatch.setattr(mcverify, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(mcverify, "unit_fading_samples", fail_third)
+        monkeypatch.setattr(mcverify, "unit_fading_power", fail_third)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="third draw failed"):
             empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
@@ -655,7 +676,7 @@ class TestDeterminism:
 
         def record(*args):
             workers.add(threading.get_native_id())
-            return unit_fading_samples(*args)
+            return unit_fading_power(*args)
 
         def each_chunk_then_look(*args):
             each_chunk(*args)
@@ -666,7 +687,7 @@ class TestDeterminism:
                 a @ a
 
         monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(mcverify, "unit_fading_samples", record)
+        monkeypatch.setattr(mcverify, "unit_fading_power", record)
         monkeypatch.setattr(mcverify, "_each_chunk", each_chunk_then_look)
         loader = threading.Thread(target=load)
         loader.start()
@@ -725,8 +746,8 @@ class TestMonteCarloRecordPins:
     PINS = [
         ("kurtosis[rayleigh]", "0x1.fae91651b9819p+0", "0x1.27e83aee42263p-6",
          "-0x1.19cc9d4d9d94ep+0", True),
-        ("kurtosis[rice:1.0]", "0x1.8b283f93db758p+0", "0x1.326c9878435b7p-7",
-         "-0x1.47c2e3599c25ep+0", True),
+        ("kurtosis[rice:1.0]", "0x1.8dbab59538735p+0", "0x1.2e2b856227ad4p-7",
+         "-0x1.ab9998ef50c3ap-3", True),
         ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
          "0x1.a33c2b9454c10p+0", True),
         ("trace_identity[2x2:rayleigh]", "0x1.0211e53f3b82cp+4", "0x1.6cdac8237f841p-3",
@@ -751,8 +772,8 @@ class TestMonteCarloRecordPins:
     # its trace identity and coherent check, apart from the shared Rayleigh
     # draws, and the Rayleigh kurtosis comes from the nested Rayleigh draw.
     RICE_PINS = [
-        ("kurtosis[rice:1.0]", "0x1.8b283f93db758p+0", "0x1.326c9878435b7p-7",
-         "-0x1.47c2e3599c25ep+0", True),
+        ("kurtosis[rice:1.0]", "0x1.8dbab59538735p+0", "0x1.2e2b856227ad4p-7",
+         "-0x1.ab9998ef50c3ap-3", True),
         ("kurtosis[rayleigh]", "0x1.fae91651b9819p+0", "0x1.27e83aee42263p-6",
          "-0x1.19cc9d4d9d94ep+0", True),
         ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
