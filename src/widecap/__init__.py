@@ -36,4 +36,4 @@ from .scenario import (
     serialize_scenario,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

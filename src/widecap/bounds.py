@@ -125,8 +125,7 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float
                     - dB*Nt*N0/(P*Bc*Tc) * ln(1 + P*Bc*Tc*pf/(dB*Nt*N0))]
 
     ``penalty_factor`` stands in for the random product g_min*psi inside the
-    channel-uncertainty penalty; 1.0 is the idealized ceiling, and module
-    ``mcverify`` estimates the realized product by simulation.  The vanishing
+    channel-uncertainty penalty; 1.0 is the idealized ceiling.  The vanishing
     o(1/B) remainder is dropped.  Raises ValueError unless every occupancy is
     finite and > 0.  Limits: where P*Bc*Tc/(dB*Nt*N0) overflows float64
     (subnormal dB at ordinary P/N0), or its reciprocal dB*Nt*N0/(P*Bc*Tc)

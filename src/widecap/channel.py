@@ -110,19 +110,17 @@ def pilot_gram(signal: np.ndarray, cols: int) -> np.ndarray:
     return regressor.conj().T @ regressor
 
 
-def circulant_eigenvalues(signal: np.ndarray, cols: int):
-    """Pilot Gram spectrum lambda_m = |sum_k x[k] e^(-j2*pi*k*m/cols)|^2 and psi.
+def circulant_eigenvalues(signal: np.ndarray, cols: int) -> np.ndarray:
+    """The folded pilot's circulant Gram spectrum lambda_m = |sum_k x[k] e^(-j2*pi*k*m/cols)|^2.
 
     The phase depends on k only modulo cols, so lambda is the cols-point FFT
     of the pilot folded modulo cols (its cols-blocks summed), which needs cols
-    to divide K.  Returns (eigenvalues, psi) with psi = min_m lambda_m / K, the
-    normalized worst eigenvalue entering the channel-uncertainty penalty.
+    to divide K.
     """
     k = signal.shape[0]
     if cols < 1 or k % cols != 0:
         raise ValueError(f"cols must divide K = {k}, got {cols}")
-    eigenvalues = np.abs(np.fft.fft(signal.reshape(-1, cols).sum(axis=0))) ** 2
-    return eigenvalues, float(eigenvalues.min() / k)
+    return np.abs(np.fft.fft(signal.reshape(-1, cols).sum(axis=0))) ** 2
 
 
 def block_idft_matrix(l_symbols: int, m_bins: int) -> np.ndarray:

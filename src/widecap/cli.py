@@ -143,6 +143,13 @@ def _write_blocks(out, header, blocks, fmt: str):
     out.write("\n]\n")
 
 
+def _require_finite(header, columns):
+    """Refuse output that overflowed float64, naming its first non-finite column."""
+    for name, column in zip(header, columns):
+        if not np.all(np.isfinite(column)):
+            raise ValueError(f"{name} overflows float64 for this scenario")
+
+
 def _freq_scale(unit: str) -> float:
     return 1e-6 if unit == "mhz" else 1.0
 
@@ -288,6 +295,7 @@ def cmd_critical(args) -> int:
         "peak_rate_lower", "gap_delta",
     ]
     row = [getattr(bracket, name) * scale for name in header[:6]] + [bracket.peak_rate_lower, gap]
+    _require_finite(header, row)
     with _output(args.out) as out:
         if args.format == "csv":
             cells = _reprs(np.array(row), "csv")
@@ -354,8 +362,10 @@ def cmd_fig6(args) -> int:
     low_exact, low_approx, high_exact, high_approx = sheets.T
     if not (np.all(low_approx <= low_exact) and np.all(high_exact <= high_approx)):
         raise RuntimeError("exact critical sheet left the approximate bracket")
+    values = (sheets * scale).T
+    _require_finite(header[2:], values)
     columns = [[str(nt) for nt, _ in antennas], [str(nr) for _, nr in antennas]]
-    columns += [_reprs(column, args.format) for column in (sheets * scale).T]
+    columns += [_reprs(column, args.format) for column in values]
     with _output(args.out) as out:
         _write_blocks(out, header, [columns], args.format)
     return 0

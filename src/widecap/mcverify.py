@@ -17,23 +17,20 @@ relative accuracy at low SNR.  Every per-trial array keeps trials last, like
 the (rows, trials) block of :func:`_draw` ((K, n) spectra, (cols, n) lags,
 (Nr, Nt, n) channel blocks), so each ufunc runs along contiguous trials.
 
-Four functions draw, each into one per-trial block of :func:`_draw`:
-:func:`empirical_kurtosis`, :func:`_nested_trace_draw`, :func:`_coherent_draw`
-and :func:`penalty_sandwich`.  :func:`run_verification_suite` alone decides
-which draw gives each record.  It shares draws (common random numbers) where
-one of the same law exists, so a Rayleigh scenario takes two Rayleigh draws
-per trial, not five.  The scenario's Nr x Nt Rayleigh block, drawn once for
-the bound sweep, gives the three bound-sandwich points, the coherent check
-on Rayleigh fading, and that block's trace identity: the Gram is formed
-once, eliminated once per occupancy, and its squared norm is tr((H H^H)^2).
-One draw of the largest fixed Rayleigh trace case left gives the smaller
-ones from its leading sub-blocks, and the Rayleigh kurtosis from its last
-entry, which no smaller block holds.  On other fading, one draw of the
-scenario's own law gives its coherent check and its trace identity, and the
-Rice and Nakagami kurtosis cases each draw their own |h|^2, directly by its
-exact law and with no phase (:func:`unit_fading_power`).  Each statistic
-keeps the marginal law of its own independent draw, so every 4-SE gate holds
-as before; only the records are correlated.
+Three functions draw, each into one per-trial block of :func:`_draw`:
+:func:`empirical_kurtosis`, :func:`_channel_draw` and :func:`penalty_sandwich`.
+:func:`run_verification_suite` alone decides which draw gives each record,
+and takes one channel draw per fading law.  Its Rayleigh draw of H has the
+smallest shape that holds the scenario's Nr x Nt block and the fixed Nt x Nr
+cases 1x1, 2x2 and 2x1 as leading sub-blocks.  It gives the three bound-sandwich
+points, the coherent check on Rayleigh fading and every Rayleigh trace
+identity: each chunk forms the scenario block's Gram once and eliminates it
+once per occupancy, and each trace is the squared norm of its block's Gram.
+On other fading one draw of the scenario's own law gives its coherent check
+and its trace identity.  Each kurtosis law draws its own |h|^2, directly by
+its exact law and with no phase (:func:`unit_fading_power`).  Each statistic
+keeps the marginal law of its own independent draw, so every 4-SE gate holds;
+only the records are correlated.
 
 The penalty depends on the pilot only through its power spectrum
 |FFT_K(x)|^2, so it draws that spectrum directly: normalized i.i.d.
@@ -200,8 +197,8 @@ def kurtosis_estimate(power_samples) -> McEstimate:
 
     The standard error comes from the first-order (delta-method)
     linearization of the ratio, so a deterministic input yields zero error.
-    The influence row (x*x - a)/(b*b) - 2*a*(x - b)/b**3 reuses x*x, with the
-    same bits.
+    The influence row (x*x - a)/(b*b) - 2*a*(x - b)/b**3 is built in place in
+    two buffers, x*x and x - b, with the bits of the formula.
     """
     x = np.asarray(power_samples, dtype=float)
     influence = x * x
@@ -209,7 +206,10 @@ def kurtosis_estimate(power_samples) -> McEstimate:
     b = float(np.mean(x))
     influence -= a
     influence /= b * b
-    influence -= 2.0 * a * (x - b) / b**3
+    term = np.subtract(x, b)
+    term *= 2.0 * a
+    term /= b**3
+    influence -= term
     return McEstimate(mean=a / (b * b), std_error=_estimate(influence).std_error)
 
 
@@ -235,34 +235,6 @@ def trace_identity_expected(nt: int, nr: int, kappa: float) -> float:
 def _gram_trace(gram: np.ndarray) -> np.ndarray:
     """Per-trial tr((H H^H)^2), the squared Frobenius norm of either Gram (:func:`small_gram`)."""
     return np.sum(np.abs(gram) ** 2, axis=(0, 1))
-
-
-def _nested_trace_draw(nt: int, nr: int, fading: FadingFamily, cfg: McConfig, sub_blocks=()):
-    """Trace identities of one draw of an Nr x Nt block and of its leading sub-blocks.
-
-    Returns ({(nt', nr'): E[tr((H H^H)^2)] estimate} for the block and each
-    (nt', nr') in ``sub_blocks``, read from H[:nr', :nt'] of the same draws,
-    and the kurtosis (:func:`kurtosis_estimate`) of the last entry
-    H[nr-1, nt-1], which lies outside every smaller leading block.  Each keeps
-    the law of its own independent draw.
-    """
-    blocks = [(nt, nr), *sub_blocks]
-
-    def fill(rng, n, out):
-        h = unit_fading_samples(rng, fading, (nr, nt, n))
-        for row, (sub_nt, sub_nr) in zip(out, blocks):
-            row[:] = _gram_trace(small_gram(h[:sub_nr, :sub_nt]))
-        out[-1] = np.abs(h[-1, -1]) ** 2
-
-    values = _draw(cfg, (_TAG_TRACE, nt, nr, fading.kind), len(blocks) + 1, fill)
-    traces = {block: _estimate(row) for block, row in zip(blocks, values)}
-    return traces, kurtosis_estimate(values[-1])
-
-
-def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate:
-    """Estimate E[tr((H H^H)^2)] over per-subcarrier channel blocks."""
-    traces, _ = _nested_trace_draw(scenario.nt, scenario.nr, scenario.fading, cfg)
-    return traces[(scenario.nt, scenario.nr)]
 
 
 def toeplitz_logdet(lags: np.ndarray) -> np.ndarray:
@@ -335,23 +307,33 @@ def gram_logdet(m: np.ndarray) -> np.ndarray:
     return total
 
 
-def _coherent_draw(scenario: ChannelScenario, occupancies: list, cfg: McConfig, tag):
-    """Coherent-term estimates per occupancy and E[tr((H H^H)^2)], all from the same draws of H.
+def _channel_draw(scenario: ChannelScenario, occupancies: list, cfg: McConfig, tag, blocks=()):
+    """Coherent-term estimates per occupancy and trace identities, all from one draw of H.
 
-    Each chunk's H and smaller Gram are formed once; :func:`gram_logdet` runs
-    once per occupancy, and the trace is the Gram's squared norm.
+    H is drawn from the scenario's law at the smallest shape that holds the
+    scenario's Nr x Nt block and each (nt', nr') in ``blocks`` as leading
+    sub-blocks.  Each chunk forms the scenario block's smaller Gram once;
+    :func:`gram_logdet` runs on it once per occupancy.  Returns the estimates
+    per occupancy and {(nt', nr'): E[tr((H H^H)^2)] estimate} for the
+    scenario's block and each of ``blocks``, read from H[:nr', :nt'], each
+    trace the squared norm of its block's Gram.
     """
     bounds._check_occupancy(occupancies)
+    nt, nr = scenario.nt, scenario.nr
+    traced = list(dict.fromkeys([(nt, nr), *blocks]))
+    shape = (max(r for _, r in traced), max(t for t, _ in traced))
 
     def fill(rng, n, out):
-        gram = small_gram(unit_fading_samples(rng, scenario.fading, (scenario.nr, scenario.nt, n)))
+        h = unit_fading_samples(rng, scenario.fading, (*shape, n))
+        gram = small_gram(h[:nr, :nt])
         for row, x in zip(out, occupancies):
-            row[:] = x * gram_logdet(scenario.snr_density / (x * scenario.nt) * gram)
-        out[-1] = _gram_trace(gram)
+            row[:] = x * gram_logdet(scenario.snr_density / (x * nt) * gram)
+        for row, (t, r) in zip(out[len(occupancies):], traced):
+            row[:] = _gram_trace(gram if (t, r) == (nt, nr) else small_gram(h[:r, :t]))
 
-    values = _draw(cfg, tag, len(occupancies) + 1, fill)
-    *estimates, trace = [_estimate(row) for row in values]
-    return estimates, trace
+    values = _draw(cfg, tag, len(occupancies) + len(traced), fill)
+    estimates = [_estimate(row) for row in values]
+    return estimates[:len(occupancies)], dict(zip(traced, estimates[len(occupancies):]))
 
 
 def coherent_term_mc(scenario: ChannelScenario, occupancy: float, cfg: McConfig) -> McEstimate:
@@ -360,8 +342,15 @@ def coherent_term_mc(scenario: ChannelScenario, occupancy: float, cfg: McConfig)
     rho = P/(dB * Nt * N0); the estimate must exceed
     :func:`coherent_quadratic_lower` up to Monte-Carlo error.
     """
-    [estimate], _ = _coherent_draw(scenario, [occupancy], cfg, _TAG_COHERENT)
+    [estimate], _ = _channel_draw(scenario, [occupancy], cfg, _TAG_COHERENT)
     return estimate
+
+
+def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate:
+    """Estimate E[tr((H H^H)^2)] over per-subcarrier channel blocks."""
+    tag = (_TAG_TRACE, scenario.nt, scenario.nr, scenario.fading.kind)
+    _, traces = _channel_draw(scenario, [], cfg, tag)
+    return traces[(scenario.nt, scenario.nr)]
 
 
 def _min_tap_power(rng: np.random.Generator, n: int, m: int, count: int) -> np.ndarray:
@@ -536,36 +525,37 @@ def _z(offset: float, std_error: float) -> float:
     return offset / std_error if std_error > 0 else 0.0
 
 
-def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig):
-    """Check R_LB <= (MC coherent term - penalty cap) <= R_UB over a dB grid.
+def _sandwich_record(scenario: ChannelScenario, occupancy: float, coherent: McEstimate,
+                     trials: int) -> CheckRecord:
+    """The bound-sandwich record at one occupancy: R_LB <= coherent - penalty cap <= R_UB.
 
-    Returns one record per occupancy, the coherent estimates it drew, and the
-    trace-identity estimate E[tr((H H^H)^2)] of the same draws.  The MC value
-    pairs the simulated coherent term with the closed-form penalty cap,
-    matching the construction of the lower bound.  All points share one draw
-    of H (:func:`_coherent_draw`).  The upper comparison allows, besides 4
-    standard errors, the dropped o(1/B) remainder of the upper bound (at most
-    C_inf * SNR_delta^2 / 3).
+    The MC value pairs the simulated coherent term with the closed-form
+    penalty cap, matching the construction of the lower bound.  The upper
+    comparison allows, besides 4 standard errors, the dropped o(1/B)
+    remainder of the upper bound (at most C_inf * SNR_delta^2 / 3).
     """
+    mc_value = coherent.mean - float(bounds._penalty_cap(scenario, occupancy))
+    rate_lower = float(bounds.rate_lower_bound(scenario, occupancy))
+    rate_upper = float(bounds.rate_upper_bound(scenario, occupancy, 1.0))
+    snr_dof = scenario.snr_density / occupancy
+    slack = occupancy * scenario.nr * snr_dof**3 / 3.0
+    return CheckRecord(
+        check=f"bound_sandwich[dB={occupancy:.6g}]",
+        params={"occupancy": occupancy, "trials": trials},
+        passed=_within(mc_value, coherent.std_error, rate_lower, rate_upper, slack),
+        estimate=mc_value, std_error=coherent.std_error,
+        bound_values={"rate_lower": rate_lower, "rate_upper": rate_upper, "upper_slack": slack},
+    )
+
+
+def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig) -> list:
+    """One :func:`_sandwich_record` per occupancy of a dB grid, all from one draw of H."""
     if scenario.fading.kind != "rayleigh":
         raise ValueError("bound sandwich is defined for Rayleigh fading")
     grid = [float(occupancy) for occupancy in grid]
-    estimates, trace = _coherent_draw(scenario, grid, cfg, _TAG_COHERENT)
-    records = []
-    for occupancy, coherent in zip(grid, estimates):
-        mc_value = coherent.mean - float(bounds._penalty_cap(scenario, occupancy))
-        rate_lower = float(bounds.rate_lower_bound(scenario, occupancy))
-        rate_upper = float(bounds.rate_upper_bound(scenario, occupancy, 1.0))
-        snr_dof = scenario.snr_density / occupancy
-        slack = occupancy * scenario.nr * snr_dof**3 / 3.0
-        records.append(CheckRecord(
-            check=f"bound_sandwich[dB={occupancy:.6g}]",
-            params={"occupancy": occupancy, "trials": cfg.trials},
-            passed=_within(mc_value, coherent.std_error, rate_lower, rate_upper, slack),
-            estimate=mc_value, std_error=coherent.std_error,
-            bound_values={"rate_lower": rate_lower, "rate_upper": rate_upper, "upper_slack": slack},
-        ))
-    return records, estimates, trace
+    estimates, _ = _channel_draw(scenario, grid, cfg, _TAG_COHERENT)
+    return [_sandwich_record(scenario, x, estimate, cfg.trials)
+            for x, estimate in zip(grid, estimates)]
 
 
 def _expected_record(check: str, params: dict, estimate: McEstimate, expected: float):
@@ -584,7 +574,7 @@ def _channel_identity_checks(cfg: McConfig):
     k, cols = 64, 8
     x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     x *= math.sqrt(k / np.sum(np.abs(x) ** 2))
-    formula, _ = circulant_eigenvalues(x, cols)
+    formula = circulant_eigenvalues(x, cols)
     dense = np.linalg.eigvalsh(pilot_gram(x.reshape(-1, cols).sum(axis=0), cols)).real
     rel = np.max(np.abs(np.sort(formula) - np.sort(dense))) / np.max(dense)
     checks.append(("circulant_spectrum", {"k": k, "cols": cols}, float(rel), 1e-9))
@@ -614,36 +604,36 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
     """All Monte-Carlo and channel-identity checks for one scenario, each gated by :func:`_within`.
 
     The one place that decides which draw gives each estimate (see the module
-    docstring): shared Rayleigh draws, one draw of the scenario's own law on
-    other fading, and a draw of its own for each non-Rayleigh kurtosis case.
+    docstring): one Rayleigh draw, one draw of the scenario's own law on other
+    fading, and one |h|^2 draw per kurtosis law.
     """
     rayleigh = FadingFamily.rayleigh()
     nt, nr = scenario.nt, scenario.nr
     fadings = dict.fromkeys([scenario.fading, rayleigh, FadingFamily.rice(1.0),
                              FadingFamily.nakagami(2.0)])
-    antenna_cases = dict.fromkeys([(nt, nr, scenario.fading), (1, 1, rayleigh),
-                                   (2, 2, rayleigh), (2, 1, rayleigh)])
+    fixed = [(1, 1), (2, 2), (2, 1)]
+    antenna_cases = dict.fromkeys([(nt, nr, scenario.fading),
+                                   *((t, r, rayleigh) for t, r in fixed)])
 
     optimum = bounds.optimal_occupancy(scenario).occupancy_optimal_exact
-    sweep, estimates, sweep_trace = bound_sandwich_sweep(
-        replace(scenario, fading=rayleigh), [optimum * f for f in (0.1, 1.0, 10.0)], cfg)
-    # The fixed Rayleigh cases the sweep leaves, largest first, each a leading
-    # sub-block of the one before, from one draw of the first.
-    nested = [block for block in [(2, 2), (2, 1), (1, 1)] if block != (nt, nr)]
-    nested_traces, rayleigh_kurtosis = _nested_trace_draw(*nested[0], rayleigh, cfg, nested[1:])
-    traces = {(*block, rayleigh): trace for block, trace in nested_traces.items()}
-    traces[(nt, nr, rayleigh)] = sweep_trace
+    grid = [optimum * f for f in (0.1, 1.0, 10.0)]
+    # One Rayleigh draw holds the scenario's block and every fixed case as
+    # leading sub-blocks: it gives the sweep, and every Rayleigh trace.
+    swept = replace(scenario, fading=rayleigh)
+    estimates, rayleigh_traces = _channel_draw(swept, grid, cfg, _TAG_COHERENT, fixed)
+    sweep = [_sandwich_record(swept, x, estimate, cfg.trials)
+             for x, estimate in zip(grid, estimates)]
+    traces = {(t, r, rayleigh): trace for (t, r), trace in rayleigh_traces.items()}
     # On Rayleigh fading the coherent check at (dB)* is the sweep's middle
     # point; on other fading one draw of its own law gives it and its trace.
     if scenario.fading == rayleigh:
         coherent = estimates[1]
     else:
-        [coherent], traces[(nt, nr, scenario.fading)] = _coherent_draw(
-            scenario, [optimum], cfg, _TAG_COHERENT)
-    kurtoses = {f: rayleigh_kurtosis if f == rayleigh else empirical_kurtosis(f, cfg) for f in fadings}
+        [coherent], own = _channel_draw(scenario, [optimum], cfg, _TAG_COHERENT)
+        traces[(nt, nr, scenario.fading)] = own[(nt, nr)]
 
     records = [_expected_record(f"kurtosis[{f.label}]", {"fading": f.label, "trials": cfg.trials},
-                                estimate, kurtosis(f)) for f, estimate in kurtoses.items()]
+                                empirical_kurtosis(f, cfg), kurtosis(f)) for f in fadings]
     records += [_expected_record(f"trace_identity[{t}x{r}:{f.label}]",
                                  {"nt": t, "nr": r, "fading": f.label, "trials": cfg.trials},
                                  traces[t, r, f], trace_identity_expected(t, r, kurtosis(f)))

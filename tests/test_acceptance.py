@@ -189,7 +189,7 @@ def test_criterion_5_proof_step_mc_suite():
     rng = np.random.default_rng(SEED)
     x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     x *= math.sqrt(64 / np.sum(np.abs(x) ** 2))
-    formula, _ = circulant_eigenvalues(x, 8)
+    formula = circulant_eigenvalues(x, 8)
     dense = np.linalg.eigvalsh(pilot_gram(x.reshape(-1, 8).sum(axis=0), 8)).real
     circulant_gap = float(
         np.max(np.abs(np.sort(formula) - np.sort(dense))) / np.max(dense)

@@ -846,6 +846,30 @@ class TestScenarioLimits:
         assert not out.exists()
 
 
+    # Finite scenarios whose outputs overflow float64: 1x1 at P/N0 = 5e307 and
+    # 2x2 at 1e308.  Up to 0.10.0 both commands wrote inf with exit 0.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("snr, antennas", [("5e307", "1"), ("1e308", "2")])
+    def test_critical_refuses_overflowing_output(self, tmp_path, snr, antennas, fmt, capsys):
+        path = tmp_path / "s.txt"
+        path.write_text(FLAT_2X2.replace("1e7", snr).replace("= 2", f"= {antennas}"))
+        out = tmp_path / "never.csv"
+        argv = ["critical", "--scenario", str(path), "--format", fmt, "--out", str(out)]
+        assert main(argv) == 2
+        message = "error: occupancy_low overflows float64 for this scenario\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fig6_refuses_overflowing_output(self, tmp_path, fmt, capsys):
+        path = tmp_path / "s.txt"
+        path.write_text(FLAT_2X2.replace("1e7", "1e308"))
+        out = tmp_path / "never.csv"
+        argv = ["fig6", "--scenario", str(path), "--format", fmt, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: B_low_exact overflows float64 for this scenario\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, fading, label", [
         (["bounds", "--db-grid", "1e7:1e9:3"], "rice:inf", "rice:inf"),
         (["bounds", "--db-grid", "1e7:1e9:3"], "rice:1e200", "rice:1e+200"),  # 4k^2 overflows

@@ -14,12 +14,11 @@ from widecap import mcverify
 from widecap.mcverify import (
     McConfig,
     McEstimate,
-    _coherent_draw,
+    _channel_draw,
     _estimate,
     _expected_record,
     _lag_table,
     _min_tap_power,
-    _nested_trace_draw,
     _pilot_lags,
     _pilot_power,
     _within,
@@ -433,8 +432,8 @@ class TestBoundSandwichSweep:
     def test_three_point_grid(self):
         s = scenario(snr=100.0)
         opt = optimal_occupancy(s).occupancy_optimal
-        records, estimates, _ = bound_sandwich_sweep(s, [opt / 10, opt, 10 * opt], SMALL)
-        assert len(records) == len(estimates) == 3
+        records = bound_sandwich_sweep(s, [opt / 10, opt, 10 * opt], SMALL)
+        assert len(records) == 3
         for record in records:
             bound = record.bound_values
             tol = 4.0 * record.std_error
@@ -445,17 +444,18 @@ class TestBoundSandwichSweep:
     def test_peak_point_reaches_lemma_gap(self):
         s = scenario(snr=100.0)
         opt = optimal_occupancy(s)
-        [record], [coherent], _ = bound_sandwich_sweep(s, [opt.occupancy_optimal_exact], SMALL)
-        floor = opt.peak_rate_lower - 4.0 * coherent.std_error
+        [record] = bound_sandwich_sweep(s, [opt.occupancy_optimal_exact], SMALL)
+        floor = opt.peak_rate_lower - 4.0 * record.std_error
         assert record.estimate >= floor
 
     def test_empty_grid(self):
         # No points, but the draw still gives its trace identity, the same
         # estimate as under any grid.
-        records, estimates, trace = bound_sandwich_sweep(scenario(), [], SMALL)
-        assert (records, estimates) == ([], [])
-        assert trace == bound_sandwich_sweep(scenario(), [1e3, 1e5], SMALL)[2]
-        assert_within(trace, trace_identity_expected(1, 1, 2.0))
+        assert bound_sandwich_sweep(scenario(), [], SMALL) == []
+        estimates, traces = _channel_draw(scenario(), [], SMALL, mcverify._TAG_COHERENT)
+        assert (estimates, list(traces)) == ([], [(1, 1)])
+        assert traces == _channel_draw(scenario(), [1e3, 1e5], SMALL, mcverify._TAG_COHERENT)[1]
+        assert_within(traces[(1, 1)], trace_identity_expected(1, 1, 2.0))
 
 
 class TestSharedCoherentDraw:
@@ -482,7 +482,7 @@ class TestSharedCoherentDraw:
     def test_list_equals_single_occupancies(self):
         s = scenario(snr=1e7, nt=2, nr=3)
         grid = [1e6, 3e7, 1e9]
-        estimates, _ = _coherent_draw(s, grid, SMALL, mcverify._TAG_COHERENT)
+        estimates, _ = _channel_draw(s, grid, SMALL, mcverify._TAG_COHERENT)
         assert estimates == [coherent_term_mc(s, x, SMALL) for x in grid]
 
     @pytest.mark.parametrize("seed", [42, 7])
@@ -491,10 +491,10 @@ class TestSharedCoherentDraw:
         opt = optimal_occupancy(s).occupancy_optimal_exact
         cfg = McConfig(trials=100_000, base_seed=seed)
         grid = [opt * factor for factor in (0.1, 1.0, 10.0)]
-        _, estimates, _ = bound_sandwich_sweep(s, grid, cfg)
-        for index, shared in enumerate(estimates):
-            [independent], _ = _coherent_draw(s, [grid[index]], cfg, ("independent", index))
-            gap = shared.mean - independent.mean
+        records = bound_sandwich_sweep(s, grid, cfg)
+        for index, (x, shared) in enumerate(zip(grid, records)):
+            [independent], _ = _channel_draw(s, [x], cfg, ("independent", index))
+            gap = shared.estimate - (independent.mean - float(_penalty_cap(s, x)))
             assert abs(gap) <= 4.0 * math.hypot(shared.std_error, independent.std_error)
 
     @staticmethod
@@ -522,60 +522,67 @@ class TestSharedCoherentDraw:
         cfg = McConfig(10_000, 7)
         records, coherent, middle, cap = self._coherent_and_middle(s, cfg)
         optimum = coherent.params["occupancy"]
-        [own], own_trace = _coherent_draw(s, [optimum], cfg, mcverify._TAG_COHERENT)
+        [own], own_traces = _channel_draw(s, [optimum], cfg, mcverify._TAG_COHERENT)
         assert (coherent.estimate, coherent.std_error) == (own.mean, own.std_error)
-        trace = records["trace_identity[2x2:rice:1.0]"]
+        trace, own_trace = records["trace_identity[2x2:rice:1.0]"], own_traces[(2, 2)]
         assert (trace.estimate, trace.std_error) == (own_trace.mean, own_trace.std_error)
         # The sweep keeps its Rayleigh draw.
-        [shared], _ = _coherent_draw(replace(s, fading=FadingFamily.rayleigh()), [optimum], cfg,
-                                     mcverify._TAG_COHERENT)
+        [shared], _ = _channel_draw(replace(s, fading=FadingFamily.rayleigh()), [optimum], cfg,
+                                    mcverify._TAG_COHERENT)
         assert middle.estimate == shared.mean - cap
 
 
 class TestSharedRayleighDraws:
-    """The suite reads every Rayleigh statistic from the sweep's draw and one nested block."""
+    """One Rayleigh draw gives the sweep and every Rayleigh trace; each kurtosis law draws |h|^2."""
 
-    def test_two_rayleigh_draws_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("nt, nr", [(2, 2), (1, 1), (1, 2), (3, 2)])
+    def test_one_rayleigh_draw_per_chunk(self, monkeypatch, nt, nr):
         draws = []
 
         def counted(rng, fading, shape):
-            draws.append((fading.kind, (shape,) if isinstance(shape, int) else tuple(shape)))
+            draws.append((fading.kind, tuple(shape)))
             return unit_fading_samples(rng, fading, shape)
 
         monkeypatch.setattr(mcverify, "unit_fading_samples", counted)
         cfg = McConfig(10_000, 42)
-        run_verification_suite(scenario(snr=1e7, nt=2, nr=2), cfg)
-        chunks = -(-cfg.trials // mcverify._CHUNK)
-        rayleigh = sorted(shape[:-1] for kind, shape in draws if kind == "rayleigh")
-        # The sweep's 2x2 block and the nested 1x2 block of the (2, 1) case.
-        assert rayleigh == [(1, 2)] * chunks + [(2, 2)] * chunks
+        run_verification_suite(scenario(snr=1e7, nt=nt, nr=nr), cfg)
+        sizes = [min(mcverify._CHUNK, cfg.trials - start)
+                 for start in range(0, cfg.trials, mcverify._CHUNK)]
+        # The smallest block that holds the scenario's and the fixed 2x2 case.
+        assert sorted(draws) == [("rayleigh", (max(nr, 2), max(nt, 2), n)) for n in sorted(sizes)]
 
     @pytest.mark.parametrize("seed", [42, 7])
-    @pytest.mark.parametrize("nt, nr, snr, shared_cases", [
-        (2, 2, 1e7, [(2, 2), (1, 1)]),  # the sweep gives 2x2, the (2, 1) block gives 1x1
-        (1, 1, 100.0, [(1, 1), (2, 1)]),  # the sweep gives 1x1, the (2, 2) block gives 2x1
-    ])
-    def test_shared_estimates_match_independent_draws(self, seed, nt, nr, snr, shared_cases):
-        # The standalone checks draw under tags the suite does not use on
-        # these scenarios, so they are independent of its draws.
+    @pytest.mark.parametrize("nt, nr, snr", [(2, 2, 1e7), (1, 1, 100.0), (1, 2, 1e7)])
+    def test_shared_estimates_match_independent_draws(self, seed, nt, nr, snr):
+        # The standalone trace checks draw under tags the suite does not use,
+        # and each sweep point is redrawn under a tag of its own, so every
+        # pair below is independent.
         cfg = McConfig(trials=100_000, base_seed=seed)
-        records = {r.check: r for r in run_verification_suite(scenario(snr=snr, nt=nt, nr=nr), cfg)}
-        independent = {"kurtosis[rayleigh]": empirical_kurtosis(FadingFamily.rayleigh(), cfg)}
-        for case_nt, case_nr in shared_cases:
-            independent[f"trace_identity[{case_nt}x{case_nr}:rayleigh]"] = trace_identity_check(
-                scenario(nt=case_nt, nr=case_nr), cfg)
-        for check, other in independent.items():
-            shared = records[check]
-            assert shared.estimate != other.mean, check
-            gap = shared.estimate - other.mean
-            assert abs(gap) <= 4.0 * math.hypot(shared.std_error, other.std_error), check
+        s = scenario(snr=snr, nt=nt, nr=nr)
+        records = {r.check: r for r in run_verification_suite(s, cfg)}
+        pairs = [(records[f"trace_identity[{t}x{r}:rayleigh]"],
+                  trace_identity_check(scenario(nt=t, nr=r), cfg), 0.0)
+                 for t, r in dict.fromkeys([(nt, nr), (1, 1), (2, 2), (2, 1)])]
+        sweep = [r for r in records.values() if r.check.startswith("bound_sandwich")]
+        for index, record in enumerate(sweep):
+            x = record.params["occupancy"]
+            [independent], _ = _channel_draw(s, [x], cfg, ("independent", index))
+            pairs.append((record, independent, float(_penalty_cap(s, x))))
+        assert len(pairs) == len(dict.fromkeys([(nt, nr), (1, 1), (2, 2), (2, 1)])) + 3
+        for record, other, cap in pairs:
+            gap = record.estimate - (other.mean - cap)
+            assert gap != 0.0, record.check
+            assert abs(gap) <= 4.0 * math.hypot(record.std_error, other.std_error), record.check
 
-    def test_largest_nested_case_keeps_its_standalone_bits(self):
+    @pytest.mark.parametrize("nt, nr", [(2, 2), (3, 2)])
+    def test_full_shape_sweep_keeps_its_standalone_bits(self, nt, nr):
+        # The scenario's block holds the 2x2 case, so the shared draw has its
+        # shape and the sweep reads the bits of a sweep of its own.
         cfg = McConfig(10_000, 42)
-        records = {r.check: r for r in run_verification_suite(scenario(snr=1e7, nt=2, nr=2), cfg)}
-        record = records["trace_identity[2x1:rayleigh]"]
-        standalone = trace_identity_check(scenario(nt=2, nr=1), cfg)
-        assert (record.estimate, record.std_error) == (standalone.mean, standalone.std_error)
+        s = scenario(snr=1e7, nt=nt, nr=nr)
+        sweep = [r for r in run_verification_suite(s, cfg) if r.check.startswith("bound_sandwich")]
+        standalone = bound_sandwich_sweep(s, [r.params["occupancy"] for r in sweep], cfg)
+        assert [r.as_dict() for r in sweep] == [r.as_dict() for r in standalone]
 
     def test_rayleigh_param_gives_the_canonical_records(self):
         cfg = McConfig(10_000, 42)
@@ -587,32 +594,31 @@ class TestSharedRayleighDraws:
                           "trace_identity[2x1:rayleigh]"]
         assert [r.as_dict() for r in odd] == [r.as_dict() for r in canonical]
 
-    @pytest.mark.parametrize("fading, laws", [
-        (FadingFamily.rice(1.0), ["rice:1.0", "rayleigh", "nakagami:2.0"]),
-        (FadingFamily.nakagami(3.0), ["nakagami:3.0", "rayleigh", "rice:1.0", "nakagami:2.0"]),
-    ])
-    def test_non_rayleigh_report_reads_rayleigh_kurtosis_from_the_nested_draw(self, fading, laws):
+    @pytest.mark.parametrize("fading", [
+        FadingFamily.rayleigh(), FadingFamily.rice(1.0), FadingFamily.nakagami(3.0),
+    ], ids=["rayleigh", "rice", "nakagami"])
+    def test_every_kurtosis_record_is_empirical_kurtosis(self, fading):
         cfg = McConfig(10_000, 42)
         records = run_verification_suite(scenario(snr=1e7, nt=2, nr=2, fading=fading), cfg)
-        kurtoses = {r.check: r for r in records if r.check.startswith("kurtosis")}
-        assert list(kurtoses) == [f"kurtosis[{law}]" for law in laws]
-        # A 2x2 scenario leaves the (2, 1) case as the largest nested block.
-        _, nested = _nested_trace_draw(2, 1, FadingFamily.rayleigh(), cfg, [(1, 1)])
-        record = kurtoses["kurtosis[rayleigh]"]
-        assert (record.estimate, record.std_error) == (nested.mean, nested.std_error)
+        kurtoses = [r for r in records if r.check.startswith("kurtosis")]
+        laws = dict.fromkeys([fading, FadingFamily.rayleigh(), FadingFamily.rice(1.0),
+                              FadingFamily.nakagami(2.0)])
+        assert [r.check for r in kurtoses] == [f"kurtosis[{law.label}]" for law in laws]
+        for record, law in zip(kurtoses, laws):
+            estimate = empirical_kurtosis(law, cfg)
+            assert (record.estimate.hex(), record.std_error.hex()) == (
+                estimate.mean.hex(), estimate.std_error.hex()), record.check
 
-    def test_sub_block_and_kurtosis_estimates(self):
-        s = scenario(nt=2, nr=2)
-        traces, kurt = _nested_trace_draw(2, 2, s.fading, SMALL, sub_blocks=[(2, 1), (1, 1)])
-        assert list(traces) == [(2, 2), (2, 1), (1, 1)]
-        own, wide, single = traces.values()
-        assert own == trace_identity_check(s, SMALL)
-        # A 1x1 block's trace is |h|^4 and its kurtosis E|h|^4/(E|h|^2)^2, but
-        # from different entries of H: equal means only up to Monte-Carlo error.
-        assert single.mean != kurt.mean
-        assert_within(wide, trace_identity_expected(2, 1, 2.0))
-        assert_within(single, trace_identity_expected(1, 1, 2.0))
-        assert_within(kurt, 2.0)
+    def test_sub_block_estimates(self):
+        tag = mcverify._TAG_COHERENT
+        _, traces = _channel_draw(scenario(nt=1, nr=2), [], SMALL, tag, blocks=[(2, 2), (1, 1)])
+        assert list(traces) == [(1, 2), (2, 2), (1, 1)]
+        # A 2x2 draw under the same tag is the same draw of H.
+        _, square = _channel_draw(scenario(nt=2, nr=2), [], SMALL, tag, blocks=[(1, 1)])
+        assert (traces[(2, 2)], traces[(1, 1)]) == (square[(2, 2)], square[(1, 1)])
+        assert traces[(1, 2)] != _channel_draw(scenario(nt=1, nr=2), [], SMALL, tag)[1][(1, 2)]
+        for (t, r), trace in traces.items():
+            assert_within(trace, trace_identity_expected(t, r, 2.0))
 
 
 class TestDeterminism:
@@ -744,18 +750,18 @@ class TestMonteCarloRecordPins:
     # seed 42: check, estimate, std_error and z as float.hex (None where the
     # record has no z), and pass.
     PINS = [
-        ("kurtosis[rayleigh]", "0x1.fae91651b9819p+0", "0x1.27e83aee42263p-6",
-         "-0x1.19cc9d4d9d94ep+0", True),
+        ("kurtosis[rayleigh]", "0x1.fab09327b51fbp+0", "0x1.229a07d43995bp-6",
+         "-0x1.2b63d1199b527p+0", True),
         ("kurtosis[rice:1.0]", "0x1.8dbab59538735p+0", "0x1.2e2b856227ad4p-7",
          "-0x1.ab9998ef50c3ap-3", True),
         ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
          "0x1.a33c2b9454c10p+0", True),
         ("trace_identity[2x2:rayleigh]", "0x1.0211e53f3b82cp+4", "0x1.6cdac8237f841p-3",
          "0x1.73cd02ccf1cd7p-1", True),
-        ("trace_identity[1x1:rayleigh]", "0x1.0231a203a01f7p+1", "0x1.70584862196b1p-5",
-         "0x1.8655d8de81a02p-2", True),
-        ("trace_identity[2x1:rayleigh]", "0x1.7a73403edf86fp+2", "0x1.6a4e00a015f8dp-4",
-         "-0x1.f5f11ac8fa01cp-1", True),
+        ("trace_identity[1x1:rayleigh]", "0x1.083b21141f81cp+1", "0x1.8944c8443f6aap-5",
+         "0x1.56e94a2234739p+0", True),
+        ("trace_identity[2x1:rayleigh]", "0x1.843ba3a83d30ap+2", "0x1.7fbf3fc8175bcp-4",
+         "0x1.69738042d0ffbp-1", True),
         ("coherent_expansion", "0x1.1d430a190456dp+24", "0x1.596752e323797p+16",
          "0x1.b37aeaf8f5bc3p+0", True),
         ("penalty_sandwich", "0x1.c09ab22a70131p+1", "0x1.254b281f63b19p-12",
@@ -770,22 +776,22 @@ class TestMonteCarloRecordPins:
 
     # The same for 2x2 rice:1.0, where one draw of the scenario's own law gives
     # its trace identity and coherent check, apart from the shared Rayleigh
-    # draws, and the Rayleigh kurtosis comes from the nested Rayleigh draw.
+    # draw, and every kurtosis from a |h|^2 draw of its own law.
     RICE_PINS = [
         ("kurtosis[rice:1.0]", "0x1.8dbab59538735p+0", "0x1.2e2b856227ad4p-7",
          "-0x1.ab9998ef50c3ap-3", True),
-        ("kurtosis[rayleigh]", "0x1.fae91651b9819p+0", "0x1.27e83aee42263p-6",
-         "-0x1.19cc9d4d9d94ep+0", True),
+        ("kurtosis[rayleigh]", "0x1.fab09327b51fbp+0", "0x1.229a07d43995bp-6",
+         "-0x1.2b63d1199b527p+0", True),
         ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
          "0x1.a33c2b9454c10p+0", True),
         ("trace_identity[2x2:rice:1.0]", "0x1.d0655a7f955afp+3", "0x1.da141af3c375bp-4",
          "0x1.40e1343f95be3p+1", True),
-        ("trace_identity[1x1:rayleigh]", "0x1.0231a203a01f7p+1", "0x1.70584862196b1p-5",
-         "0x1.8655d8de81a02p-2", True),
+        ("trace_identity[1x1:rayleigh]", "0x1.083b21141f81cp+1", "0x1.8944c8443f6aap-5",
+         "0x1.56e94a2234739p+0", True),
         ("trace_identity[2x2:rayleigh]", "0x1.0211e53f3b82cp+4", "0x1.6cdac8237f841p-3",
          "0x1.73cd02ccf1cd7p-1", True),
-        ("trace_identity[2x1:rayleigh]", "0x1.7a73403edf86fp+2", "0x1.6a4e00a015f8dp-4",
-         "-0x1.f5f11ac8fa01cp-1", True),
+        ("trace_identity[2x1:rayleigh]", "0x1.843ba3a83d30ap+2", "0x1.7fbf3fc8175bcp-4",
+         "0x1.69738042d0ffbp-1", True),
         ("coherent_expansion", "0x1.1fbb9ad5e1c6fp+24", "0x1.04f65ca2b87a9p+16",
          "0x1.d878819449777p+1", True),
         ("penalty_sandwich", "0x1.c09ab22a70131p+1", "0x1.254b281f63b19p-12",
