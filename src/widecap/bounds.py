@@ -67,6 +67,11 @@ def _check_occupancy(occupancy):
         raise ValueError("occupancy must be finite")
 
 
+def _require_rayleigh(scenario: ChannelScenario, what: str):
+    if scenario.fading.kind != RAYLEIGH:
+        raise ValueError(f"{what} is only available for Rayleigh fading")
+
+
 def _shape(scenario: ChannelScenario) -> float:
     """K = kappa-2+Nt+Nr, the fourth-moment factor of the coherent term."""
     return kurtosis(scenario.fading) - 2.0 + scenario.nt + scenario.nr
@@ -133,8 +138,7 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float
     although the true one is finite; this is not checked here, and
     ``widecap bounds`` refuses such grids.
     """
-    if scenario.fading.kind != RAYLEIGH:
-        raise ValueError("upper bound is only available for Rayleigh fading")
+    _require_rayleigh(scenario, "upper bound")
     if not 0 < penalty_factor <= 1:
         raise ValueError("penalty_factor must be in (0, 1]")
     _check_occupancy(occupancy)
@@ -340,8 +344,7 @@ def critical_bracket(scenario: ChannelScenario) -> CriticalBracket:
         (dB)+ = P/N0 * 2*sqrt((Nt+Nr)*ln pi)/Nt * sqrt(Lc/ln Lc)
     The exact-root variants tighten both ends and always lie inside.
     """
-    if scenario.fading.kind != RAYLEIGH:
-        raise ValueError("critical bracket is only available for Rayleigh fading")
+    _require_rayleigh(scenario, "critical bracket")
     nt, nr = scenario.nt, scenario.nr
     lc = scenario.coherence_product
     if lc < math.pi ** (4.0 / (nt + nr)):
@@ -378,6 +381,16 @@ class AlphaBracket:
     alpha_minus: float
 
 
+def _log_inverse_snr(snr: float) -> float:
+    """ln(1/SNR) for an SNR in (0, 1), refusing one whose 1/SNR overflows float64."""
+    if not 0 < snr < 1:
+        raise ValueError("snr must be in (0, 1)")
+    inverse = 1.0 / snr
+    if not math.isfinite(inverse):
+        raise ValueError(f"snr = {snr!r} is below about 5.6e-309, where 1/snr overflows float64")
+    return math.log(inverse)
+
+
 def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> AlphaBracket:
     """Bracket the sublinear exponent alpha at a given per-dof SNR.
 
@@ -385,14 +398,15 @@ def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> Alp
     alpha_min  = max(alpha_max - epsilon, alpha_max/2)
     alpha+/-   = alpha_max minus the ln(Bc*Tc)-correction terms of the
                  critical-occupancy bracket ends.
+
+    Raises ValueError for an SNR outside (0, 1) or below about 5.6e-309,
+    where 1/SNR overflows float64.
     """
-    if not 0 < snr < 1:
-        raise ValueError("snr must be in (0, 1)")
+    two_l = 2.0 * _log_inverse_snr(snr)
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     nt, nr = scenario.nt, scenario.nr
     lc = scenario.coherence_product
-    two_l = 2.0 * math.log(1.0 / snr)
     log_lc = math.log(lc)
     alpha_max = math.log((nt + nr) ** 2 / nt**2 * lc) / two_l
     return AlphaBracket(
@@ -407,10 +421,15 @@ def epsilon_for_error_pct(p: float, snr: float) -> float:
     """Error exponent eps(p) making the remainder a p-percent of the sublinear term.
 
     Solves SNR^(1+alpha) = (100/p) * SNR^(1+alpha+eps), independent of alpha:
-    eps = ln(100/p) / ln(1/SNR).
+    eps = ln(100/p) / ln(1/SNR).  Raises ValueError for p outside (0, 100] or
+    below about 5.6e-307 (100/p overflows float64), and for an SNR that
+    :func:`alpha_brackets` refuses.
     """
     if not 0 < p <= 100:
         raise ValueError("p must be in (0, 100]")
-    if not 0 < snr < 1:
-        raise ValueError("snr must be in (0, 1)")
-    return math.log(100.0 / p) / math.log(1.0 / snr)
+    log_inverse_snr = _log_inverse_snr(snr)
+    ratio = 100.0 / p
+    if not math.isfinite(ratio):
+        raise ValueError(f"p = {p!r} is below about 5.6e-307, where 100/p overflows float64")
+    return math.log(ratio) / log_inverse_snr
+

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, bounds, mcverify
+from . import __version__, bounds
 from .scenario import (
     ChannelScenario,
     FadingFamily,
@@ -351,6 +351,8 @@ def cmd_fig6(args) -> int:
     scale = _freq_scale(args.unit)
     if args.scenario is not None:
         scenario = _load_scenario(args.scenario)
+        # The sheets are the Rayleigh critical bracket (kappa = 2).
+        bounds._require_rayleigh(scenario, "critical bracket")
         lc = scenario.coherence_product
         scale *= scenario.snr_density * math.sqrt(lc / math.log(lc))
     elif args.unit != "hz":
@@ -372,9 +374,11 @@ def cmd_fig6(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # The only command that runs Monte-Carlo, so the only one that loads it.
+    from .mcverify import McConfig, run_verification_suite
+
     scenario = _load_scenario(args.scenario)
-    cfg = mcverify.McConfig(trials=args.trials, base_seed=args.seed)
-    records = mcverify.run_verification_suite(scenario, cfg)
+    records = run_verification_suite(scenario, McConfig(trials=args.trials, base_seed=args.seed))
     report = {
         "version": __version__,
         "numpy_version": np.__version__,

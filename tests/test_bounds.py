@@ -501,6 +501,19 @@ class TestAlphaBrackets:
             bracket = alpha_brackets(s, snr, epsilon_for_error_pct(100.0, snr))
             assert bracket.alpha_min == bracket.alpha_max
 
+    @pytest.mark.parametrize("snr", [1e-320, 5e-324, 5.5e-309])
+    def test_refuses_snr_whose_inverse_overflows(self, snr):
+        # ln(1/SNR) is finite (736.8 at 1e-320) but 1/SNR is not; up to
+        # 0.11.0 every alpha read 0.0.
+        with pytest.raises(ValueError, match="below about 5.6e-309, where 1/snr overflows"):
+            alpha_brackets(scenario(), snr, 0.1)
+
+    @pytest.mark.parametrize("snr", [5.6e-309, 1e-300, 1e-2, 0.999999])
+    def test_accepted_snr_keeps_its_bits(self, snr):
+        s = scenario(nt=2, nr=3, lc=1e5)
+        lc, two_l = s.coherence_product, 2.0 * math.log(1.0 / snr)
+        assert alpha_brackets(s, snr, 0.0).alpha_max == math.log(25 / 4 * lc) / two_l
+
 
 class TestEpsilonForErrorPct:
     def test_full_error_gives_zero(self):
@@ -517,3 +530,18 @@ class TestEpsilonForErrorPct:
             epsilon_for_error_pct(0.0, 1e-2)
         with pytest.raises(ValueError):
             epsilon_for_error_pct(10.0, 1.0)
+
+    @pytest.mark.parametrize("p, snr, message", [
+        (1e-320, 1e-2, "p = 1e-320 is below about 5.6e-307, where 100/p overflows"),
+        (5e-307, 1e-2, "p = 5e-307 is below about 5.6e-307, where 100/p overflows"),
+        (10.0, 1e-320, "snr = 1e-320 is below about 5.6e-309, where 1/snr overflows"),
+    ])
+    def test_refuses_overflowing_quotients(self, p, snr, message):
+        # Up to 0.11.0, p = 1e-320 gave inf (the true eps is about 161) and
+        # snr = 1e-320 gave 0.0.
+        with pytest.raises(ValueError, match=message):
+            epsilon_for_error_pct(p, snr)
+
+    @pytest.mark.parametrize("p, snr", [(5.6e-307, 1e-2), (1.0, 5.6e-309), (37.5, 0.3)])
+    def test_accepted_inputs_keep_their_bits(self, p, snr):
+        assert epsilon_for_error_pct(p, snr) == math.log(100.0 / p) / math.log(1.0 / snr)

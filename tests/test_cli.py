@@ -560,6 +560,19 @@ class TestAlphaCommand:
             "error: argument --p: expected comma-separated numbers, got '1,x'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("options, message", [
+        (["--snr", "1e-320"], "snr = 1e-320 is below about 5.6e-309, where 1/snr overflows"),
+        (["--snr", "0.01", "--p", "1,1e-320"],
+         "p = 1e-320 is below about 5.6e-307, where 100/p overflows"),
+    ], ids=["snr", "p"])
+    def test_refuses_overflowing_reciprocal(self, tmp_path, scenario_file, options, message,
+                                            capsys):
+        # Up to 0.11.0 --snr 1e-320 printed 0.0 in every alpha column, exit 0.
+        out = tmp_path / "never.csv"
+        assert main(["alpha", "--scenario", scenario_file, *options, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message} float64\n"
+        assert not out.exists()
+
     def test_rejects_zero_error_percentage(self, tmp_path, scenario_file):
         out = tmp_path / "x.txt"
         code = main([
@@ -616,6 +629,20 @@ class TestFig6Command:
             assert (row_mhz["nt"], row_mhz["nr"]) == (row_hz["nt"], row_hz["nr"])
             for key in header[2:]:
                 assert float(row_mhz[key]) == pytest.approx(float(row_hz[key]) * 1e-6, rel=1e-15)
+
+    @pytest.mark.parametrize("command", ["critical", "fig6"])
+    @pytest.mark.parametrize("fading", ["rice:5.0", "nakagami:3.0"])
+    def test_refuses_non_rayleigh_scenario_like_critical(self, tmp_path, command, fading,
+                                                         capsys):
+        # The sheets assume kappa = 2; up to 0.11.0 fig6 scaled them by a
+        # non-Rayleigh scenario and exited 0.
+        path = tmp_path / "s.txt"
+        path.write_text(FLAT_2X2.replace("rayleigh", fading))
+        out = tmp_path / "never.csv"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: critical bracket is only available for Rayleigh fading\n")
+        assert not out.exists()
 
     def test_mhz_unit_needs_scenario(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
