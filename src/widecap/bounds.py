@@ -110,14 +110,11 @@ def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float:
 
     The value is returned raw: it is negative (vacuous) at small occupancy
     and decays to zero as dB -> infinity.  Raises ValueError unless every
-    occupancy is finite and > 0.  Limits: at occupancies so small that
-    P*Bc*Tc/(dB*Nt*N0) overflows float64 (subnormal dB at ordinary P/N0),
-    or so large that dB*Nt*Nr overflows (dB near 1e307 with 8x8 antennas),
-    and where P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0) overflows (a finite but huge
-    kurtosis, such as Nakagami m = 1e-300 at P/N0 = 1e10),
-    the value is -inf or nan although the true one is finite; this is not
-    checked here, and ``widecap bounds`` refuses such grids.  P/N0, Tc, Bc
-    and Bc*Tc are always finite: :class:`ChannelScenario` refuses others.
+    occupancy is finite and > 0.  Limits: where float64 overflows inside the
+    formula, the value is -inf or nan although the true one may be finite;
+    this is not checked here, and ``widecap bounds`` refuses any grid whose
+    table holds a non-finite value.  P/N0, Tc, Bc and Bc*Tc are always
+    finite: :class:`ChannelScenario` refuses others.
     """
     _check_occupancy(occupancy)
     return _coherent_term(scenario, occupancy) - _penalty_cap(scenario, occupancy)
@@ -132,11 +129,8 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float
     ``penalty_factor`` stands in for the random product g_min*psi inside the
     channel-uncertainty penalty; 1.0 is the idealized ceiling.  The vanishing
     o(1/B) remainder is dropped.  Raises ValueError unless every occupancy is
-    finite and > 0.  Limits: where P*Bc*Tc/(dB*Nt*N0) overflows float64
-    (subnormal dB at ordinary P/N0), or its reciprocal dB*Nt*N0/(P*Bc*Tc)
-    does (dB near 1e306 at P*Bc*Tc/N0 = 1e-2), the value is nan or -inf
-    although the true one is finite; this is not checked here, and
-    ``widecap bounds`` refuses such grids.
+    finite and > 0.  Limits: as for :func:`rate_lower_bound`, an overflow
+    inside the formula gives nan or -inf, which ``widecap bounds`` refuses.
     """
     _require_rayleigh(scenario, "upper bound")
     if not 0 < penalty_factor <= 1:

@@ -13,9 +13,10 @@ grid in fixed blocks of points, one kernel call per block, and writes each
 block's rows as it goes, so its memory does not grow with the grid size.  It
 formats each distinct delta, B and C_inf value once, not once per row; the
 bytes are those of formatting every cell.  Every command validates its
-input before ``--out`` is opened, so a usage error creates no file; all but
-``bounds`` also compute their whole output first.  Exit codes: 0 success,
-1 verification failure, 2 usage or scenario errors.
+input, and refuses output that overflows float64, before ``--out`` is opened,
+so a usage error creates no file; all but ``bounds`` compute their whole
+output first.  Exit codes: 0 success, 1 verification failure, 2 usage or
+scenario errors.
 """
 
 from __future__ import annotations
@@ -112,16 +113,9 @@ def _output(path: Optional[str]):
         yield out
 
 
-# How json spells the non-finite floats that repr writes as nan, inf and -inf.
-_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _reprs(values: np.ndarray, fmt: str) -> list:
-    """repr of each float in ``values``, in json's spelling when ``fmt`` is json."""
-    text = list(map(repr, values.tolist()))
-    if fmt == "json" and not np.isfinite(values).all():
-        text = [_JSON_SPELLING.get(value, value) for value in text]
-    return text
+def _reprs(values: np.ndarray) -> list:
+    """repr of each float in ``values``."""
+    return list(map(repr, values.tolist()))
 
 
 def _write_blocks(out, header, blocks, fmt: str):
@@ -143,11 +137,16 @@ def _write_blocks(out, header, blocks, fmt: str):
     out.write("\n]\n")
 
 
-def _require_finite(header, columns):
-    """Refuse output that overflowed float64, naming its first non-finite column."""
+def _require_finite(header, columns, occupancy=None):
+    """Refuse output that overflowed float64, naming its first non-finite column
+    and, given the occupancy of each row, the first such row's."""
     for name, column in zip(header, columns):
-        if not np.all(np.isfinite(column)):
-            raise ValueError(f"{name} overflows float64 for this scenario")
+        finite = np.isfinite(column)
+        if not np.all(finite):
+            where = "for this scenario"
+            if occupancy is not None:
+                where = f"at occupancy {float(occupancy[np.argmin(finite)])!r}"
+            raise ValueError(f"{name} overflows float64 {where}")
 
 
 def _freq_scale(unit: str) -> float:
@@ -201,34 +200,26 @@ def cmd_bounds(args) -> int:
                          f"not {scenario.fading.label}")
     penalty_factor = 1.0 if args.penalty_factor is None else args.penalty_factor
     deltas, bands = _sweep_axes(args)
+    c_inf = scenario.wideband_limit
+
+    def kernels(occupancy):
+        """R_LB, R_UB (Rayleigh only) and the gap at each occupancy."""
+        lower = bounds.rate_lower_bound(scenario, occupancy)
+        upper = [bounds.rate_upper_bound(scenario, occupancy, penalty_factor)] if rayleigh else []
+        return [lower, *upper, 1.0 - lower / c_inf]
+
     # Rounding is monotone, so delta*B over the product grid is smallest and
-    # largest at corners of the axis ranges: checking the corners checks every
-    # point before any output is opened.  Overflow is reported below, not warned.
+    # largest at corners of the axis ranges.  Every term of the kernels grows
+    # in magnitude toward one of these two ends (each bound's distance below
+    # C_inf is convex in 1/dB), so a table finite at both ends is finite
+    # everywhere: checking the ends checks every point before any output is
+    # opened.  The kernels refuse a non-positive or non-finite end.  Overflow
+    # there is reported, not warned.
     with np.errstate(all="ignore"):
         corners = np.multiply.outer([deltas.min(), deltas.max()], [bands.min(), bands.max()])
-    if not np.all(corners > 0):
-        raise ValueError("occupancy must be > 0")
-    if not np.all(np.isfinite(corners)):
-        raise ValueError("occupancy must be finite")
-    # The bounds take ln(1 + P*Lc/(dB*Nt*N0)), a ratio largest at the smallest
-    # corner; where it overflows, R_LB and R_UB are -inf or nan.
-    smallest = float(corners.min())
-    if not math.isfinite(scenario.snr_density * scenario.coherence_product
-                         / (smallest * scenario.nt)):
-        raise ValueError(f"P*Lc/(dB*Nt*N0) overflows at occupancy {smallest!r}")
-    # So does R_LB's P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0), at a huge kurtosis.
-    if not math.isfinite(0.5 * (scenario.snr_density * bounds._shape(scenario))
-                         / (smallest * scenario.nt)):
-        raise ValueError(f"P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0) overflows at occupancy {smallest!r}")
-    # The prefactors dB*Nt*Nr/Lc (both bounds) and dB*Nt*N0/(P*Lc) (R_UB) are
-    # largest at the largest corner; where they overflow, the bounds are -inf
-    # or nan.
-    largest = float(corners.max())
-    if not math.isfinite(largest * scenario.nt * scenario.nr):
-        raise ValueError(f"dB*Nt*Nr overflows at occupancy {largest!r}")
-    if rayleigh and not math.isfinite(largest * scenario.nt
-                                      / (scenario.snr_density * scenario.coherence_product)):
-        raise ValueError(f"dB*Nt*N0/(P*Lc) overflows at occupancy {largest!r}")
+        ends = np.array([corners.min(), corners.max()])
+        _require_finite(["R_LB", "R_UB", "gap"] if rayleigh else ["R_LB", "gap"],
+                        kernels(ends), ends)
     # delta is a fraction of time.  A positive delta*B can hide two negative
     # axes, but with every delta > 0 every B is > 0 too.
     if not (deltas.min() > 0 and deltas.max() <= 1):
@@ -238,19 +229,17 @@ def cmd_bounds(args) -> int:
     if rayleigh:
         header.append("R_UB")
     header += ["C_inf", "gap"]
-    fmt = args.format
     scale = _freq_scale(args.unit)
-    c_inf = scenario.wideband_limit
     nb = bands.size
     points = deltas.size * nb
     # Each distinct delta, B and C_inf is formatted once.  The B strings are
     # kept for the whole axis only when it repeats (more than one delta): a
     # long dB axis kept whole would outweigh the rest of the program.
-    delta_text = np.array(_reprs(deltas, fmt), dtype=object)
-    band_text = np.array(_reprs(bands * scale, fmt), dtype=object) if deltas.size > 1 else None
+    delta_text = np.array(_reprs(deltas), dtype=object)
+    band_text = np.array(_reprs(bands * scale), dtype=object) if deltas.size > 1 else None
     # delta = 1.0 makes delta*B*scale equal B*scale bit for bit.
     unit_delta = bool(np.all(deltas == 1.0))
-    c_inf_text = _reprs(np.array([c_inf]), fmt)[0]
+    c_inf_text = repr(c_inf)
 
     def blocks():
         for start in range(0, points, _BLOCK):
@@ -258,29 +247,27 @@ def cmd_bounds(args) -> int:
             row, col = index // nb, index % nb
             bandwidth = bands[col]
             occupancy = deltas[row] * bandwidth
-            lower = bounds.rate_lower_bound(scenario, occupancy)
+            lower, *rest = kernels(occupancy)
             if band_text is None:
-                band = _reprs(bandwidth * scale, fmt)
+                band = _reprs(bandwidth * scale)
             else:
                 band = band_text[col].tolist()
-            lower_text = _reprs(lower, fmt)
+            lower_text = _reprs(lower)
             columns = [
                 delta_text[row].tolist(),
                 band,
-                band if unit_delta else _reprs(occupancy * scale, fmt),
+                band if unit_delta else _reprs(occupancy * scale),
                 lower_text,
-                # max(lower, 0.0) of each row: keeps nan and -0.0.
+                # max(lower, 0.0) of each row: keeps -0.0.
                 ["0.0" if clamp else text
                  for clamp, text in zip((0.0 > lower).tolist(), lower_text)],
             ]
-            if rayleigh:
-                upper = bounds.rate_upper_bound(scenario, occupancy, penalty_factor)
-                columns.append(_reprs(upper, fmt))
-            columns += [[c_inf_text] * index.size, _reprs(1.0 - lower / c_inf, fmt)]
+            *upper, gap = map(_reprs, rest)
+            columns += upper + [[c_inf_text] * index.size, gap]
             yield columns
 
     with _output(args.out) as out:
-        _write_blocks(out, header, blocks(), fmt)
+        _write_blocks(out, header, blocks(), args.format)
     return 0
 
 
@@ -298,7 +285,7 @@ def cmd_critical(args) -> int:
     _require_finite(header, row)
     with _output(args.out) as out:
         if args.format == "csv":
-            cells = _reprs(np.array(row), "csv")
+            cells = _reprs(np.array(row))
             _write_blocks(out, header, [[[cell] for cell in cells]], "csv")
         else:
             payload = dict(zip(header, row))
@@ -341,7 +328,9 @@ def cmd_alpha(args) -> int:
         row += [b.alpha_min / norm for b in brackets]
         row += [ab.alpha_plus / norm, ab.alpha_minus / norm]
         rows.append(row)
-    columns = [_reprs(column, args.format) for column in np.array(rows).T]
+    values = np.array(rows).T
+    _require_finite(header, values)
+    columns = [_reprs(column) for column in values]
     with _output(args.out) as out:
         _write_blocks(out, header, [columns], args.format)
     return 0
@@ -367,7 +356,7 @@ def cmd_fig6(args) -> int:
     values = (sheets * scale).T
     _require_finite(header[2:], values)
     columns = [[str(nt) for nt, _ in antennas], [str(nr) for _, nr in antennas]]
-    columns += [_reprs(column, args.format) for column in values]
+    columns += [_reprs(column) for column in values]
     with _output(args.out) as out:
         _write_blocks(out, header, [columns], args.format)
     return 0

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import re
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import widecap
 from widecap import mcverify
@@ -169,8 +174,7 @@ class TestBoundsCommand:
 def scalar_table(scenario_text, pairs, fmt, scale=1.0, penalty_factor=1.0):
     """The bounds table built one point at a time from scalar kernel calls.
 
-    None where P*Lc/(dB*Nt*N0) overflows at some point: the closed forms give
-    -inf or nan there, so no table is written.
+    None where some cell is not finite: no table is written then.
     """
     scenario = parse_scenario(scenario_text)
     rayleigh = scenario.fading.kind == "rayleigh"
@@ -179,16 +183,16 @@ def scalar_table(scenario_text, pairs, fmt, scale=1.0, penalty_factor=1.0):
     header += ["R_UB"] if rayleigh else []
     header += ["C_inf", "gap"]
     rows = []
-    for delta, bandwidth in pairs:
-        occupancy = delta * bandwidth
-        ratio = scenario.snr_density * scenario.coherence_product / (occupancy * scenario.nt)
-        if not math.isfinite(ratio):
-            return None
-        lower = float(rate_lower_bound(scenario, occupancy))
-        row = [delta, bandwidth * scale, occupancy * scale, lower, max(lower, 0.0)]
-        if rayleigh:
-            row.append(float(rate_upper_bound(scenario, occupancy, penalty_factor)))
-        rows.append(row + [c_inf, 1.0 - lower / c_inf])
+    with np.errstate(all="ignore"):
+        for delta, bandwidth in pairs:
+            occupancy = delta * bandwidth
+            lower = float(rate_lower_bound(scenario, occupancy))
+            row = [delta, bandwidth * scale, occupancy * scale, lower, max(lower, 0.0)]
+            if rayleigh:
+                row.append(float(rate_upper_bound(scenario, occupancy, penalty_factor)))
+            rows.append(row + [c_inf, 1.0 - lower / c_inf])
+    if not all(math.isfinite(cell) for row in rows for cell in row):
+        return None
     if fmt == "json":
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
@@ -234,9 +238,10 @@ BYTE_IDENTITY_CASES = [
                  occupancies(grid(1e2, 1e14, LONG)), {}, id="long-dbgrid"),
     pytest.param("rice", ["--delta-grid", "1e-3:1:3", "--b-grid", f"1e2:1e12:{HALF}"],
                  plane(grid(1e-3, 1, 3), grid(1e2, 1e12, HALF)), {}, id="long-plane-rice"),
-    # Subnormal occupancies overflow P*Lc/(dB*Nt*N0): no table, exit 2.
+    # Subnormal occupancies overflow P*Lc/(dB*Nt*N0), so R_LB is -inf: no table, exit 2.
     pytest.param("rayleigh", ["--db-grid", "1e-320:1e-300:3"],
-                 occupancies(grid(1e-320, 1e-300, 3)), {}, id="subnormal"),
+                 occupancies(grid(1e-320, 1e-300, 3)),
+                 {"refusal": "R_LB overflows float64 at occupancy 1e-320"}, id="subnormal"),
     # The B strings of a repeated B axis are formatted once, after scaling.
     pytest.param("rayleigh", ["--delta-grid", "0.0625:1:5", "--b-grid", "1e7:1.6e9:7",
                               "--unit", "mhz"],
@@ -245,9 +250,11 @@ BYTE_IDENTITY_CASES = [
     # Three blocks; R_LB changes sign inside the first two.
     pytest.param("rayleigh", ["--delta-grid", "0.01:1:4", "--b-grid", f"1e4:1e10:{HALF}"],
                  plane(grid(0.01, 1, 4), grid(1e4, 1e10, HALF)), {}, id="long-plane-zero-crossing"),
-    # Only the smallest B overflows the ratio; the whole plane is refused.
+    # Only the smallest occupancies overflow; the whole plane is refused, naming
+    # the smallest, 1e-3 * 1e-318 rounded to a subnormal.
     pytest.param("rayleigh", ["--delta-grid", "1e-3:1:3", "--b-grid", "1e-318:1e-300:4"],
-                 plane(grid(1e-3, 1, 3), grid(1e-318, 1e-300, 4)), {}, id="subnormal-plane"),
+                 plane(grid(1e-3, 1, 3), grid(1e-318, 1e-300, 4)),
+                 {"refusal": "R_LB overflows float64 at occupancy 1e-321"}, id="subnormal-plane"),
 ]
 
 
@@ -260,13 +267,16 @@ class TestBoundsByteIdentity:
         text = FLAT_2X2.replace("rayleigh", "rice:1.0") if fading == "rice" else FLAT_2X2
         path = tmp_path / "scenario.txt"
         path.write_text(text)
+        kwargs = dict(kwargs)
+        refusal = kwargs.pop("refusal", None)
         table = scalar_table(text, pairs, fmt, **kwargs)
+        assert (table is None) == (refusal is not None)
         if table is None:
             out = tmp_path / "never.out"
             assert main(["bounds", "--scenario", str(path), *options, "--format", fmt,
                          "--out", str(out)]) == 2
             assert not out.exists()
-            assert capsys.readouterr().err.startswith("error: P*Lc/(dB*Nt*N0) overflows")
+            assert capsys.readouterr().err == f"error: {refusal}\n"
             return
         code, out = run(tmp_path, "bounds", "--scenario", str(path), *options, "--format", fmt)
         assert code == 0
@@ -313,19 +323,25 @@ class TestBoundsUsageErrors:
     def test_subnormal_grid_message(self, tmp_path, scenario_file, capsys):
         main(["bounds", "--scenario", scenario_file, "--db-grid", "1e-320:1e-300:3",
               "--out", str(tmp_path / "x.csv")])
-        assert capsys.readouterr().err == "error: P*Lc/(dB*Nt*N0) overflows at occupancy 1e-320\n"
+        assert capsys.readouterr().err == "error: R_LB overflows float64 at occupancy 1e-320\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("replacements, db_grid, message", [
         # 8x8 at P/N0 = 1e7, Lc = 1e3: dB*Nt*Nr overflows above about 2.8e306.
         ({"nt = 2": "nt = 8", "nr = 2": "nr = 8"}, "1e306:1e308:3",
-         "error: dB*Nt*Nr overflows at occupancy 1e+308\n"),
-        # P*Lc/N0 = 2e-3: R_UB's dB*Nt*N0/(P*Lc) overflows before dB*Nt*Nr.
+         "error: R_LB overflows float64 at occupancy 1e+308\n"),
+        # P*Lc/N0 = 2e-3: R_UB's dB*Nt*N0/(P*Lc) overflows before R_LB's dB*Nt*Nr.
         ({"snr_density_hz = 1e7": "snr_density_hz = 1e-3",
           "coherence_time_s = 1e-3": "coherence_time_s = 1",
           "coherence_bandwidth_hz = 1e6": "coherence_bandwidth_hz = 2",
           "nt = 2": "nt = 1", "nr = 2": "nr = 1"}, "1e300:1e306:4",
-         "error: dB*Nt*N0/(P*Lc) overflows at occupancy 1e+306\n"),
+         "error: R_UB overflows float64 at occupancy 1e+306\n"),
+        # 1x1 at P/N0 = 1e300: every ratio inside R_LB is finite at dB = 1e100, but
+        # C_inf * P*K/(2*dB*Nt*N0) = 1e300 * 1e200 is not.  Up to 0.12.0 this wrote
+        # R_LB = R_UB = -inf and gap = inf with exit 0.
+        ({"snr_density_hz = 1e7": "snr_density_hz = 1e300", "nt = 2": "nt = 1",
+          "nr = 2": "nr = 1"}, "1e100:1e102:3",
+         "error: R_LB overflows float64 at occupancy 1e+100\n"),
     ])
     def test_huge_occupancy_refused(self, tmp_path, replacements, db_grid, message, fmt,
                                     capsys):
@@ -342,12 +358,12 @@ class TestBoundsUsageErrors:
         assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("snr, bc, db_grid, message", [
-        # P*K = 1e10 * 1e300 overflows at every occupancy.
+        # P*K = 1e10 * 1e300 overflows at every occupancy; the smallest is named.
         ("1e10", "1e3", "1e14:1e16:3",
-         "error: P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0) overflows at occupancy 100000000000000.0\n"),
+         "error: R_LB overflows float64 at occupancy 100000000000000.0\n"),
         # P*K = 1e200 is finite, P*K/dB at dB = 1e-110 is not, though R_LB is (about -5e209).
         ("1e-100", "2", "1e-110:1e-100:3",
-         "error: P*(kappa-2+Nt+Nr)/(2*dB*Nt*N0) overflows at occupancy 1e-110\n"),
+         "error: R_LB overflows float64 at occupancy 1e-110\n"),
     ])
     def test_huge_kurtosis_refused(self, tmp_path, snr, bc, db_grid, message, capsys):
         # Nakagami m = 1e-300 has the finite kurtosis 1 + 1e300.
@@ -424,6 +440,71 @@ class TestBoundsUsageErrors:
             main(["bounds", "--scenario", scenario_file, "--db-grid", "1e7:1e9:3",
                   "--penalty-factor", "5"])
         assert "penalty_factor must be in (0, 1]" in capsys.readouterr().err
+
+
+def _scalar_rates_finite(scenario, occupancies, penalty_factor):
+    """Whether R_LB, the gap and (Rayleigh only) R_UB are finite at every point."""
+    c_inf = scenario.wideband_limit
+    with np.errstate(all="ignore"):
+        for occupancy in occupancies:
+            lower = float(rate_lower_bound(scenario, occupancy))
+            cells = [lower, 1.0 - lower / c_inf]
+            if scenario.fading.kind == "rayleigh":
+                cells.append(float(rate_upper_bound(scenario, occupancy, penalty_factor)))
+            if not all(math.isfinite(cell) for cell in cells):
+                return False
+    return True
+
+
+class TestBoundsFiniteRule:
+    """``bounds`` checks its kernels at the two ends of the occupancy range only."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        snr_exp=st.floats(-307, 308),
+        lc_exp=st.floats(0.01, 300),
+        nt=st.integers(1, 8),
+        nr=st.integers(1, 8),
+        fading=st.sampled_from(["rayleigh", "rice:1.0", "nakagami:0.5", "nakagami:1e-300"]),
+        lo_exp=st.floats(-323, 308),
+        decades=st.floats(1e-3, 40),
+        points=st.integers(2, 6),
+        penalty_factor=st.one_of(st.none(), st.floats(1e-300, 1.0)),
+    )
+    def test_refuses_exactly_the_non_finite_tables(self, snr_exp, lc_exp, nt, nr, fading,
+                                                    lo_exp, decades, points, penalty_factor):
+        text = (f"snr_density_hz = {10.0 ** snr_exp!r}\ncoherence_time_s = 1\n"
+                f"coherence_bandwidth_hz = {10.0 ** lc_exp!r}\nnt = {nt}\nnr = {nr}\n"
+                f"fading = {fading}\n")
+        scenario = parse_scenario(text)
+        lo, hi = 10.0 ** lo_exp, 10.0 ** min(lo_exp + decades, 308.25)
+        assume(lo < hi)  # a subnormal lo rounds a short span away
+        axis = GridAxis(lo, hi, points)
+        argv = ["--db-grid", f"{axis.lo!r}:{axis.hi!r}:{points}"]
+        if fading != "rayleigh":
+            penalty_factor = None
+        if penalty_factor is not None:
+            argv += ["--penalty-factor", repr(penalty_factor)]
+        finite = _scalar_rates_finite(scenario, axis.values().tolist(),
+                                      1.0 if penalty_factor is None else penalty_factor)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as directory:
+            path, out = Path(directory, "scenario.txt"), Path(directory, "out.csv")
+            path.write_text(text)
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["bounds", "--scenario", str(path), *argv, "--out", str(out)])
+            if not finite:
+                assert code == 2
+                assert not out.exists()
+                assert re.fullmatch(r"error: (R_LB|R_UB|gap) overflows float64 at occupancy \S+\n",
+                                    err.getvalue())
+                return
+            assert code == 0
+            assert [str(w.message) for w in caught] == []
+            _, rows = csv_rows(out.read_text())
+        assert len(rows) == points
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.values())
 
 
 class TestCriticalCommand:
@@ -549,6 +630,20 @@ class TestAlphaCommand:
         assert capsys.readouterr().err == (
             "error: --bctc-grid value 1e+308 over Tc = 0.001 s overflows Bc = BcTc/Tc\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refuses_overflowing_alpha(self, tmp_path, fmt, capsys):
+        # 1x8 at Tc = 1 s: (Nt+Nr)^2/Nt^2 * BcTc = 81 * 1e307 overflows in the last row.
+        # Up to 0.12.0 that row read inf in every alpha column, with exit 0.
+        path = tmp_path / "scenario.txt"
+        path.write_text(FLAT_2X2.replace("coherence_time_s = 1e-3", "coherence_time_s = 1")
+                        .replace("nt = 2", "nt = 1").replace("nr = 2", "nr = 8"))
+        out = tmp_path / f"never.{fmt}"
+        code = main(["alpha", "--scenario", str(path), "--snr", "0.01",
+                     "--bctc-grid", "1e300:1e307:3", "--format", fmt, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: alpha_max overflows float64 for this scenario\n"
 
     def test_percentages_must_be_numbers(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "never.csv"
