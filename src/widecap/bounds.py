@@ -22,6 +22,7 @@ through.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -155,11 +156,10 @@ class CriticalBracket:
     ``occupancy_optimal_exact`` the numerical maximizer of the lower bound.
     The loose bracket [occupancy_low, occupancy_high] and the exact-root
     bracket [occupancy_low_exact, occupancy_high_exact] are populated by
-    :func:`critical_bracket` only.
+    :func:`critical_bracket` only; their ratio and nesting around
+    ``occupancy_optimal`` are identities of :func:`critical_coefficients`.
     """
 
-    nt: int
-    nr: int
     occupancy_optimal: float
     occupancy_optimal_exact: float
     peak_rate_lower: float
@@ -167,21 +167,6 @@ class CriticalBracket:
     occupancy_high: Optional[float] = None
     occupancy_low_exact: Optional[float] = None
     occupancy_high_exact: Optional[float] = None
-
-    def __post_init__(self):
-        if self.occupancy_low is None:
-            return
-        if not self.occupancy_low <= self.occupancy_optimal <= self.occupancy_high:
-            raise ValueError("bracket does not contain the optimal occupancy")
-        ratio = self.occupancy_high / self.occupancy_low
-        expected = 4.0 * (self.nt + self.nr) * LN_PI / self.nt
-        if abs(ratio - expected) > 1e-9 * expected:
-            raise ValueError("bracket width inconsistent with antenna counts")
-        if not (
-            self.occupancy_low <= self.occupancy_low_exact
-            and self.occupancy_high_exact <= self.occupancy_high
-        ):
-            raise ValueError("exact roots fall outside the loose bracket")
 
 
 def peak_gap(scenario: ChannelScenario) -> float:
@@ -218,12 +203,17 @@ def _optimum_y(shape: float, lc: float) -> float:
     h = 1/2 - g/y^2, whose right-hand side is exact for Lc < 2K.  Both rise
     with y.  Below y = 2, g and h come from the series in u = y/(2+y), where
     h = u*(3-u)/(2*(1+u)) - (1-u)^2*u*S(u^2)/2 needs no subtraction from 1/2.
-    Newton steps start from an estimate of the root; a step that leaves the
-    bracket, which every evaluation shrinks, becomes a bisection step.  The
-    iteration stops at a step within about 2 ulps.
+    Newton steps start from an estimate of the root.  A step that leaves the
+    bracket, or follows a slope that is not positive (far above y* the slope
+    underflows to 0 once Lc exceeds about 1e110), becomes a bisection step.
+    Every step shrinks the bracket, so the iteration ends, at a step within
+    about 2 ulps, for every finite Lc (y* < 4e155; g/y^2 takes two divisions
+    where y^2 would overflow).
     """
-    c = shape / (2.0 * lc)
-    d = (lc - shape) / (2.0 * lc)
+    # Halving the numerators keeps 2*Lc from overflowing; the quotients are
+    # those of dividing by 2*Lc.
+    c = 0.5 * shape / lc
+    d = 0.5 * (lc - shape) / lc
     small_root = c > 0.25
 
     def value_and_slope(y):
@@ -239,7 +229,8 @@ def _optimum_y(shape: float, lc: float) -> float:
                 return h - d, (2.0 + y) / ((1.0 + y) * (1.0 + y)) - 2.0 * h / y
             q = (2.0 * v / (1.0 + u) + 2.0 * u * v * series) / (y * y)
         else:
-            q = (math.log1p(y) - y / (1.0 + y)) / (y * y)
+            g = math.log1p(y) - y / (1.0 + y)
+            q = g / (y * y) if y < 1e154 else g / y / y
         slope = (2.0 * q - 1.0 / ((1.0 + y) * (1.0 + y))) / y  # -(g/y^2)'
         return (0.5 - q) - d if small_root else c - q, slope
 
@@ -247,13 +238,15 @@ def _optimum_y(shape: float, lc: float) -> float:
     # h(y) < 2y/3 puts it above 3*(Lc-K)/(4*Lc).  The low end used is 2/3 of
     # that, d itself: within an ulp or two of Lc = K the root lies within
     # rounding of 3d/2, where the sign of the iterated function is noise.
-    lo, hi = d, 2.0 * lc / shape
+    lo, hi = d, min(2.0 * lc / shape, sys.float_info.max)
     if not value_and_slope(lo)[0] < 0.0 < value_and_slope(hi)[0]:
         raise ValueError("R_LB slope does not change sign on the closed-form bracket")
     if small_root:
         y = 1.5 * d * (1.0 + 1.6875 * d)  # h(y) = d inverted to second order
     else:
         y = math.sqrt(lc * math.log(lc) / shape)  # y of the closed-form optimum
+        if y == math.inf:  # Lc*ln(Lc) overflows above about 2.5e305
+            y = 0.5 * (lo + hi)
     while True:
         value, slope = value_and_slope(y)
         if value == 0.0:
@@ -262,7 +255,7 @@ def _optimum_y(shape: float, lc: float) -> float:
             lo = y
         else:
             hi = y
-        step = y - value / slope
+        step = y - value / slope if slope > 0.0 else hi  # hi: bisect below
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
         if abs(step - y) <= 4.5e-16 * y:
@@ -281,7 +274,9 @@ def _exact_optimum(scenario: ChannelScenario) -> float:
             f"coherence product {lc:g} must exceed kappa-2+Nt+Nr = {shape:g}: "
             "R_LB has no interior maximum at or below it"
         )
-    return scenario.snr_density * lc / (scenario.nt * _optimum_y(shape, lc))
+    s, scale = scenario.snr_density, scenario.nt * _optimum_y(shape, lc)
+    # P*Lc can overflow where the occupancy does not: then divide Lc first.
+    return s * lc / scale if s * lc < math.inf else s * (lc / scale)
 
 
 def optimal_occupancy(scenario: ChannelScenario) -> CriticalBracket:
@@ -303,8 +298,6 @@ def optimal_occupancy(scenario: ChannelScenario) -> CriticalBracket:
     Peak rate: C_inf * (1 - Delta) with Delta from :func:`peak_gap`.
     """
     return CriticalBracket(
-        nt=scenario.nt,
-        nr=scenario.nr,
         occupancy_optimal=_closed_form_optimum(scenario),
         occupancy_optimal_exact=_exact_optimum(scenario),
         peak_rate_lower=scenario.wideband_limit * (1.0 - peak_gap(scenario)),
@@ -347,8 +340,6 @@ def critical_bracket(scenario: ChannelScenario) -> CriticalBracket:
     scale = scenario.snr_density * math.sqrt(lc / math.log(lc))
     low_exact, low_approx, high_exact, high_approx = critical_coefficients(nt, nr)
     return CriticalBracket(
-        nt=nt,
-        nr=nr,
         occupancy_optimal=_closed_form_optimum(scenario),
         occupancy_optimal_exact=exact,
         peak_rate_lower=scenario.wideband_limit * (1.0 - peak_gap(scenario)),

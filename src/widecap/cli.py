@@ -13,10 +13,10 @@ grid in fixed blocks of points, one kernel call per block, and writes each
 block's rows as it goes, so its memory does not grow with the grid size.  It
 formats each distinct delta, B and C_inf value once, not once per row; the
 bytes are those of formatting every cell.  Every command validates its
-input, and refuses output that overflows float64, before ``--out`` is opened,
-so a usage error creates no file; all but ``bounds`` compute their whole
-output first.  Exit codes: 0 success, 1 verification failure, 2 usage or
-scenario errors.
+input, and refuses output that overflows float64 or a frequency that
+underflows it, before ``--out`` is opened, so a usage error creates no file;
+all but ``bounds`` compute their whole output first.  Exit codes: 0 success,
+1 verification failure, 2 usage or scenario errors.
 """
 
 from __future__ import annotations
@@ -137,16 +137,22 @@ def _write_blocks(out, header, blocks, fmt: str):
     out.write("\n]\n")
 
 
-def _require_finite(header, columns, occupancy=None):
+def _require_finite(header, columns, occupancy=None, frequencies=0):
     """Refuse output that overflowed float64, naming its first non-finite column
-    and, given the occupancy of each row, the first such row's."""
-    for name, column in zip(header, columns):
-        finite = np.isfinite(column)
-        if not np.all(finite):
-            where = "for this scenario"
-            if occupancy is not None:
-                where = f"at occupancy {float(occupancy[np.argmin(finite)])!r}"
-            raise ValueError(f"{name} overflows float64 {where}")
+    and, given the occupancy of each row, the first such row's.  The first
+    ``frequencies`` columns hold frequencies > 0: a subnormal or 0 cell there
+    lost digits to underflow and is refused the same way."""
+    for index, (name, column) in enumerate(zip(header, columns)):
+        column = np.asarray(column)
+        checks = [(np.isfinite(column), "overflows")]
+        if index < frequencies:
+            checks.append((column >= sys.float_info.min, "underflows"))
+        for kept, fault in checks:
+            if not np.all(kept):
+                where = "for this scenario"
+                if occupancy is not None:
+                    where = f"at occupancy {float(occupancy[np.argmin(kept)])!r}"
+                raise ValueError(f"{name} {fault} float64 {where}")
 
 
 def _freq_scale(unit: str) -> float:
@@ -230,6 +236,9 @@ def cmd_bounds(args) -> int:
         header.append("R_UB")
     header += ["C_inf", "gap"]
     scale = _freq_scale(args.unit)
+    if args.unit == "mhz":  # B and delta*B in hertz are the user's, written as given
+        low = ends[:1]  # the smallest delta*B, at the smallest delta and B
+        _require_finite(["B", "deltaB"], [bands.min() * scale, low * scale], low, frequencies=2)
     nb = bands.size
     points = deltas.size * nb
     # Each distinct delta, B and C_inf is formatted once.  The B strings are
@@ -282,7 +291,7 @@ def cmd_critical(args) -> int:
         "peak_rate_lower", "gap_delta",
     ]
     row = [getattr(bracket, name) * scale for name in header[:6]] + [bracket.peak_rate_lower, gap]
-    _require_finite(header, row)
+    _require_finite(header, row, frequencies=6)
     with _output(args.out) as out:
         if args.format == "csv":
             cells = _reprs(np.array(row))
@@ -310,21 +319,16 @@ def cmd_alpha(args) -> int:
     if len(set(header)) < len(header):
         raise ValueError("--p values must differ in their first 6 significant digits")
 
-    # Each row's scenario has Bc = BcTc/Tc, which overflows before BcTc does when Tc < 1.
-    values = axis.values()
-    largest, tc = float(values.max()), scenario.coherence_time
-    if not math.isfinite(largest / tc * tc):
-        raise ValueError(f"--bctc-grid value {largest!r} over Tc = {tc!r} s overflows Bc = BcTc/Tc")
-
+    # alpha_min is the only value that depends on epsilon.
+    epsilons = [bounds.epsilon_for_error_pct(p, snr) for p in p_list]
     rows = []
-    for lc in values:
-        variant = replace(scenario, coherence_bandwidth=float(lc) / tc)
-        norm = math.log(variant.coherence_product) if args.normalize else 1.0
-        brackets = [bounds.alpha_brackets(variant, snr, bounds.epsilon_for_error_pct(p, snr))
-                    for p in p_list]
-        # alpha_max, alpha_plus and alpha_minus do not depend on epsilon.
+    for lc in axis.values().tolist():
+        # Tc = 1 s makes the row's Bc*Tc the printed BcTc exactly.
+        variant = replace(scenario, coherence_time=1.0, coherence_bandwidth=lc)
+        norm = math.log(lc) if args.normalize else 1.0
+        brackets = [bounds.alpha_brackets(variant, snr, eps) for eps in epsilons]
         ab = brackets[0]
-        row = [float(lc), ab.alpha_max / norm, ab.alpha_max / 2.0 / norm]
+        row = [lc, ab.alpha_max / norm, ab.alpha_max / 2.0 / norm]
         row += [b.alpha_min / norm for b in brackets]
         row += [ab.alpha_plus / norm, ab.alpha_minus / norm]
         rows.append(row)
@@ -350,11 +354,8 @@ def cmd_fig6(args) -> int:
     header = ["nt", "nr", "B_low_exact", "B_low_approx", "B_high_exact", "B_high_approx"]
     antennas = [(nt, nr) for nt in range(1, 9) for nr in range(1, 9)]
     sheets = np.array([bounds.critical_coefficients(nt, nr) for nt, nr in antennas])
-    low_exact, low_approx, high_exact, high_approx = sheets.T
-    if not (np.all(low_approx <= low_exact) and np.all(high_exact <= high_approx)):
-        raise RuntimeError("exact critical sheet left the approximate bracket")
     values = (sheets * scale).T
-    _require_finite(header[2:], values)
+    _require_finite(header[2:], values, frequencies=4)
     columns = [[str(nt) for nt, _ in antennas], [str(nr) for _, nr in antennas]]
     columns += [_reprs(column) for column in values]
     with _output(args.out) as out:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -110,7 +111,9 @@ class ChannelScenario:
     """Block-fading wideband MIMO setup.
 
     P/N0, Tc, Bc and Bc*Tc must be finite: the bounds have no finite value at
-    an infinite one.
+    an infinite one.  P/N0 must also be a normal float64, at least
+    2.2250738585072014e-308: every bound and occupancy is proportional to it,
+    and a subnormal one has lost digits before any formula runs.
 
     Attributes:
         snr_density: P/N0 in hertz (received power over noise PSD).
@@ -131,6 +134,9 @@ class ChannelScenario:
     def __post_init__(self):
         if not self.snr_density > 0:
             raise ValidationError("snr_density must be > 0")
+        if self.snr_density < sys.float_info.min:
+            raise ValidationError(f"snr_density {self.snr_density!r} is subnormal: it must be "
+                                  f">= {sys.float_info.min!r}, the smallest normal float64")
         if not self.coherence_time > 0:
             raise ValidationError("coherence_time must be > 0")
         if not self.coherence_bandwidth > 0:
@@ -257,8 +263,7 @@ def parse_scenario(text: str) -> ChannelScenario:
     fading = fields.get("fading")
     if fading is None:
         raise ValidationError("missing required field 'fading'")
-    if not isinstance(fading, FadingFamily):
-        fading = _parse_fading(str(fading))
+    fading = _parse_fading(str(fading))
 
     return ChannelScenario(
         snr_density=snr_density,

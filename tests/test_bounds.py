@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields, replace
 
 import mpmath
@@ -100,6 +101,27 @@ def mpmath_maximizer(s):
             (mpmath.mpf(3) / 4 * (1 - k / lc), 2 * lc / k),
             solver="ridder",
         )
+        return float(mpmath.mpf(s.snr_density) * lc / (s.nt * y))
+
+
+def mpmath_maximizer_bisected(s):
+    """mpmath_maximizer by 50-digit bisection in ln y, for any finite Lc > K.
+
+    Bisection needs no starting point, and the closed-form bracket spans
+    less than 750 in ln y, so 90 halvings pin y to about 6e-25 relative,
+    whatever Lc is; mpmath_maximizer is checked only up to Lc/K = 1e14.
+    """
+    with mpmath.workdps(50):
+        lc, k = mpmath.mpf(s.coherence_product), mpmath.mpf(shape(s))
+        lo, hi = mpmath.log((lc - k) / (2 * lc)), mpmath.log(2 * lc / k)
+        for _ in range(90):
+            mid = (lo + hi) / 2
+            y = mpmath.exp(mid)
+            if (mpmath.log1p(y) - y / (1 + y)) / (y * y) > k / (2 * lc):
+                lo = mid
+            else:
+                hi = mid
+        y = mpmath.exp((lo + hi) / 2)
         return float(mpmath.mpf(s.snr_density) * lc / (s.nt * y))
 
 
@@ -360,6 +382,37 @@ class TestOptimalOccupancy:
         exact = optimal_occupancy(s).occupancy_optimal_exact
         assert exact == pytest.approx(mpmath_maximizer(s), rel=2e-15)
 
+    @pytest.mark.parametrize("nt, nr, lc", [
+        (2, 2, 8.043641874808262e110),  # the first 2x2 Lc whose slope underflowed
+        (1, 1, 4.41e109),
+        (2, 2, 1e306),  # the closed-form start Lc*ln(Lc) overflows
+        (1, 1, sys.float_info.max),
+    ])
+    def test_largest_coherence_products(self, nt, nr, lc):
+        # Up to 0.13.0 the Newton slope underflowed to 0 far above y* (a
+        # ZeroDivisionError) and at Lc = 1e306 the iteration never ended.
+        s = ChannelScenario(snr_density=1.0, coherence_time=1.0, coherence_bandwidth=lc,
+                            nt=nt, nr=nr, fading=FadingFamily.rayleigh())
+        exact = optimal_occupancy(s).occupancy_optimal_exact
+        assert exact == pytest.approx(mpmath_maximizer_bisected(s), rel=2e-15)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        nt=st.integers(1, 8),
+        nr=st.integers(1, 8),
+        fading=st.sampled_from(FADINGS + [FadingFamily.nakagami(1e300)]),
+        log_lc=st.floats(0.0, 308.25),
+    )
+    def test_maximizer_matches_mpmath_up_to_largest_lc(self, nt, nr, fading, log_lc):
+        # Every finite Lc above K, K down to about 1 (Nakagami m = 1e300, 1x1),
+        # where 2*Lc/K overflows near the top of the range.
+        lc = 10.0 ** log_lc
+        assume(lc > max(math.e, kurtosis(fading) - 2.0 + nt + nr))
+        s = ChannelScenario(snr_density=1.0, coherence_time=1.0, coherence_bandwidth=lc,
+                            nt=nt, nr=nr, fading=fading)
+        exact = optimal_occupancy(s).occupancy_optimal_exact
+        assert exact == pytest.approx(mpmath_maximizer_bisected(s), rel=2e-15)
+
     def test_bell_shape_of_lower_bound(self):
         s = scenario()
         opt = optimal_occupancy(s).occupancy_optimal
@@ -424,14 +477,34 @@ class TestCriticalBracket:
         with pytest.raises(ValueError):
             critical_bracket(scenario(fading=FadingFamily.rice(2.0)))
 
-    def test_invariants_enforced_at_construction(self):
-        with pytest.raises(ValueError):
-            CriticalBracket(
-                nt=1, nr=1,
-                occupancy_optimal=1.0, occupancy_optimal_exact=1.0, peak_rate_lower=1.0,
-                occupancy_low=2.0, occupancy_high=2.0 * 8 * LN_PI,
-                occupancy_low_exact=2.5, occupancy_high_exact=10.0,
-            )
+    def test_fields(self):
+        # Up to 0.13.0 it also held nt and nr, read only by construction-time
+        # checks of the identities that the property below tests.
+        assert [f.name for f in fields(CriticalBracket)] == [
+            "occupancy_optimal", "occupancy_optimal_exact", "peak_rate_lower",
+            "occupancy_low", "occupancy_high", "occupancy_low_exact", "occupancy_high_exact"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        nt=st.integers(1, 64),
+        nr=st.integers(1, 64),
+        log_snr=st.floats(-300.0, 290.0),
+        log_lc=st.floats(0.0, 300.0),
+    )
+    def test_bracket_identities(self, nt, nr, log_snr, log_lc):
+        # The ratio, low <= optimal <= high and the exact roots inside the
+        # loose bracket follow from critical_coefficients for any P/N0 and Lc.
+        assume(log_snr + log_lc / 2.0 < 290.0)  # every occupancy finite
+        lc = max(10.0 ** log_lc, 1.5 * (nt + nr), math.pi ** (4.0 / (nt + nr)))
+        s = ChannelScenario(snr_density=10.0 ** log_snr, coherence_time=1.0,
+                            coherence_bandwidth=lc, nt=nt, nr=nr,
+                            fading=FadingFamily.rayleigh())
+        b = critical_bracket(s)
+        assert b.occupancy_high / b.occupancy_low == pytest.approx(
+            4.0 * (nt + nr) * LN_PI / nt, rel=1e-12)
+        assert b.occupancy_low <= b.occupancy_optimal <= b.occupancy_high
+        assert b.occupancy_low <= b.occupancy_low_exact < b.occupancy_high_exact
+        assert b.occupancy_high_exact <= b.occupancy_high
 
 
 class TestAlphaBrackets:

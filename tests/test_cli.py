@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -326,6 +327,27 @@ class TestBoundsUsageErrors:
         assert capsys.readouterr().err == "error: R_LB overflows float64 at occupancy 1e-320\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("options, message", [
+        (["--db-grid", "1e-320:1e-318:3"], "B underflows float64 at occupancy 1e-320"),
+        (["--delta-grid", "1e-3:1:3", "--b-grid", "1e-300:1e-290:4"],
+         "deltaB underflows float64 at occupancy 1.0000000000000001e-303"),
+    ], ids=["dbgrid", "plane"])
+    def test_mhz_underflow_refused(self, tmp_path, fmt, options, message, capsys):
+        # 1x1 at P/N0 = 1e-307: the rates are finite.  In hertz the grid is
+        # written as given; up to 0.13.0 MHz wrote B = deltaB = 0.0 (or
+        # subnormal deltaB cells) with exit 0.
+        path = tmp_path / "tiny.txt"
+        path.write_text(FLAT_2X2.replace("1e7", "1e-307").replace("= 2", "= 1"))
+        argv = ["bounds", "--scenario", str(path), *options, "--format", fmt]
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        assert "1e-320" in text or "1e-300" in text
+        out = tmp_path / "never.out"
+        assert main([*argv, "--unit", "mhz", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("replacements, db_grid, message", [
         # 8x8 at P/N0 = 1e7, Lc = 1e3: dB*Nt*Nr overflows above about 2.8e306.
         ({"nt = 2": "nt = 8", "nr = 2": "nr = 8"}, "1e306:1e308:3",
@@ -619,17 +641,23 @@ class TestAlphaCommand:
         assert not out.exists()
         assert "--p values must differ" in capsys.readouterr().err
 
-    def test_refuses_grid_whose_bandwidth_overflows(self, tmp_path, scenario_file, capsys):
-        # Every BcTc here is finite, but Bc = BcTc/Tc overflows at Tc = 1e-3.
-        out = tmp_path / "never.csv"
-        code = main([
-            "alpha", "--scenario", scenario_file, "--snr", "0.01",
-            "--bctc-grid", "1e300:1e308:3", "--out", str(out),
-        ])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: --bctc-grid value 1e+308 over Tc = 0.001 s overflows Bc = BcTc/Tc\n")
-        assert not out.exists()
+    @pytest.mark.parametrize("options", [
+        ["--snr", "0.01", "--bctc-grid", "1e300:1e307:3"],
+        ["--snr", "0.2", "--bctc-grid", "3:1e9:200", "--normalize"],
+    ], ids=["huge-grid", "200-rows"])
+    def test_bytes_do_not_depend_on_tc(self, tmp_path, options):
+        # Each row is evaluated at the BcTc it prints.  Up to 0.13.0 a row's
+        # Bc*Tc was (BcTc/Tc)*Tc: at Tc = 1e-3 the huge grid was refused
+        # because Bc = BcTc/Tc overflowed, and 8 of the 200 rows differed
+        # between Tc = 0.3 s and Tc = 1 s.
+        texts = []
+        for tc in ("1e-3", "0.3", "1"):
+            path = tmp_path / f"tc_{tc}.txt"
+            path.write_text(FLAT_2X2.replace("coherence_time_s = 1e-3", f"coherence_time_s = {tc}"))
+            code, text = run(tmp_path, "alpha", "--scenario", str(path), *options)
+            assert code == 0
+            texts.append(text)
+        assert texts[0] == texts[1] == texts[2]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_refuses_overflowing_alpha(self, tmp_path, fmt, capsys):
@@ -779,8 +807,8 @@ def alpha_reference(scenario, fmt, snr, p_list, bctc, normalize):
     header += [f"alpha_plus{suffix}", f"alpha_minus{suffix}"]
     rows = []
     for lc in bctc:
-        variant = replace(scenario, coherence_bandwidth=lc / scenario.coherence_time)
-        norm = math.log(variant.coherence_product) if normalize else 1.0
+        variant = replace(scenario, coherence_time=1.0, coherence_bandwidth=lc)
+        norm = math.log(lc) if normalize else 1.0
         mins = []
         for p in p_list:
             eps = epsilon_for_error_pct(p, snr)
@@ -1006,6 +1034,101 @@ class TestScenarioLimits:
         assert main([*command, "--scenario", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: {label}: the parameter and its kurtosis must be finite\n")
+        assert not out.exists()
+
+
+def scenario_text(snr, tc, bc, nt, nr, fading="rayleigh"):
+    return (f"snr_density_hz = {snr!r}\ncoherence_time_s = {tc!r}\n"
+            f"coherence_bandwidth_hz = {bc!r}\nnt = {nt}\nnr = {nr}\nfading = {fading}\n")
+
+
+CRITICAL_COLUMNS = ("occupancy_low|occupancy_low_exact|occupancy_optimal|occupancy_optimal_exact"
+                    "|occupancy_high_exact|occupancy_high|peak_rate_lower|gap_delta")
+
+
+class TestCriticalRefusals:
+    """``critical`` refuses an input only for a scenario field or a non-finite or
+    underflowed column."""
+
+    ALLOWED = re.compile(
+        rf"error: (({CRITICAL_COLUMNS}) (overflows|underflows) float64 for this scenario"
+        r"|snr_density \S+ is subnormal: .*"
+        r"|coherence product (<= 1|below pi\*\*\(4/\(Nt\+Nr\)\)|must exceed e"
+        r"|\S+ must exceed kappa-2\+Nt\+Nr = .*))\n")
+
+    def test_seeded_fuzz(self, tmp_path):
+        # Log-uniform P/N0 over every positive float64 up to 1.6e308 and Lc up
+        # to 1e109, 1-16 antennas.  Up to 0.13.0, 4 of these 1000 scenarios
+        # (about 0.3% of such scenarios) were refused as "bracket width
+        # inconsistent with antenna counts" or "bracket does not contain the
+        # optimal occupancy", for float64 overflow or a subnormal P/N0.
+        rng = np.random.default_rng(2024)
+        path, out = tmp_path / "scenario.txt", tmp_path / "out.csv"
+        refused = 0
+        for _ in range(1000):
+            snr = float(10.0 ** rng.uniform(math.log10(5e-324), math.log10(1.6e308)))
+            lc = float(10.0 ** rng.uniform(0.0, 109.0))
+            nt, nr = (int(n) for n in rng.integers(1, 17, size=2))
+            path.write_text(scenario_text(max(snr, 5e-324), 1.0, lc, nt, nr))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["critical", "--scenario", str(path), "--out", str(out)])
+            if code == 2:
+                refused += 1
+                assert self.ALLOWED.fullmatch(err.getvalue()), (snr, lc, nt, nr, err.getvalue())
+                assert not out.exists()
+                continue
+            assert code == 0, (snr, lc, nt, nr)
+            _, rows = csv_rows(out.read_text())
+            cells = [float(cell) for cell in rows[0].values()]
+            assert all(math.isfinite(cell) for cell in cells)
+            assert all(cell >= sys.float_info.min for cell in cells[:6])
+            out.unlink()
+        assert 0 < refused < 1000
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nt, nr, bc", [
+        (2, 2, 8.043641874808262e110),  # up to 0.13.0: ZeroDivisionError, exit 1
+        (1, 1, 4.41e109),
+        (2, 2, 1e306),  # up to 0.13.0: never ended
+    ])
+    def test_largest_coherence_products(self, tmp_path, fmt, nt, nr, bc):
+        path = tmp_path / "s.txt"
+        path.write_text(scenario_text(1e7, 1.0, bc, nt, nr))
+        code, text = run(tmp_path, "critical", "--scenario", str(path), "--format", fmt)
+        assert code == 0
+        assert text == critical_reference(parse_scenario(path.read_text()), fmt, 1.0)
+
+    def test_exact_occupancy_overflow_named(self, tmp_path, capsys):
+        # 1x7: the closed-form optimum is finite, the exact maximizer is not.
+        # Up to 0.13.0 the refusal read "bracket width inconsistent with
+        # antenna counts".
+        path = tmp_path / "s.txt"
+        path.write_text(scenario_text(1.6317618076381978e302, 1.0, 4.35e12, 1, 7))
+        out = tmp_path / "never.csv"
+        assert main(["critical", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: occupancy_optimal_exact overflows float64 for this scenario\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, snr, antennas, column", [
+        (["critical", "--unit", "mhz"], 1e-307, 1, "occupancy_low"),
+        (["fig6", "--unit", "mhz"], 1e-307, 1, "B_low_exact"),
+        # The loose low end of 8x8 at Lc = 16.5 is 0.28 P/N0, subnormal in hertz.
+        (["critical"], 2.3e-308, 8, "occupancy_low"),
+        (["fig6"], 2.3e-308, 8, "B_low_exact"),
+    ], ids=["critical-mhz", "fig6-mhz", "critical-hz", "fig6-hz"])
+    def test_underflowing_frequency_refused(self, tmp_path, fmt, command, snr, antennas, column,
+                                            capsys):
+        # Up to 0.13.0 these wrote cells such as 3.975896077e-313 with exit 0.
+        path = tmp_path / "s.txt"
+        path.write_text(scenario_text(snr, 1.0, 16.5 if antennas == 8 else 1e3,
+                                      antennas, antennas))
+        out = tmp_path / "never.out"
+        assert main([*command, "--scenario", str(path), "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {column} underflows float64 for this scenario\n")
         assert not out.exists()
 
 

@@ -139,6 +139,22 @@ class TestScenarioInvariants:
         with pytest.raises(ValidationError, match=message):
             make_scenario(**overrides)
 
+    @pytest.mark.parametrize("snr", [5e-324, 1e-315, 2.2250738585072009e-308])
+    def test_subnormal_snr_density_refused(self, snr):
+        # Up to 0.13.0 it was accepted, and `critical` wrote cells that had
+        # lost digits (2.811383074e-315 at P/N0 = 1e-315) with exit 0.
+        message = (f"^snr_density {snr!r} is subnormal: it must be >= "
+                   r"2\.2250738585072014e-308, the smallest normal float64$")
+        with pytest.raises(ValidationError, match=message):
+            make_scenario(snr_density=snr)
+        # -3080 dB is 1e-308, subnormal too.
+        with pytest.raises(ValidationError, match="^snr_density 1e-308 is subnormal"):
+            parse_scenario(FLAT_DOC.replace("snr_density_hz = 1e7", "snr_density_db_hz = -3080"))
+
+    def test_smallest_normal_snr_density_accepted(self):
+        smallest = 2.2250738585072014e-308
+        assert make_scenario(snr_density=smallest).snr_density == smallest
+
 
 class TestParsing:
     def test_flat_and_json_forms(self):
