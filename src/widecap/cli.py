@@ -22,6 +22,7 @@ all but ``bounds`` compute their whole output first.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -368,7 +369,16 @@ def cmd_verify(args) -> int:
     from .mcverify import McConfig, run_verification_suite
 
     scenario = _load_scenario(args.scenario)
-    records = run_verification_suite(scenario, McConfig(trials=args.trials, base_seed=args.seed))
+    config = McConfig(trials=args.trials, base_seed=args.seed)
+    # An estimate that overflows is refused below, not warned.
+    with np.errstate(all="ignore"):
+        records = run_verification_suite(scenario, config)
+    for record in records:
+        # Every number of the report, named "<check> <field>".
+        numbers = {"estimate": record.estimate, "std_error": record.std_error, "z": record.z,
+                   **record.bound_values}
+        numbers = {name: value for name, value in numbers.items() if value is not None}
+        _require_finite([f"{record.check} {name}" for name in numbers], list(numbers.values()))
     report = {
         "version": __version__,
         "numpy_version": np.__version__,
@@ -387,7 +397,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing keeps no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="widecap",
         description="Rate bounds of non-coherent wideband MIMO channels over bandwidth occupancy.",
@@ -450,8 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -514,9 +514,12 @@ def _within(value: float, std_error: float, low: float, high: float, slack: floa
     """The pass rule of every check: low - 4*SE <= value <= high + 4*SE + slack.
 
     A two-sided check has low = high, a one-sided one an infinite end, and a
-    deterministic one SE = 0: a zero SE compares exactly.
+    deterministic one SE = 0: a zero SE compares exactly.  A value or 4*SE
+    that is not finite measured nothing, and fails.
     """
     tol = 4.0 * std_error
+    if not (math.isfinite(value) and math.isfinite(tol)):
+        return False
     return low - tol <= value <= high + tol + slack
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -27,7 +28,7 @@ from widecap.bounds import (
     rate_upper_bound,
 )
 from widecap.channel import unit_fading_power
-from widecap.cli import _BLOCK, DEFAULT_SCENARIO, GridAxis, main
+from widecap.cli import _BLOCK, DEFAULT_SCENARIO, GridAxis, _build_parser, main
 from widecap.scenario import parse_scenario, serialize_scenario
 
 FLAT_2X2 = """
@@ -322,9 +323,12 @@ class TestBoundsUsageErrors:
         assert not out.exists()
 
     def test_subnormal_grid_message(self, tmp_path, scenario_file, capsys):
-        main(["bounds", "--scenario", scenario_file, "--db-grid", "1e-320:1e-300:3",
-              "--out", str(tmp_path / "x.csv")])
+        out = tmp_path / "never.csv"
+        code = main(["bounds", "--scenario", scenario_file, "--db-grid", "1e-320:1e-300:3",
+                     "--out", str(out)])
+        assert code == 2
         assert capsys.readouterr().err == "error: R_LB overflows float64 at occupancy 1e-320\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("options, message", [
@@ -969,6 +973,28 @@ class TestVerifyCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr, expected", [("1e152", 0), ("1e154", 2), ("1e300", 2)])
+    def test_overflowing_standard_error_refused(self, tmp_path, capsys, snr, expected):
+        # 2x2 Rayleigh: the squared deviations of the coherent term overflow
+        # float64 from about P/N0 = 1e153.  Up to 0.14.0 the report then held
+        # "std_error": Infinity in four records, passed them, and exited 0.
+        path = tmp_path / "scenario.txt"
+        path.write_text(FLAT_2X2.replace("1e7", snr))
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", "--scenario", str(path), "--trials", "10000", "--seed", "42",
+                         "--out", str(out)])
+        assert code == expected
+        assert [str(w.message) for w in caught] == []
+        if expected == 0:
+            assert capsys.readouterr().err == ""
+            assert json.loads(out.read_text())["all_pass"] is True
+        else:
+            assert capsys.readouterr().err == (
+                "error: coherent_expansion std_error overflows float64 for this scenario\n")
+            assert not out.exists()
+
 
 class TestScenarioLimits:
     """Overflowing and infinite scenario values are usage errors (exit 2, no file)."""
@@ -986,7 +1012,11 @@ class TestScenarioLimits:
          "error: coherence_time must be finite\n"),
         ("product.txt", FLAT_2X2.replace("1e-3", "1e200").replace("1e6", "1e200"),
          "error: coherence_product must be finite\n"),
-    ], ids=["json-nt-1e999", "db-4000", "nt-401-digits", "snr-inf", "tc-inf", "tc-bc-1e200"])
+        ("subnormal.txt", FLAT_2X2.replace("1e7", "5e-320").replace("= 2", "= 1"),
+         "error: snr_density 5e-320 is subnormal: it must be >= 2.2250738585072014e-308, "
+         "the smallest normal float64\n"),
+    ], ids=["json-nt-1e999", "db-4000", "nt-401-digits", "snr-inf", "tc-inf", "tc-bc-1e200",
+            "snr-subnormal"])
     def test_critical_refuses(self, tmp_path, name, text, message, capsys):
         path = tmp_path / name
         path.write_text(text)
@@ -1091,6 +1121,7 @@ class TestCriticalRefusals:
         (2, 2, 8.043641874808262e110),  # up to 0.13.0: ZeroDivisionError, exit 1
         (1, 1, 4.41e109),
         (2, 2, 1e306),  # up to 0.13.0: never ended
+        (8, 8, 16.00016),  # just above K = 16: at and below K there is no interior maximum
     ])
     def test_largest_coherence_products(self, tmp_path, fmt, nt, nr, bc):
         path = tmp_path / "s.txt"
@@ -1167,6 +1198,22 @@ class TestOptionScope:
         assert capsys.readouterr().err == (
             "error: --penalty-factor sets R_UB, which exists only for Rayleigh fading, "
             f"not {fading}\n")
+
+
+class TestParser:
+    def test_main_builds_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        _build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(2):
+            assert main(["fig6", "--out", str(tmp_path / "fig6.csv")]) == 0
+        assert built.count("widecap") == 1
 
 
 class TestSeedScope:

@@ -735,6 +735,15 @@ class TestPassRule:
         assert _within(1e-9, 0.0, -math.inf, 1e-9)
         assert not _within(math.nextafter(1e-9, 1.0), 0.0, -math.inf, 1e-9)
 
+    @pytest.mark.parametrize("value, se, low, high", [
+        (1.0, math.inf, 0.0, 0.0),
+        (1.0, 1e308, 0.0, 0.0),  # 4*SE overflows
+        (math.inf, 0.0, 0.0, math.inf),
+    ], ids=["infinite-se", "overflowing-4se", "infinite-value"])
+    def test_non_finite_value_or_tolerance_fails(self, value, se, low, high):
+        # Up to 0.14.0 each of these passed: 4*SE = inf admits any value.
+        assert not _within(value, se, low, high)
+
     @pytest.mark.parametrize("expected, passed", [(2.0, False), (1.0, True)])
     def test_zero_se_two_sided_record_needs_the_expected_value(self, expected, passed):
         # A constant power gives kurtosis exactly 1 with standard error 0.

@@ -2,6 +2,7 @@
 loads only when ``verify`` runs it.  Every check starts a fresh interpreter,
 since this one has long since imported every module."""
 
+import ast
 import json
 import os
 import subprocess
@@ -23,23 +24,12 @@ LAZY_NAMES = {
     "filterbank_equivalence_check": "channel",
 }
 # The modules and functions that the benchmark's span tracer looks up with
-# getattr(widecap, module) and getattr(module, function), with no default.
-WIDECAP_TARGETS = {
-    "scenario": ("parse_scenario",),
-    "bounds": (
-        "rate_lower_bound", "rate_upper_bound", "optimal_occupancy", "critical_bracket",
-        "peak_gap", "rate_derivative_terms", "alpha_brackets", "epsilon_for_error_pct",
-    ),
-    "channel": (
-        "unit_fading_samples", "circulant_eigenvalues", "block_idft_matrix",
-        "filterbank_equivalence_check",
-    ),
-    "mcverify": (
-        "run_verification_suite", "empirical_kurtosis", "trace_identity_check",
-        "coherent_term_mc", "penalty_sandwich", "bound_sandwich_sweep",
-    ),
-    "cli": ("main",),
-}
+# getattr(widecap, module) and getattr(module, function), with no default: the
+# literal WIDECAP_TARGETS of perfbench/spans.py, read without running it.
+SPANS = SRC.parent / "perfbench" / "spans.py"
+WIDECAP_TARGETS = next(ast.literal_eval(node.value) for node in ast.parse(SPANS.read_text()).body
+                       if isinstance(node, ast.Assign)
+                       and ast.unparse(node.targets[0]) == "WIDECAP_TARGETS")
 
 SCENARIO = """snr_density_hz = 1e7
 coherence_time_s = 1e-3
