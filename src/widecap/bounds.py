@@ -203,12 +203,13 @@ def _optimum_y(shape: float, lc: float) -> float:
     h = 1/2 - g/y^2, whose right-hand side is exact for Lc < 2K.  Both rise
     with y.  Below y = 2, g and h come from the series in u = y/(2+y), where
     h = u*(3-u)/(2*(1+u)) - (1-u)^2*u*S(u^2)/2 needs no subtraction from 1/2.
-    Newton steps start from an estimate of the root.  A step that leaves the
-    bracket, or follows a slope that is not positive (far above y* the slope
-    underflows to 0 once Lc exceeds about 1e110), becomes a bisection step.
-    Every step shrinks the bracket, so the iteration ends, at a step within
-    about 2 ulps, for every finite Lc (y* < 4e155; g/y^2 takes two divisions
-    where y^2 would overflow).
+    Newton steps start from an estimate of the root.  Where the slope
+    underflows to 0 (far above y* once Lc exceeds about 1e110, and near y*
+    above about 1e210), the step is Newton's on F(y) = y^2 * (c - q), whose
+    slope y * (2c - 1/(1+y)^2) needs no division by y.  A step that leaves
+    the bracket becomes a bisection step.  Every step shrinks the bracket, so
+    the iteration ends, at a step within about 2 ulps, for every finite Lc
+    (y* < 4e155; g/y^2 takes two divisions where y^2 would overflow).
     """
     # Halving the numerators keeps 2*Lc from overflowing; the quotients are
     # those of dividing by 2*Lc.
@@ -246,7 +247,8 @@ def _optimum_y(shape: float, lc: float) -> float:
     else:
         y = math.sqrt(lc * math.log(lc) / shape)  # y of the closed-form optimum
         if y == math.inf:  # Lc*ln(Lc) overflows above about 2.5e305
-            y = 0.5 * (lo + hi)
+            # From the bracket's midpoint, Newton on F would only halve y.
+            y = math.sqrt(lc / shape) * math.sqrt(math.log(lc))
     while True:
         value, slope = value_and_slope(y)
         if value == 0.0:
@@ -255,7 +257,11 @@ def _optimum_y(shape: float, lc: float) -> float:
             lo = y
         else:
             hi = y
-        step = y - value / slope if slope > 0.0 else hi  # hi: bisect below
+        if slope > 0.0:
+            step = y - value / slope
+        else:
+            rise = 2.0 * c - 1.0 / (1.0 + y) / (1.0 + y)
+            step = y - y * value / rise if rise > 0.0 else hi  # hi: bisect below
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
         if abs(step - y) <= 4.5e-16 * y:

@@ -472,8 +472,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # A grid or --trials too large to allocate fails before --out opens.
-        print(f"error: grid or trial count too large: {exc}", file=sys.stderr)
+        # A grid too large to allocate fails before --out opens.
+        print(f"error: grid too large: {exc}", file=sys.stderr)
         return 2
 
 

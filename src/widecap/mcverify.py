@@ -14,10 +14,10 @@ ln det(I + T) with T Hermitian Toeplitz is a Levinson-Durbin recursion
 elimination (:func:`gram_logdet`) on the smaller of H H^H and H^H H
 (:func:`small_gram`).  Both sum log1p of pivots minus one, so they keep full
 relative accuracy at low SNR.  Every per-trial array keeps trials last, like
-the (rows, trials) block of :func:`_draw` ((K, n) spectra, (cols, n) lags,
+the (rows, n) chunk blocks of :func:`_draw` ((K, n) spectra, (cols, n) lags,
 (Nr, Nt, n) channel blocks), so each ufunc runs along contiguous trials.
 
-Three functions draw, each into one per-trial block of :func:`_draw`:
+Three functions draw, each through :func:`_draw` into per-chunk blocks:
 :func:`empirical_kurtosis`, :func:`_channel_draw` and :func:`penalty_sandwich`.
 :func:`run_verification_suite` alone decides which draw gives each record,
 and takes one channel draw per fading law.  Its Rayleigh draw of H has the
@@ -41,14 +41,20 @@ entry of the same spectrum.  The lower chain draws its smallest tap power
 directly.
 
 Sampling is chunked with a fixed chunk size; every chunk draws from its own
-seed derived from (base_seed, check tag, chunk start) and fills only its own
-trials, so reports are byte-identical for any CPU count, though with two usable
-CPUs the chunks run on two threads (:func:`_each_chunk`).  Reductions use
-numpy's pairwise summation over arrays assembled in trial order.
+seed derived from (base_seed, check tag, chunk start) into a block of its own,
+and with two usable CPUs the chunks run on two threads (:func:`_each_chunk`).
+Each chunk reduces its block, on its own thread, to a count, row means and the
+centred co-moments its caller reads (:func:`_reduce`), and after the join the
+chunks' moments merge in chunk-start order, never in completion order
+(:meth:`_Moments.merge`).  So reports are byte-identical for any CPU count,
+and no array has one entry per trial.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import math
 import os
 import struct
@@ -89,6 +95,9 @@ __all__ = [
 
 _CHUNK = 4096
 _MIN_TRIALS = 10_000
+# 10 to 18 minutes of the default suite (0.6 to 1.07 us per trial at 1e6 trials,
+# 2-core x86 VM).
+_MAX_TRIALS = 10**9
 
 # Stream tags keep the draws of different checks independent.
 _TAG_KURTOSIS = 1
@@ -100,7 +109,7 @@ _TAG_CHANNEL = 6
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial budget (at least 10 000) and non-negative base seed for the Monte-Carlo checks."""
+    """Trial budget (10 000 to 10**9) and non-negative base seed for the Monte-Carlo checks."""
 
     trials: int
     base_seed: int = 0
@@ -108,6 +117,8 @@ class McConfig:
     def __post_init__(self):
         if self.trials < _MIN_TRIALS:
             raise ValueError(f"need at least {_MIN_TRIALS} trials")
+        if self.trials > _MAX_TRIALS:
+            raise ValueError(f"need at most {_MAX_TRIALS} trials")
         if self.base_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
 
@@ -129,18 +140,38 @@ def _entropy_component(value) -> int:
     return int(value)
 
 
+@functools.cache
+def _keep_freed_chunk_memory():
+    """Fix glibc's malloc thresholds at 4 MB (mmap) and 8 MB (trim), once; other libcs keep theirs.
+
+    glibc raises both thresholds only as far as the largest block freed so
+    far.  Each chunk frees 1 to 3 MB of temporaries, which the heap would then
+    hand back to the OS and fault in again in the next chunk: about 460 minor
+    faults per 4096-trial penalty chunk, and a third more penalty time (2x2,
+    2-core x86 VM, glibc 2.36).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _each_chunk(cfg: McConfig, tag, body):
-    """Call body(rng, rows, n) per chunk, here and, with two usable CPUs, on one helper thread.
+    """Call body(rng, start, n) per chunk, here and, with two usable CPUs, on one helper thread.
 
     Both threads pull chunk starts from one shared iterator, and each builds
     its chunk's generator from the seed (base_seed, *tag, start), so the draws
     do not depend on which thread runs a chunk.  An exception on either thread
     stops both and is raised here after the join.
     """
+    _keep_freed_chunk_memory()
     entropy = tag if isinstance(tag, tuple) else (tag,)
     entropy = tuple(_entropy_component(part) for part in entropy)
     pending = iter(range(0, cfg.trials, _CHUNK))
@@ -149,15 +180,19 @@ def _each_chunk(cfg: McConfig, tag, body):
     def work():
         try:
             for start in pending:
-                rng = np.random.default_rng(np.random.SeedSequence((cfg.base_seed, *entropy, start)))
-                n = min(_CHUNK, cfg.trials - start)
-                body(rng, slice(start, start + n), n)
+                # default_rng's own generator, without its dispatch (10 us a chunk)
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence((cfg.base_seed, *entropy, start))))
+                body(rng, start, min(_CHUNK, cfg.trials - start))
         except BaseException as error:
             errors.append(error)
             for _ in pending:  # leave the other thread no chunk to start
                 pass
 
-    helper = threading.Thread(target=work) if _usable_cpus() > 1 else None
+    # The helper runs in a copy of the caller's context, so numpy's errstate
+    # (a context variable since numpy 2.0) holds there too.
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(work,)) \
+        if _usable_cpus() > 1 else None
     if helper:
         helper.start()
     work()
@@ -171,46 +206,141 @@ def _each_chunk(cfg: McConfig, tag, body):
         raise errors[0]
 
 
-def _draw(cfg: McConfig, tag, rows: int, fill) -> np.ndarray:
-    """A (rows, trials) block whose columns ``fill(rng, n, out)`` writes one chunk at a time.
+def _reduce(block: np.ndarray, pairs: tuple, mean, residual, comoment):
+    """Write a (rows, n) block's row means, residuals and co-moments about the means; centres it.
 
-    ``out`` is the (rows, n) view of the chunk's trials.  The only place that
-    allocates per-trial values and runs :func:`_each_chunk`.
+    The residual of a row is its sum of x - mean, which rounding of the mean
+    leaves near 0 but not at 0.  ``comoment[k]`` is the sum of
+    (x_i - mean_i)(x_j - mean_j) for the k-th pair (i, j) of ``pairs``, whose
+    first ``rows`` pairs are the (i, i).  A row's mean and sum of squared
+    deviations are those of numpy's two-pass ``var``, bit for bit.  No
+    product runs in BLAS.
     """
-    values = np.empty((rows, cfg.trials))
-    _each_chunk(cfg, tag, lambda rng, trials, n: fill(rng, n, values[:, trials]))
-    return values
+    # Ufuncs called with out=, and a scalar subtract per row: each call costs
+    # about 1 us at 4096 trials, against 2 to 7 us for the operator forms.
+    rows, n = block.shape
+    np.add.reduce(block, axis=1, out=mean)
+    mean /= n
+    for row, pivot in zip(block, mean.tolist()):
+        np.subtract(row, pivot, out=row)
+    np.add.reduce(block, axis=1, out=residual)
+    products = np.empty((len(pairs), n))
+    np.square(block, out=products[:rows])
+    for k, (i, j) in enumerate(pairs[rows:], rows):
+        np.multiply(block[i], block[j], out=products[k])
+    np.add.reduce(products, axis=1, out=comoment)
 
 
-def _estimate(values: np.ndarray) -> McEstimate:
-    """Mean and SE of the mean, the bits of numpy's ``mean`` and ``std(ddof=1)/sqrt(n)``."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    mean = values.sum() / n
-    deviations = values - mean
-    sd = math.sqrt(np.square(deviations, out=deviations).sum() / (n - 1)) if n > 1 else 0.0
-    return McEstimate(mean=float(mean), std_error=float(sd / math.sqrt(n)))
+@dataclass(frozen=True)
+class _Moments:
+    """Count, row means and centred co-moments of a (rows, count) block of trials.
+
+    ``comoment[k]`` is the sum over trials of (x_i - mean_i)(x_j - mean_j)
+    for the k-th pair (i, j) of ``pairs``, which begins with each (i, i).
+    """
+
+    count: int
+    mean: np.ndarray
+    comoment: np.ndarray
+    pairs: tuple
+
+    @classmethod
+    def of(cls, block: np.ndarray, cross=()) -> "_Moments":
+        """The moments of one block, for each (i, i) and each (i, j) of ``cross``; centres it."""
+        pairs = tuple((i, i) for i in range(len(block))) + tuple(cross)
+        mean, residual = np.empty((2, 1, len(block)))
+        comoment = np.empty((1, len(pairs)))
+        _reduce(block, pairs, mean[0], residual[0], comoment[0])
+        return cls.merge([block.shape[1]], mean, residual, comoment, pairs)
+
+    @classmethod
+    def merge(cls, counts, means, residuals, comoments, pairs: tuple) -> "_Moments":
+        """The moments of all parts' trials from each part's count, means, residuals, co-moments.
+
+        The k-part form of the pairwise update of Chan, Golub & LeVeque (1979)
+        for co-moments (Pebay, SAND2008-6212).  Each part moves to the merged
+        mean m: with t = mean - m and S its residual, its co-moments about m
+        are C_ij + t_i S_j + t_j S_i + n t_i t_j, and the parts' sum over the
+        first axis is the merged C.  In exact arithmetic, with zero residuals,
+        this is the pairwise update C_a + C_b + (n_a n_b / n) d_i d_j,
+        d = mean_b - mean_a, applied part by part.  The residuals keep a row
+        whose |mean| is 1e8 times its SD to rounding.  m is the count-weighted
+        mean of the parts' means, taken relative to the first part's, so one
+        part keeps its mean and co-moments bit for bit.
+        """
+        counts = np.asarray(counts, dtype=float)[:, None]
+        total = counts.sum()
+        mean = means[0] + (counts * (means - means[0])).sum(axis=0) / total
+        t = means - mean
+        i, j = np.array(pairs).T
+        comoment = (comoments + t[:, i] * residuals[:, j] + t[:, j] * residuals[:, i]
+                    + counts * t[:, i] * t[:, j]).sum(axis=0)
+        return cls(int(total), mean, comoment, pairs)
+
+
+def _draw(cfg: McConfig, tag, rows: int, fill, cross=()) -> _Moments:
+    """The moments of a (rows, trials) block that ``fill(rng, n, out)`` writes one chunk at a time.
+
+    Each chunk fills a (rows, n) block of its own and reduces it on its own
+    thread (:func:`_reduce`, with the co-moment pairs ``cross`` besides each
+    row's own), into its chunk's row of the per-chunk moments.  They merge
+    after the join in chunk-start order, never in completion order, so the
+    result does not depend on the CPU count or the chunk schedule.  Memory
+    grows by 8 bytes per row, pair and 4096-trial chunk, not per trial.  The
+    only place that runs :func:`_each_chunk`.
+    """
+    pairs = tuple((i, i) for i in range(rows)) + tuple(cross)
+    chunks = -(-cfg.trials // _CHUNK)
+    counts = np.empty(chunks)
+    means, residuals = np.empty((2, chunks, rows))
+    comoments = np.empty((chunks, len(pairs)))
+
+    def reduce_chunk(rng, start, n):
+        block = np.empty((rows, n))
+        fill(rng, n, block)
+        k = start // _CHUNK
+        counts[k] = n
+        _reduce(block, pairs, means[k], residuals[k], comoments[k])
+
+    _each_chunk(cfg, tag, reduce_chunk)
+    return _Moments.merge(counts, means, residuals, comoments, pairs)
+
+
+def _estimate(moments: _Moments, weights: dict) -> McEstimate:
+    """Mean and SE of the mean of the per-trial sum_i w_i x_i, for ``weights`` {row i: w_i}.
+
+    The variance is sum_ij w_i w_j C_ij / (n - 1) from the merged co-moments,
+    which must hold every pair of the weighted rows; a sum that rounding puts
+    below 0 reads as 0.
+    """
+    n = moments.count
+    mean = sum(w * float(moments.mean[i]) for i, w in weights.items())
+    var = 0.0
+    for (i, j), comoment in zip(moments.pairs, moments.comoment):
+        if i in weights and j in weights:
+            var += (1.0 if i == j else 2.0) * weights[i] * weights[j] * float(comoment)
+    var = 0.0 if var <= 0.0 else var  # nan stays
+    sd = math.sqrt(var / (n - 1)) if n > 1 else 0.0
+    return McEstimate(mean=mean, std_error=sd / math.sqrt(n))
+
+
+def _kurtosis(moments: _Moments) -> McEstimate:
+    """Kurtosis a/b^2, a = mean(x^2) and b = mean(x), from the moments of the rows (x, x^2).
+
+    The standard error comes from the first-order (delta-method)
+    linearization of the ratio: the SE of the mean of the influence
+    (x^2 - a)/b^2 - 2a(x - b)/b^3, a combination of the two rows that needs
+    their cross co-moment.  A deterministic input yields zero error.
+    """
+    b, a = moments.mean[:2].tolist()
+    influence = _estimate(moments, {0: -2.0 * a / b**3, 1: 1.0 / (b * b)})
+    return McEstimate(mean=a / (b * b), std_error=influence.std_error)
 
 
 def kurtosis_estimate(power_samples) -> McEstimate:
-    """Kurtosis estimate mean(x^2)/mean(x)^2 from squared-magnitude samples.
-
-    The standard error comes from the first-order (delta-method)
-    linearization of the ratio, so a deterministic input yields zero error.
-    The influence row (x*x - a)/(b*b) - 2*a*(x - b)/b**3 is built in place in
-    two buffers, x*x and x - b, with the bits of the formula.
-    """
+    """Kurtosis mean(x^2)/mean(x)^2 of squared-magnitude samples, one block (:func:`_kurtosis`)."""
     x = np.asarray(power_samples, dtype=float)
-    influence = x * x
-    a = float(np.mean(influence))
-    b = float(np.mean(x))
-    influence -= a
-    influence /= b * b
-    term = np.subtract(x, b)
-    term *= 2.0 * a
-    term /= b**3
-    influence -= term
-    return McEstimate(mean=a / (b * b), std_error=_estimate(influence).std_error)
+    return _kurtosis(_Moments.of(np.stack([x, x * x]), [(0, 1)]))
 
 
 def empirical_kurtosis(fading: FadingFamily, cfg: McConfig) -> McEstimate:
@@ -222,9 +352,10 @@ def empirical_kurtosis(fading: FadingFamily, cfg: McConfig) -> McEstimate:
     """
     def fill(rng, n, out):
         out[0] = unit_fading_power(rng, fading, n)
+        np.square(out[0], out=out[1])
 
-    [powers] = _draw(cfg, (_TAG_KURTOSIS, fading.kind, float(fading.param)), 1, fill)
-    return kurtosis_estimate(powers)
+    tag = (_TAG_KURTOSIS, fading.kind, float(fading.param))
+    return _kurtosis(_draw(cfg, tag, 2, fill, cross=[(0, 1)]))
 
 
 def trace_identity_expected(nt: int, nr: int, kappa: float) -> float:
@@ -331,8 +462,9 @@ def _channel_draw(scenario: ChannelScenario, occupancies: list, cfg: McConfig, t
         for row, (t, r) in zip(out[len(occupancies):], traced):
             row[:] = _gram_trace(gram if (t, r) == (nt, nr) else small_gram(h[:r, :t]))
 
-    values = _draw(cfg, tag, len(occupancies) + len(traced), fill)
-    estimates = [_estimate(row) for row in values]
+    rows = len(occupancies) + len(traced)
+    moments = _draw(cfg, tag, rows, fill)
+    estimates = [_estimate(moments, {row: 1.0}) for row in range(rows)]
     return estimates[:len(occupancies)], dict(zip(traced, estimates[len(occupancies):]))
 
 
@@ -474,15 +606,15 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
         del power
         out[0] = prefactor * nr * toeplitz_logdet(lags)
 
-    penalties, lowers = _draw(cfg, _TAG_PENALTY, 2, fill)
-    penalty, margin = _estimate(penalties), _estimate(penalties - lowers)
+    moments = _draw(cfg, _TAG_PENALTY, 2, fill, cross=[(0, 1)])
+    penalty, margin = _estimate(moments, {0: 1.0}), _estimate(moments, {0: 1.0, 1: -1.0})
     return CheckRecord(
         check="penalty_sandwich",
         params={"k_samples": k_samples, "nt": nt, "nr": nr, "trials": cfg.trials},
         passed=(_within(margin.mean, margin.std_error, 0.0, math.inf)
                 and _within(penalty.mean, penalty.std_error, -math.inf, cap)),
         estimate=penalty.mean, std_error=penalty.std_error, z=_z(margin.mean, margin.std_error),
-        bound_values={"lower_chain": float(lowers.mean()), "upper_chain": cap},
+        bound_values={"lower_chain": float(moments.mean[1]), "upper_chain": cap},
     )
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from widecap import bounds
 from widecap.bounds import (
     LN_PI,
     AlphaBracket,
@@ -395,6 +396,29 @@ class TestOptimalOccupancy:
                             nt=nt, nr=nr, fading=FadingFamily.rayleigh())
         exact = optimal_occupancy(s).occupancy_optimal_exact
         assert exact == pytest.approx(mpmath_maximizer_bisected(s), rel=2e-15)
+
+    @pytest.mark.parametrize("lc, root", [
+        (1e250, "0x1.c6d9be8ea780fp+418"),
+        (1e300, "0x1.01850bf4f72a0p+502"),
+        (1.7e308, "0x1.9f6f94c2ab937p+515"),
+    ])
+    def test_underflowing_slope_stays_newton(self, monkeypatch, lc, root):
+        # On 2x2 (K = 4) the Newton slope underflows to 0 near y* above about
+        # Lc = 1e210.  Up to 0.15.0 each such step bisected: 463, 546 and 559
+        # evaluations of g(y) here, against 5 to 7 at Lc = 1e3 to 1e12.  The
+        # root keeps its bits.
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return log1p(y)
+
+        log1p = math.log1p
+        monkeypatch.setattr(math, "log1p", counted)
+        y = bounds._optimum_y(4.0, lc)
+        monkeypatch.undo()
+        assert y.hex() == root
+        assert len(calls) <= 40
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -100,11 +101,16 @@ def assert_within(estimate: McEstimate, expected: float, sigmas: float = 4.0):
     assert abs(z) <= sigmas, f"z={z:.2f} mean={estimate.mean} expected={expected}"
 
 
+def moments(values, cross=()) -> mcverify._Moments:
+    """One block's moments of ``values`` (rows, n), leaving ``values`` as it is."""
+    return mcverify._Moments.of(np.array(values, dtype=float, ndmin=2), cross)
+
+
 class TestEstimators:
     def test_std_error_definition(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal(1000)
-        est = _estimate(values)
+        est = _estimate(moments(values), {0: 1.0})
         expected = values.std(ddof=1) / math.sqrt(values.size)
         assert est.std_error == pytest.approx(expected, rel=1e-12)
         assert est.mean == pytest.approx(values.mean(), rel=1e-12)
@@ -112,8 +118,9 @@ class TestEstimators:
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("n", [1, 2, 4097, 100_000])
     def test_estimate_has_numpys_bits(self, n, offset):
+        # One block's moments are numpy's two-pass sums; merged ones are not.
         values = np.random.default_rng(n).standard_normal(n) + offset
-        est = _estimate(values)
+        est = _estimate(moments(values), {0: 1.0})
         sd = np.std(values, ddof=1) if n > 1 else 0.0
         assert est.mean.hex() == float(np.mean(values)).hex()
         assert est.std_error.hex() == float(sd / math.sqrt(n)).hex()
@@ -121,11 +128,16 @@ class TestEstimators:
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("n", [1, 2, 4097, 100_000])
     def test_kurtosis_has_the_bits_of_its_formula(self, n, offset):
+        # The delta-method variance as a quadratic form in the two-pass
+        # co-moments of (x, x^2), summed in the order of _estimate's pairs.
         x = np.random.default_rng(n).standard_exponential(n) + offset
         a = float(np.mean(x * x))
         b = float(np.mean(x))
-        influence = (x * x - a) / (b * b) - 2 * a * (x - b) / b**3
-        sd = np.std(influence, ddof=1) if n > 1 else 0.0
+        dx, dy = x - b, x * x - a
+        w0, w1 = -2.0 * a / b**3, 1.0 / (b * b)
+        var = (0.0 + w0 * w0 * float(np.sum(dx * dx)) + w1 * w1 * float(np.sum(dy * dy))
+               + 2.0 * w0 * w1 * float(np.sum(dx * dy)))
+        sd = math.sqrt(max(var, 0.0) / (n - 1)) if n > 1 else 0.0
         est = kurtosis_estimate(x)
         assert est.mean.hex() == (a / (b * b)).hex()
         assert est.std_error.hex() == float(sd / math.sqrt(n)).hex()
@@ -134,6 +146,93 @@ class TestEstimators:
         est = kurtosis_estimate(np.ones(37))
         assert est.mean == 1.0
         assert est.std_error == 0.0
+
+
+def merged_moments(values, sizes, cross):
+    """The moments of ``values`` (rows, n) reduced in parts of ``sizes`` trials, merged in order."""
+    pairs = tuple((i, i) for i in range(len(values))) + tuple(cross)
+    means, residuals = np.empty((2, len(sizes), len(values)))
+    comoments = np.empty((len(sizes), len(pairs)))
+    edges = np.cumsum([0, *sizes])
+    assert edges[-1] == values.shape[1]
+    for k, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+        mcverify._reduce(values[:, start:stop].copy(), pairs, means[k], residuals[k], comoments[k])
+    return mcverify._Moments.merge(sizes, means, residuals, comoments, pairs)
+
+
+def merge_rows(rng, n):
+    """Rows of the merge tests: N(0, 1), 1e24 + 1e16 N(0, 1) (|mean| 1e8 SDs, like the
+    coherent term's), and Exp(1) with its square for the kurtosis."""
+    power = rng.standard_exponential(n)
+    return np.stack([rng.standard_normal(n), 1e24 + 1e16 * rng.standard_normal(n),
+                     power, power * power])
+
+
+MERGE_CROSS = [(0, 1), (0, 2), (1, 2), (2, 3)]
+
+
+class TestMomentMerge:
+    """Chunk moments merged in order agree with two-pass numpy on the whole array."""
+
+    @staticmethod
+    def assert_two_pass(merged, kurtosis, values):
+        n = values.shape[1]
+        assert merged.count == n
+        covariance = np.cov(values)
+        for row in range(values.shape[0]):
+            estimate = _estimate(merged, {row: 1.0})
+            assert estimate.mean == pytest.approx(values[row].mean(), rel=1e-12)
+            assert estimate.std_error**2 * n == pytest.approx(values[row].var(ddof=1), rel=1e-12)
+        for (i, j), comoment in zip(merged.pairs, merged.comoment):
+            scale = math.sqrt(covariance[i, i] * covariance[j, j])
+            assert abs(comoment / (n - 1) - covariance[i, j]) <= 1e-12 * scale, (i, j)
+        whole = kurtosis_estimate(values[2])
+        assert kurtosis.mean == pytest.approx(whole.mean, rel=1e-12)
+        assert kurtosis.std_error == pytest.approx(whole.std_error, rel=1e-12)
+
+    @pytest.mark.parametrize("n, size", [(10_000, 4096), (37, 1), (9_999, 1000)],
+                             ids=["short-last-chunk", "one-trial-chunks", "uneven"])
+    def test_merged_splits_match_two_pass(self, n, size):
+        values = merge_rows(np.random.default_rng(n), n)
+        sizes = [min(size, n - start) for start in range(0, n, size)]
+        kurtosis = mcverify._kurtosis(merged_moments(values[2:], sizes, [(0, 1)]))
+        self.assert_two_pass(merged_moments(values, sizes, MERGE_CROSS), kurtosis, values)
+
+    def test_chunk_schedule_matches_two_pass(self, monkeypatch):
+        # The real schedule: 4096-trial chunks of 100 000 trials, on two threads.
+        cfg = McConfig(100_000, 3)
+        monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 2)
+        values = np.empty((4, cfg.trials))
+
+        def keep(rng, start, n):
+            values[:, start:start + n] = merge_rows(rng, n)
+
+        def fill(rng, n, out):
+            out[:] = merge_rows(rng, n)[-len(out):]
+
+        mcverify._each_chunk(cfg, "merge", keep)
+        merged = mcverify._draw(cfg, "merge", 4, fill, cross=MERGE_CROSS)
+        kurtosis = mcverify._kurtosis(mcverify._draw(cfg, "merge", 2, fill, cross=[(0, 1)]))
+        self.assert_two_pass(merged, kurtosis, values)
+
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        # Up to 0.15.0 each check kept one float64 per trial and row: the
+        # traced peak of this suite was 2.5 MB at 20 000 trials and 11.2 MB
+        # at 200 000.  One CPU, so the peak does not depend on how two
+        # threads' chunks overlap.
+        monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 1)
+        s = scenario(snr=1e7, nt=2, nr=2)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_verification_suite(s, McConfig(trials, 42))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(20_000), peak(200_000)
+        assert large - small <= 1_000_000, (small, large)
 
 
 class TestEmpiricalKurtosis:
@@ -162,6 +261,12 @@ class TestMcConfig:
         McConfig(trials=10_000)
         with pytest.raises(ValueError, match=r"^need at least 10000 trials$"):
             McConfig(trials=9_999)
+
+    def test_trial_ceiling(self):
+        # 10 to 18 minutes of the default suite; memory alone would not stop more.
+        McConfig(trials=10**9)
+        with pytest.raises(ValueError, match=r"^need at most 1000000000 trials$"):
+            McConfig(trials=10**9 + 1)
 
     def test_negative_seed_is_named(self):
         McConfig(trials=10_000, base_seed=0)
@@ -464,11 +569,11 @@ class TestSharedCoherentDraw:
     # (dB)*, mean and standard error, as float.hex.
     PINS = [
         ({"nt": 2, "nr": 2}, "0x1.0616e72ae6571p+27",
-         "0x1.1d4522d65434dp+24", "0x1.e4e74a3e84debp+15"),
+         "0x1.1d4522d65434ep+24", "0x1.e4e74a3e84debp+15"),
         ({"nt": 3, "nr": 2}, "0x1.90903a6b81016p+26",
-         "0x1.1c4fdf3b644dcp+24", "0x1.8928159813979p+15"),
+         "0x1.1c4fdf3b644dbp+24", "0x1.8928159813978p+15"),
         ({"nt": 2, "nr": 2, "fading": FadingFamily.rice(1.0)}, "0x1.e7fbde6151f85p+26",
-         "0x1.1fb3b01d3a68cp+24", "0x1.6c86d938e7ae6p+15"),
+         "0x1.1fb3b01d3a68dp+24", "0x1.6c86d938e7ae6p+15"),
     ]
 
     @pytest.mark.parametrize("options, optimum, mean, std_error", PINS)
@@ -759,25 +864,25 @@ class TestMonteCarloRecordPins:
     # seed 42: check, estimate, std_error and z as float.hex (None where the
     # record has no z), and pass.
     PINS = [
-        ("kurtosis[rayleigh]", "0x1.fab09327b51fbp+0", "0x1.229a07d43995bp-6",
-         "-0x1.2b63d1199b527p+0", True),
-        ("kurtosis[rice:1.0]", "0x1.8dbab59538735p+0", "0x1.2e2b856227ad4p-7",
-         "-0x1.ab9998ef50c3ap-3", True),
-        ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
-         "0x1.a33c2b9454c10p+0", True),
+        ("kurtosis[rayleigh]", "0x1.fab09327b51f9p+0", "0x1.229a07d439958p-6",
+         "-0x1.2b63d1199b59bp+0", True),
+        ("kurtosis[rice:1.0]", "0x1.8dbab59538732p+0", "0x1.2e2b856227ad3p-7",
+         "-0x1.ab9998ef51666p-3", True),
+        ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f4p-7",
+         "0x1.a33c2b9454c0fp+0", True),
         ("trace_identity[2x2:rayleigh]", "0x1.0211e53f3b82cp+4", "0x1.6cdac8237f841p-3",
          "0x1.73cd02ccf1cd7p-1", True),
         ("trace_identity[1x1:rayleigh]", "0x1.083b21141f81cp+1", "0x1.8944c8443f6aap-5",
          "0x1.56e94a2234739p+0", True),
         ("trace_identity[2x1:rayleigh]", "0x1.843ba3a83d30ap+2", "0x1.7fbf3fc8175bcp-4",
          "0x1.69738042d0ffbp-1", True),
-        ("coherent_expansion", "0x1.1d430a190456dp+24", "0x1.596752e323797p+16",
-         "0x1.b37aeaf8f5bc3p+0", True),
+        ("coherent_expansion", "0x1.1d430a190456ep+24", "0x1.596752e323797p+16",
+         "0x1.b37aeaf8f5c81p+0", True),
         ("penalty_sandwich", "0x1.c09ab22a70131p+1", "0x1.254b281f63b19p-12",
          "0x1.88246079ee3abp+13", True),
         ("bound_sandwich[dB=1.3741e+07]", "0x1.7fa866b1f831cp+23", "0x1.6e356cd111fc5p+15",
          None, True),
-        ("bound_sandwich[dB=1.3741e+08]", "0x1.fdc7cf3356785p+23", "0x1.596752e323797p+16",
+        ("bound_sandwich[dB=1.3741e+08]", "0x1.fdc7cf3356787p+23", "0x1.596752e323797p+16",
          None, True),
         ("bound_sandwich[dB=1.3741e+09]", "0x1.5c8a70a1e0d83p+23", "0x1.84a39458e9b5bp+16",
          None, True),
@@ -787,12 +892,12 @@ class TestMonteCarloRecordPins:
     # its trace identity and coherent check, apart from the shared Rayleigh
     # draw, and every kurtosis from a |h|^2 draw of its own law.
     RICE_PINS = [
-        ("kurtosis[rice:1.0]", "0x1.8dbab59538735p+0", "0x1.2e2b856227ad4p-7",
-         "-0x1.ab9998ef50c3ap-3", True),
-        ("kurtosis[rayleigh]", "0x1.fab09327b51fbp+0", "0x1.229a07d43995bp-6",
-         "-0x1.2b63d1199b527p+0", True),
-        ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f3p-7",
-         "0x1.a33c2b9454c10p+0", True),
+        ("kurtosis[rice:1.0]", "0x1.8dbab59538732p+0", "0x1.2e2b856227ad3p-7",
+         "-0x1.ab9998ef51666p-3", True),
+        ("kurtosis[rayleigh]", "0x1.fab09327b51f9p+0", "0x1.229a07d439958p-6",
+         "-0x1.2b63d1199b59bp+0", True),
+        ("kurtosis[nakagami:2.0]", "0x1.83be1bff9311bp+0", "0x1.24872cca222f4p-7",
+         "0x1.a33c2b9454c0fp+0", True),
         ("trace_identity[2x2:rice:1.0]", "0x1.d0655a7f955afp+3", "0x1.da141af3c375bp-4",
          "0x1.40e1343f95be3p+1", True),
         ("trace_identity[1x1:rayleigh]", "0x1.083b21141f81cp+1", "0x1.8944c8443f6aap-5",
@@ -801,8 +906,8 @@ class TestMonteCarloRecordPins:
          "0x1.73cd02ccf1cd7p-1", True),
         ("trace_identity[2x1:rayleigh]", "0x1.843ba3a83d30ap+2", "0x1.7fbf3fc8175bcp-4",
          "0x1.69738042d0ffbp-1", True),
-        ("coherent_expansion", "0x1.1fbb9ad5e1c6fp+24", "0x1.04f65ca2b87a9p+16",
-         "0x1.d878819449777p+1", True),
+        ("coherent_expansion", "0x1.1fbb9ad5e1c6fp+24", "0x1.04f65ca2b87a8p+16",
+         "0x1.d878819449779p+1", True),
         ("penalty_sandwich", "0x1.c09ab22a70131p+1", "0x1.254b281f63b19p-12",
          "0x1.88246079ee3abp+13", True),
         ("bound_sandwich[dB=1.27922e+07]", "0x1.77e4709187bd5p+23", "0x1.622e0b42723d3p+15",
@@ -822,7 +927,7 @@ class TestMonteCarloRecordPins:
         [record] = [r for r in records if r.check == "penalty_sandwich"]
         assert record.estimate.hex() == "0x1.4d11fdcd284acp+2"
         assert record.std_error.hex() == "0x1.16dac3e3e2d5fp-11"
-        assert record.z.hex() == "0x1.32aac5eec5c7dp+13"
+        assert record.z.hex() == "0x1.32aac5eec5c7cp+13"
         assert record.passed is True
         assert record.bound_values["lower_chain"] == 0.0019332801132239898
 
