@@ -103,7 +103,7 @@ def _closed_form_optimum(scenario: ChannelScenario) -> float:
     return (scenario.snr_density / scenario.nt) * math.sqrt(lc / math.log(lc) * _shape(scenario))
 
 
-def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float:
+def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float | np.ndarray:
     """Achievable-rate lower bound R_LB(dB) in nats/s.
 
     R_LB = C_inf * [1 - P*(kappa-2+Nt+Nr) / (2*dB*Nt*N0)]
@@ -115,13 +115,15 @@ def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float:
     formula, the value is -inf or nan although the true one may be finite;
     this is not checked here, and ``widecap bounds`` refuses any grid whose
     table holds a non-finite value.  P/N0, Tc, Bc and Bc*Tc are always
-    finite: :class:`ChannelScenario` refuses others.
+    finite: :class:`ChannelScenario` refuses others.  An array of
+    occupancies gives an array of rates of its shape.
     """
     _check_occupancy(occupancy)
     return _coherent_term(scenario, occupancy) - _penalty_cap(scenario, occupancy)
 
 
-def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float = 1.0) -> float:
+def rate_upper_bound(scenario: ChannelScenario, occupancy,
+                     penalty_factor: float = 1.0) -> float | np.ndarray:
     """Achievable-rate upper bound R_UB(dB) in nats/s (Rayleigh fading only).
 
     R_UB = C_inf * [1 - P/(2*dB*N0)
@@ -132,6 +134,7 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy, penalty_factor: float
     o(1/B) remainder is dropped.  Raises ValueError unless every occupancy is
     finite and > 0.  Limits: as for :func:`rate_lower_bound`, an overflow
     inside the formula gives nan or -inf, which ``widecap bounds`` refuses.
+    An array of occupancies gives an array of rates of its shape.
     """
     _require_rayleigh(scenario, "upper bound")
     if not 0 < penalty_factor <= 1:
@@ -194,22 +197,24 @@ def rate_derivative_terms(scenario: ChannelScenario, occupancy: float):
     return t1, t2, t3
 
 
-def _optimum_y(shape: float, lc: float) -> float:
-    """Root y* of g(y)/y^2 = K/(2*Lc), g(y) = ln(1+y) - y/(1+y), for Lc > K.
+def _iterated_function(shape: float, lc: float):
+    """The function whose root :func:`_optimum_y` finds, and its closed-form bracket.
 
-    g(y)/y^2 falls from 1/2 at y = 0 towards 0, so the root is unique.  With
-    c = K/(2*Lc), the iterated function is c - g(y)/y^2 when c <= 1/4 (the
-    root then lies above y = 0.66), and otherwise h(y) - (Lc-K)/(2*Lc) with
-    h = 1/2 - g/y^2, whose right-hand side is exact for Lc < 2K.  Both rise
-    with y.  Below y = 2, g and h come from the series in u = y/(2+y), where
+    Returns (value_and_slope, c, lo, hi) for c = K/(2*Lc) and Lc > K:
+    ``value_and_slope(y)`` gives the iterated function at y and its slope in
+    y, and the root lies in (lo, hi).  g(y)/y^2, g(y) = ln(1+y) - y/(1+y),
+    falls from 1/2 at y = 0 towards 0, so the root is unique.  The iterated
+    function is c - g(y)/y^2 when c <= 1/4 (the root then lies above
+    y = 0.66), and otherwise h(y) - (Lc-K)/(2*Lc) with h = 1/2 - g/y^2, whose
+    right-hand side is exact for Lc < 2K.  Both rise with y.  Below y = 2, g
+    and h come from the series in u = y/(2+y), where
     h = u*(3-u)/(2*(1+u)) - (1-u)^2*u*S(u^2)/2 needs no subtraction from 1/2.
-    Newton steps start from an estimate of the root.  Where the slope
-    underflows to 0 (far above y* once Lc exceeds about 1e110, and near y*
-    above about 1e210), the step is Newton's on F(y) = y^2 * (c - q), whose
-    slope y * (2c - 1/(1+y)^2) needs no division by y.  A step that leaves
-    the bracket becomes a bisection step.  Every step shrinks the bracket, so
-    the iteration ends, at a step within about 2 ulps, for every finite Lc
-    (y* < 4e155; g/y^2 takes two divisions where y^2 would overflow).
+
+    Closed-form bracket: ln(1+y) < y puts the root below 2*Lc/K, and
+    h(y) < 2y/3 puts it above 3*(Lc-K)/(4*Lc).  The low end used is 2/3 of
+    that, d = (Lc-K)/(2*Lc) itself: within an ulp or two of Lc = K the root
+    lies within rounding of 3d/2, where the sign of the iterated function is
+    noise.
     """
     # Halving the numerators keeps 2*Lc from overflowing; the quotients are
     # those of dividing by 2*Lc.
@@ -235,15 +240,34 @@ def _optimum_y(shape: float, lc: float) -> float:
         slope = (2.0 * q - 1.0 / ((1.0 + y) * (1.0 + y))) / y  # -(g/y^2)'
         return (0.5 - q) - d if small_root else c - q, slope
 
-    # Closed-form bracket: ln(1+y) < y puts the root below 2*Lc/K, and
-    # h(y) < 2y/3 puts it above 3*(Lc-K)/(4*Lc).  The low end used is 2/3 of
-    # that, d itself: within an ulp or two of Lc = K the root lies within
-    # rounding of 3d/2, where the sign of the iterated function is noise.
-    lo, hi = d, min(2.0 * lc / shape, sys.float_info.max)
-    if not value_and_slope(lo)[0] < 0.0 < value_and_slope(hi)[0]:
+    return value_and_slope, c, d, min(2.0 * lc / shape, sys.float_info.max)
+
+
+def _optimum_y(shape: float, lc: float) -> float:
+    """Root y* of g(y)/y^2 = K/(2*Lc), g(y) = ln(1+y) - y/(1+y), for Lc > K.
+
+    Newton steps on the function of :func:`_iterated_function` start from an
+    estimate of the root.  Where the slope underflows to 0 (far above y* once
+    Lc exceeds about 1e110, and near y* above about 1e210), the step is
+    Newton's on F(y) = y^2 * (c - q), whose slope y * (2c - 1/(1+y)^2) needs
+    no division by y.  The iteration ends at the first step within 4.5e-16*y
+    of y, even one that rounds onto a bracket end.  A step that has not
+    converged and leaves the bracket becomes a bisection step, so the bracket
+    shrinks at every step and the iteration ends for every finite Lc
+    (y* < 4e155; g/y^2 takes two divisions where y^2 would overflow).
+    """
+    value_and_slope, c, lo, hi = _iterated_function(shape, lc)
+    small_root = c > 0.25
+    # Only c > 1/4 evaluates the iterated function at the bracket ends: for
+    # c <= 1/4 their signs follow from the closed forms, with margins far
+    # above rounding.  There the function is c - q with q = g/y^2 falling.
+    # At lo = d = 1/2 - c in [1/4, 1/2), q(d) > q(1/2) ~= 0.288 > c.  At
+    # hi = 2*Lc/K = 1/c (or the largest float, below it), q < 0.21*c (and
+    # g(y) < y^2/(1+y) alone gives q < 1/(1+y) < c).
+    if small_root and not value_and_slope(lo)[0] < 0.0 < value_and_slope(hi)[0]:
         raise ValueError("R_LB slope does not change sign on the closed-form bracket")
     if small_root:
-        y = 1.5 * d * (1.0 + 1.6875 * d)  # h(y) = d inverted to second order
+        y = 1.5 * lo * (1.0 + 1.6875 * lo)  # h(y) = d inverted to second order
     else:
         y = math.sqrt(lc * math.log(lc) / shape)  # y of the closed-form optimum
         if y == math.inf:  # Lc*ln(Lc) overflows above about 2.5e305
@@ -261,11 +285,11 @@ def _optimum_y(shape: float, lc: float) -> float:
             step = y - value / slope
         else:
             rise = 2.0 * c - 1.0 / (1.0 + y) / (1.0 + y)
-            step = y - y * value / rise if rise > 0.0 else hi  # hi: bisect below
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
+            step = y - y * value / rise if rise > 0.0 else 0.5 * (lo + hi)
         if abs(step - y) <= 4.5e-16 * y:
             return step
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
         y = step
 
 
@@ -299,7 +323,9 @@ def optimal_occupancy(scenario: ChannelScenario) -> CriticalBracket:
     conditioned (a series without cancellation at small y), so it is accurate
     to a few ulps for every Bc*Tc > K.  An interior maximum exists only then
     (otherwise R_LB rises monotonically), and ``ValueError`` is raised when
-    Bc*Tc <= K.
+    Bc*Tc <= K.  The iteration stops at the first Newton step that moves y
+    by at most 4.5e-16*y, even one that lands on a bracket end; only a step
+    that has not converged and leaves the bracket bisects.
 
     Peak rate: C_inf * (1 - Delta) with Delta from :func:`peak_gap`.
     """

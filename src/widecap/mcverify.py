@@ -6,7 +6,8 @@ identity, the coherent log-det term against its quadratic expansion, and the
 channel-uncertainty penalty term against its closed-form chain ends.
 :func:`run_verification_suite` gates them (plus the deterministic channel
 identities) into the pass/fail records the CLI reports.  Every pass comes from
-one rule (:func:`_within`): low - 4*SE <= value <= high + 4*SE + slack.
+one rule (:func:`_within`): low - 4*SE <= value <= high + 4*SE + slack, with a
+rounding floor of 4 ulps of the expected value on two-sided checks.
 
 No Monte-Carlo log-det needs an eigendecomposition.  The penalty's
 ln det(I + T) with T Hermitian Toeplitz is a Levinson-Durbin recursion
@@ -643,15 +644,21 @@ class CheckRecord:
 
 
 def _within(value: float, std_error: float, low: float, high: float, slack: float = 0.0) -> bool:
-    """The pass rule of every check: low - 4*SE <= value <= high + 4*SE + slack.
+    """The pass rule of every check: low - tol <= value <= high + tol + slack.
 
-    A two-sided check has low = high, a one-sided one an infinite end, and a
-    deterministic one SE = 0: a zero SE compares exactly.  A value or 4*SE
-    that is not finite measured nothing, and fails.
+    tol = 4*SE, except that a two-sided check (low = high, the expected value)
+    takes at least 4 ulps of that value, its rounding floor: for a nearly
+    deterministic law such as Nakagami m = 1e16, the rounding of
+    mean(x^2)/mean(x)^2 alone exceeds 4*SE (it reached 2 ulps over 40
+    seeds).  A one-sided check has an infinite end; a deterministic one has
+    SE = 0 and compares exactly.  A value or 4*SE that is not finite
+    measured nothing, and fails.
     """
     tol = 4.0 * std_error
     if not (math.isfinite(value) and math.isfinite(tol)):
         return False
+    if low == high:
+        tol = max(tol, 4.0 * math.ulp(low))
     return low - tol <= value <= high + tol + slack
 
 
@@ -694,7 +701,10 @@ def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig) -> list
 
 
 def _expected_record(check: str, params: dict, estimate: McEstimate, expected: float):
-    """The two-sided record of an estimate whose mean is known: ``expected`` within 4 SE."""
+    """The two-sided record of an estimate whose mean is known: ``expected`` within 4 SE.
+
+    The tolerance is at least 4 ulps of ``expected`` (:func:`_within`).
+    """
     mean, se = estimate.mean, estimate.std_error
     return CheckRecord(check=check, params=params, passed=_within(mean, se, expected, expected),
                        estimate=mean, std_error=se, z=_z(mean - expected, se),

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -85,6 +85,34 @@ def stationarity_residual(s, occupancy):
     """|t1 - t2 + t3| relative to the largest derivative term at ``occupancy``."""
     t1, t2, t3 = rate_derivative_terms(s, occupancy)
     return abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3))
+
+
+# Evaluations of g(y) that one solve may take, at any K and finite Lc > K.
+EVALUATION_BUDGET = 24
+# Lc/K ratios of the solver tests just above K and where log terms cancel.
+BARELY_ABOVE_SHAPE = [1.0 + 2**-52, 1.0 + 2**-51, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.00005]
+JUST_ABOVE_SHAPE = [1.0002, 1.001, 1.01]
+LOG_TERMS_CANCEL = [1.1, 1.2, 1.3, 1.5, 2.0, 2.05, 3.0]
+
+
+def counted_optimum_y(monkeypatch, shape, lc):
+    """bounds._optimum_y(shape, lc) and the number of evaluations of g(y) it took."""
+    calls = []
+    build = bounds._iterated_function
+
+    def counting(shape, lc):
+        value_and_slope, *rest = build(shape, lc)
+
+        def counted(y):
+            calls.append(y)
+            return value_and_slope(y)
+
+        return (counted, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_iterated_function", counting)
+        y = bounds._optimum_y(shape, lc)
+    return y, len(calls)
 
 
 def mpmath_maximizer(s):
@@ -288,7 +316,7 @@ class TestOptimalOccupancy:
         (dict(snr=1e7, nt=2, nr=2, lc=1e5), "0x1.d1b1843c1dc8cp+29"),
         (dict(snr=100.0, lc=1e4), "0x1.2babfd1ab08e0p+12"),
         (dict(snr=1e9, nt=8, nr=4, lc=1e8, fading=FadingFamily.rice(1.0)),
-         "0x1.e2d24a8ee80cap+39"),
+         "0x1.e2d24a8ee80cbp+39"),
         (dict(snr=1e3, nt=1, nr=8, lc=1e12, fading=FadingFamily.nakagami(0.5)),
          "0x1.24507266e8f70p+29"),
     ])
@@ -329,7 +357,7 @@ class TestOptimalOccupancy:
         exact = optimal_occupancy(s).occupancy_optimal_exact
         assert stationarity_residual(s, exact) < 1e-8
 
-    @pytest.mark.parametrize("ratio", [1.0002, 1.001, 1.01])
+    @pytest.mark.parametrize("ratio", JUST_ABOVE_SHAPE)
     @pytest.mark.parametrize("nt,nr", [(2, 2), (8, 8), (1, 4)])
     def test_maximum_just_above_shape(self, ratio, nt, nr):
         # The maximizer lies hundreds of times the closed form away, outside
@@ -340,8 +368,7 @@ class TestOptimalOccupancy:
         assert stationarity_residual(s, bracket.occupancy_optimal_exact) < 1e-8
         assert bracket.occupancy_optimal_exact == pytest.approx(mpmath_maximizer(s), rel=2e-15)
 
-    @pytest.mark.parametrize(
-        "ratio", [1.0 + 2**-52, 1.0 + 2**-51, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.00005])
+    @pytest.mark.parametrize("ratio", BARELY_ABOVE_SHAPE)
     def test_maximum_barely_above_shape(self, ratio):
         # Lc just above K, down to one and two ulps above K = 16: the series
         # in y/(2+y) keeps the root well conditioned, so the maximizer is
@@ -351,7 +378,7 @@ class TestOptimalOccupancy:
         exact = optimal_occupancy(s).occupancy_optimal_exact
         assert exact == pytest.approx(mpmath_maximizer(s), rel=2e-15)
 
-    @pytest.mark.parametrize("ratio", [1.1, 1.2, 1.3, 1.5, 2.0, 2.05, 3.0])
+    @pytest.mark.parametrize("ratio", LOG_TERMS_CANCEL)
     @pytest.mark.parametrize("nt,nr", [(1, 2), (2, 7), (8, 8)])
     def test_maximum_where_log_terms_cancel(self, ratio, nt, nr):
         # Lc/K from 1.1 to 3 puts y* between 0.1 and 1, where ln(1+y) and
@@ -399,26 +426,50 @@ class TestOptimalOccupancy:
 
     @pytest.mark.parametrize("lc, root", [
         (1e250, "0x1.c6d9be8ea780fp+418"),
-        (1e300, "0x1.01850bf4f72a0p+502"),
+        (1e300, "0x1.01850bf4f729fp+502"),
         (1.7e308, "0x1.9f6f94c2ab937p+515"),
     ])
     def test_underflowing_slope_stays_newton(self, monkeypatch, lc, root):
         # On 2x2 (K = 4) the Newton slope underflows to 0 near y* above about
         # Lc = 1e210.  Up to 0.15.0 each such step bisected: 463, 546 and 559
-        # evaluations of g(y) here, against 5 to 7 at Lc = 1e3 to 1e12.  The
-        # root keeps its bits.
-        calls = []
-
-        def counted(y):
-            calls.append(y)
-            return log1p(y)
-
-        log1p = math.log1p
-        monkeypatch.setattr(math, "log1p", counted)
-        y = bounds._optimum_y(4.0, lc)
-        monkeypatch.undo()
+        # evaluations of g(y) here, against 5 to 7 at Lc = 1e3 to 1e12.
+        y, evaluations = counted_optimum_y(monkeypatch, 4.0, lc)
         assert y.hex() == root
-        assert len(calls) <= 40
+        assert evaluations <= EVALUATION_BUDGET
+
+    @pytest.mark.parametrize("k", [1.0 + 1e-10, 1.5, 2.0, 3.0, 4.0, 16.0, 32.0])
+    def test_evaluation_budget(self, monkeypatch, k):
+        # Up to 0.16.0 a converged Newton step that rounded onto the bracket
+        # end it had just set was refused and bisected, and the iteration
+        # crawled back: 383 to 400 evaluations of g(y) at worst on this sweep.
+        lcs = list(np.geomspace(max(k, math.e) * (1.0 + 1e-12), 1.7e308, 400))
+        ratios = BARELY_ABOVE_SHAPE + JUST_ABOVE_SHAPE + LOG_TERMS_CANCEL
+        lcs += [ratio * k for ratio in ratios if ratio * k > math.e]
+        worst = max((counted_optimum_y(monkeypatch, k, float(lc))[1], float(lc)) for lc in lcs)
+        assert worst[0] <= EVALUATION_BUDGET, worst
+
+    @pytest.mark.parametrize("lc", [5.5001e15, 5.4e201])
+    def test_converged_step_on_bracket_end_stops(self, monkeypatch, lc):
+        # 1x1 Rayleigh (K = 2): 0.16.0 took 61 and 368 evaluations here.
+        y, evaluations = counted_optimum_y(monkeypatch, 2.0, lc)
+        assert evaluations <= 8
+        s = ChannelScenario(snr_density=1.0, coherence_time=1.0, coherence_bandwidth=lc,
+                            nt=1, nr=1, fading=FadingFamily.rayleigh())
+        assert bounds._exact_optimum(s) == pytest.approx(mpmath_maximizer_bisected(s), rel=2e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log2_shape=st.floats(0.0, 1000.0), log2_ratio=st.floats(1.0, 1023.9))
+    @example(log2_shape=2.0, log2_ratio=1.0)  # c = 1/4 exactly
+    def test_bracket_end_signs_without_guard(self, log2_shape, log2_ratio):
+        # For c = K/(2*Lc) <= 1/4 the solver does not evaluate its bracket
+        # ends: their signs follow from the closed forms.  Check them here,
+        # for every K >= 1 (the smallest kurtosis is 1) and finite Lc.
+        shape = 2.0 ** log2_shape
+        lc = shape * 2.0 ** log2_ratio
+        assume(math.e < lc < math.inf)
+        value_and_slope, c, lo, hi = bounds._iterated_function(shape, lc)
+        assume(c <= 0.25)
+        assert value_and_slope(lo)[0] < 0.0 < value_and_slope(hi)[0]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(

@@ -915,6 +915,27 @@ class TestVerifyCommand:
         assert [check["check"] for check in report["checks"] if not check["pass"]] == [
             "kurtosis[rice:1.0]"]
 
+    @pytest.mark.parametrize("offset_ulps, expected", [(0, 0), (6, 1)],
+                             ids=["true-kurtosis", "wrong-kurtosis"])
+    def test_nearly_deterministic_kurtosis(self, tmp_path, monkeypatch, offset_ulps, expected):
+        # Nakagami m = 1e16: the estimate 1.0000000000000002 is one ulp above
+        # the expected 1.0, which is z = 55 with SE 4e-18.  Up to 0.16.0 this
+        # failed; the 4-ulp rounding floor passes it, and an expected value 6
+        # ulps off still fails.
+        true_kurtosis = mcverify.kurtosis
+        monkeypatch.setattr(mcverify, "kurtosis",
+                            lambda fading: true_kurtosis(fading) + offset_ulps * 2.0**-52)
+        path = tmp_path / "scenario.txt"
+        path.write_text(FLAT_2X2.replace("rayleigh", "nakagami:1e16"))
+        out = tmp_path / "report.json"
+        code = main(["verify", "--scenario", str(path), "--trials", "10000", "--seed", "42",
+                     "--out", str(out)])
+        assert code == expected
+        record, = [check for check in json.loads(out.read_text())["checks"]
+                   if check["check"] == "kurtosis[nakagami:1e+16]"]
+        assert record["estimate"] == 1.0000000000000002
+        assert record["pass"] is (expected == 0)
+
     def test_byte_identical_reports(self, tmp_path):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         main(["verify", "--seed", "7", "--trials", "12000", "--out", str(out_a)])

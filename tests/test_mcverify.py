@@ -834,11 +834,23 @@ class TestPassRule:
         assert not _within(math.nextafter(low - 4.0 * se, -math.inf), se, low, high, slack)
 
     def test_zero_se_compares_exactly(self):
-        assert _within(2.0, 0.0, 2.0, 2.0)
-        assert not _within(math.nextafter(2.0, math.inf), 0.0, 2.0, 2.0)
-        assert not _within(math.nextafter(2.0, -math.inf), 0.0, 2.0, 2.0)
+        # One-sided, as every deterministic check is; two-sided checks have
+        # a rounding floor (below).
         assert _within(1e-9, 0.0, -math.inf, 1e-9)
         assert not _within(math.nextafter(1e-9, 1.0), 0.0, -math.inf, 1e-9)
+        assert _within(2.0, 0.0, 2.0, math.inf)
+        assert not _within(math.nextafter(2.0, -math.inf), 0.0, 2.0, math.inf)
+
+    @pytest.mark.parametrize("expected", [2.0, 1.0, 1.5, 1e-300])
+    @pytest.mark.parametrize("se_ulps", [0.0, 0.01])
+    def test_two_sided_rounding_floor_is_four_ulps(self, expected, se_ulps):
+        # Up to 0.16.0 a zero or tiny SE compared to the bit, so rounding of
+        # the estimate failed it (Nakagami m = 1e16).
+        ulp = math.ulp(expected)
+        se = se_ulps * ulp
+        for edge in (expected - 4.0 * ulp, expected + 4.0 * ulp):
+            assert _within(edge, se, expected, expected)
+            assert not _within(math.nextafter(edge, 2.0 * edge - expected), se, expected, expected)
 
     @pytest.mark.parametrize("value, se, low, high", [
         (1.0, math.inf, 0.0, 0.0),
