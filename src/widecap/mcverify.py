@@ -67,7 +67,6 @@ from typing import Optional
 import numpy as np
 
 from . import bounds
-from .bounds import _coherent_term as coherent_quadratic_lower
 from .channel import (
     block_idft_matrix,
     circulant_eigenvalues,
@@ -83,12 +82,10 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "CheckRecord",
-    "kurtosis_estimate",
     "empirical_kurtosis",
     "trace_identity_expected",
     "trace_identity_check",
     "coherent_term_mc",
-    "coherent_quadratic_lower",
     "penalty_sandwich",
     "bound_sandwich_sweep",
     "run_verification_suite",
@@ -246,15 +243,6 @@ class _Moments:
     pairs: tuple
 
     @classmethod
-    def of(cls, block: np.ndarray, cross=()) -> "_Moments":
-        """The moments of one block, for each (i, i) and each (i, j) of ``cross``; centres it."""
-        pairs = tuple((i, i) for i in range(len(block))) + tuple(cross)
-        mean, residual = np.empty((2, 1, len(block)))
-        comoment = np.empty((1, len(pairs)))
-        _reduce(block, pairs, mean[0], residual[0], comoment[0])
-        return cls.merge([block.shape[1]], mean, residual, comoment, pairs)
-
-    @classmethod
     def merge(cls, counts, means, residuals, comoments, pairs: tuple) -> "_Moments":
         """The moments of all parts' trials from each part's count, means, residuals, co-moments.
 
@@ -288,7 +276,7 @@ def _draw(cfg: McConfig, tag, rows: int, fill, cross=()) -> _Moments:
     after the join in chunk-start order, never in completion order, so the
     result does not depend on the CPU count or the chunk schedule.  Memory
     grows by 8 bytes per row, pair and 4096-trial chunk, not per trial.  The
-    only place that runs :func:`_each_chunk`.
+    only place that runs :func:`_each_chunk` or builds :class:`_Moments`.
     """
     pairs = tuple((i, i) for i in range(rows)) + tuple(cross)
     chunks = -(-cfg.trials // _CHUNK)
@@ -338,25 +326,26 @@ def _kurtosis(moments: _Moments) -> McEstimate:
     return McEstimate(mean=a / (b * b), std_error=influence.std_error)
 
 
-def kurtosis_estimate(power_samples) -> McEstimate:
-    """Kurtosis mean(x^2)/mean(x)^2 of squared-magnitude samples, one block (:func:`_kurtosis`)."""
-    x = np.asarray(power_samples, dtype=float)
-    return _kurtosis(_Moments.of(np.stack([x, x * x]), [(0, 1)]))
-
-
 def empirical_kurtosis(fading: FadingFamily, cfg: McConfig) -> McEstimate:
     """Estimate E|h|^4 / (E|h|^2)^2 over i.i.d. draws from the fading law.
 
     Each chunk draws |h|^2 by its exact law (:func:`unit_fading_power`):
     Exp(1), Gamma(m, 1/m) for Nakagami-m, and for Rice two real normals and
-    no phase, which the circular scatter leaves out of |h|^2.
+    no phase, which the circular scatter leaves out of |h|^2.  Raises
+    ValueError where the draws' mean, cubed, underflows to 0, as for Nakagami
+    m of about 1e-7 and below, whose draws are nearly all 0 in float64.
     """
     def fill(rng, n, out):
         out[0] = unit_fading_power(rng, fading, n)
         np.square(out[0], out=out[1])
 
     tag = (_TAG_KURTOSIS, fading.kind, float(fading.param))
-    return _kurtosis(_draw(cfg, tag, 2, fill, cross=[(0, 1)]))
+    moments = _draw(cfg, tag, 2, fill, cross=[(0, 1)])
+    try:
+        return _kurtosis(moments)
+    except ZeroDivisionError:
+        raise ValueError(f"kurtosis[{fading.label}]: the |h|^2 draws underflow float64 "
+                         "(their mean, cubed, is 0), so the estimate is undefined") from None
 
 
 def trace_identity_expected(nt: int, nr: int, kappa: float) -> float:
@@ -472,8 +461,8 @@ def _channel_draw(scenario: ChannelScenario, occupancies: list, cfg: McConfig, t
 def coherent_term_mc(scenario: ChannelScenario, occupancy: float, cfg: McConfig) -> McEstimate:
     """Estimate the coherent term delta*B * E[ln det(I + rho * H H^H)].
 
-    rho = P/(dB * Nt * N0); the estimate must exceed
-    :func:`coherent_quadratic_lower` up to Monte-Carlo error.
+    rho = P/(dB * Nt * N0); the estimate must exceed its quadratic expansion
+    ``bounds._coherent_term`` up to Monte-Carlo error.
     """
     [estimate], _ = _channel_draw(scenario, [occupancy], cfg, _TAG_COHERENT)
     return estimate
@@ -785,7 +774,7 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
                 for t, r, f in antenna_cases]
     records += _channel_identity_checks(cfg)
 
-    quad = coherent_quadratic_lower(scenario, optimum)
+    quad = bounds._coherent_term(scenario, optimum)
     records.append(CheckRecord(
         check="coherent_expansion",
         params={"occupancy": optimum, "trials": cfg.trials},

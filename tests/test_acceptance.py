@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from widecap.bounds import (
+    _coherent_term,
     critical_bracket,
     optimal_occupancy,
     peak_gap,
@@ -26,7 +27,6 @@ from widecap.channel import (
 from widecap.cli import main
 from widecap.mcverify import (
     McConfig,
-    coherent_quadratic_lower,
     coherent_term_mc,
     empirical_kurtosis,
     penalty_sandwich,
@@ -200,7 +200,7 @@ def test_criterion_5_proof_step_mc_suite():
     s = scenario(100.0, 1, 1, 1e3)
     occupancy = optimal_occupancy(s).occupancy_optimal
     coherent = coherent_term_mc(s, occupancy, cfg)
-    quad = coherent_quadratic_lower(s, occupancy)
+    quad = _coherent_term(s, occupancy)
     if coherent.mean < quad - 4 * coherent.std_error:
         failures.append("coherent expansion")
 

@@ -13,10 +13,10 @@ from widecap.channel import (
     unit_fading_power,
     unit_fading_samples,
 )
-from widecap.mcverify import _estimate, kurtosis_estimate
+from widecap.mcverify import _estimate
 from widecap.scenario import FadingFamily, kurtosis
 
-from test_mcverify import moments, pilot_spectrum
+from test_mcverify import kurtosis_estimate, moments, pilot_spectrum
 
 
 def seeded_taps(m_taps, seed):

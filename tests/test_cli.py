@@ -865,6 +865,46 @@ class TestTableByteIdentity:
         assert code == 0
         assert text == critical_reference(scenario, fmt, scale)
 
+    # critical CSV rows as 0.17.0 wrote them, before critical_bracket took its
+    # optimum from optimal_occupancy; test_critical's reference calls it itself.
+    CRITICAL_PINS = {
+        ("default", "hz"): "397.5896077022148,454.2643020523336,1701.5570945524219,"
+        "1811.710641520497,3186.7973478665795,3641.0616499189127,87.42421858333661,"
+        "0.1257578141666339",
+        ("default", "mhz"): "0.0003975896077022148,0.0004542643020523336,0.0017015570945524217,"
+        "0.001811710641520497,0.003186797347866579,0.0036410616499189126,87.42421858333661,"
+        "0.1257578141666339",
+        ("2x2", "hz"): "28113830.773553524,32121336.843217917,120318256.01340967,"
+        "137410361.3406177,225340601.49437633,257461938.33759424,16443031.872623019,"
+        "0.177848406368849",
+        ("2x2", "mhz"): "28.113830773553524,32.12133684321792,120.31825601340967,"
+        "137.41036134061767,225.34060149437633,257.46193833759423,16443031.872623019,"
+        "0.177848406368849",
+        ("8x8-lc16.00016", "hz"): "2806578.2535322807,3206643.9534581346,12011262.483226608,"
+        "2666697500014.3535,22495548.0768892,25702192.030347332,-62522304.3385914,"
+        "1.7815288042323925",
+        ("8x8-lc16.00016", "mhz"): "2.8065782535322805,3.2066439534581344,12.011262483226608,"
+        "2666697.5000143535,22.495548076889197,25.70219203034733,-62522304.3385914,"
+        "1.7815288042323925",
+        ("2x2-lc1e306", "hz"): "8.80278187292821e+157,1.0057580696675717e+158,"
+        "3.7673107288299505e+158,3.758849076873756e+158,7.055687921175851e+158,"
+        "8.061445990843423e+158,20000000.0,5.680022602146759e-152",
+        ("2x2-lc1e306", "mhz"): "8.802781872928209e+151,1.0057580696675716e+152,"
+        "3.76731072882995e+152,3.7588490768737555e+152,7.055687921175851e+152,"
+        "8.061445990843422e+152,20000000.0,5.680022602146759e-152",
+    }
+
+    @pytest.mark.parametrize("name, unit", sorted(CRITICAL_PINS))
+    def test_critical_pinned(self, tmp_path, name, unit):
+        texts = {"default": serialize_scenario(DEFAULT_SCENARIO), "2x2": FLAT_2X2,
+                 "8x8-lc16.00016": scenario_text(1e7, 1.0, 16.00016, 8, 8),
+                 "2x2-lc1e306": scenario_text(1e7, 1.0, 1e306, 2, 2)}
+        path = tmp_path / "scenario.txt"
+        path.write_text(texts[name])
+        code, text = run(tmp_path, "critical", "--scenario", str(path), "--unit", unit)
+        assert code == 0
+        assert text == f"{CRITICAL_COLUMNS.replace('|', ',')}\n{self.CRITICAL_PINS[name, unit]}\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("options, p_list, bctc, normalize", ALPHA_CASES)
     def test_alpha(self, tmp_path, named_scenario, fmt, options, p_list, bctc, normalize):
@@ -1015,6 +1055,21 @@ class TestVerifyCommand:
             assert capsys.readouterr().err == (
                 "error: coherent_expansion std_error overflows float64 for this scenario\n")
             assert not out.exists()
+
+    @pytest.mark.parametrize("antennas, shape", [(1, "1e-07"), (2, "1e-10")])
+    def test_underflowing_nakagami_power_refused(self, tmp_path, capsys, antennas, shape):
+        # Every Gamma(m, 1/m) draw of |h|^2 here underflows to 0.  Up to 0.17.0
+        # the kurtosis divided by their mean: ZeroDivisionError, exit 1.
+        path = tmp_path / "scenario.txt"
+        path.write_text(scenario_text(1e7, 1.0, 1e12, antennas, antennas, f"nakagami:{shape}"))
+        out = tmp_path / "never.json"
+        code = main(["verify", "--scenario", str(path), "--trials", "10000", "--seed", "42",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: kurtosis[nakagami:{shape}]: the |h|^2 draws underflow float64 "
+            "(their mean, cubed, is 0), so the estimate is undefined\n")
+        assert not out.exists()
 
 
 class TestScenarioLimits:
