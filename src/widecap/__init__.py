@@ -36,7 +36,7 @@ from .scenario import (
     serialize_scenario,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 # Lazily served name -> the submodule that defines it (a submodule maps to itself).
 _LAZY = {

@@ -39,7 +39,6 @@ __all__ = [
     "critical_bracket",
     "critical_coefficients",
     "peak_gap",
-    "rate_derivative_terms",
     "alpha_brackets",
     "epsilon_for_error_pct",
 ]
@@ -157,9 +156,10 @@ class CriticalBracket:
 
     ``occupancy_optimal`` is the closed-form approximation and
     ``occupancy_optimal_exact`` the numerical maximizer of the lower bound.
-    The loose bracket [occupancy_low, occupancy_high] and the exact-root
-    bracket [occupancy_low_exact, occupancy_high_exact] are populated by
-    :func:`critical_bracket` only; their ratio and nesting around
+    ``peak_rate_lower``, the loose bracket [occupancy_low, occupancy_high] and
+    the exact-root bracket [occupancy_low_exact, occupancy_high_exact] are the
+    paper's large-Lc asymptotics, not bounds at every Lc.  The brackets are
+    populated by :func:`critical_bracket` only; their ratio and nesting around
     ``occupancy_optimal`` are identities of :func:`critical_coefficients`.
     """
 
@@ -185,7 +185,9 @@ def peak_gap(scenario: ChannelScenario) -> float:
 def rate_derivative_terms(scenario: ChannelScenario, occupancy: float):
     """The three terms of d(R_LB)/d(dB) / C_inf: (quadratic, log, rational).
 
-    The stationarity condition at the maximizer is t1 - t2 + t3 = 0.
+    The stationarity condition at the maximizer is t1 - t2 + t3 = 0.  The solver
+    works in y (:func:`_optimum_y`), so this is kept only for the benchmark's
+    span tracer, which looks it up by name.
     """
     s = scenario.snr_density
     nt = scenario.nt
@@ -327,7 +329,9 @@ def optimal_occupancy(scenario: ChannelScenario) -> CriticalBracket:
     by at most 4.5e-16*y, even one that lands on a bracket end; only a step
     that has not converged and leaves the bracket bisects.
 
-    Peak rate: C_inf * (1 - Delta) with Delta from :func:`peak_gap`.
+    Peak rate: C_inf * (1 - Delta), Delta from :func:`peak_gap`: the paper's large-Lc
+    asymptote of the peak of R_LB, not a bound at every Lc (1x1 Rayleigh, P/N0 = 100,
+    Lc = 1000: 87.4242, above the peak R_LB of 87.1812).
     """
     return CriticalBracket(
         occupancy_optimal=_closed_form_optimum(scenario),
@@ -361,8 +365,9 @@ def critical_bracket(scenario: ChannelScenario) -> CriticalBracket:
     Loose bracket:
         (dB)- = P/N0 / (2*sqrt((Nt+Nr)*ln pi)) * sqrt(Lc/ln Lc)
         (dB)+ = P/N0 * 2*sqrt((Nt+Nr)*ln pi)/Nt * sqrt(Lc/ln Lc)
-    The exact-root variants tighten both ends and always lie inside; the
-    other fields are those of :func:`optimal_occupancy`.
+    The exact-root variants tighten both ends and always lie inside; the other
+    fields are those of :func:`optimal_occupancy`.  Both brackets are large-Lc
+    asymptotics: on 8x8 at Bc*Tc = 16.00016 the exact optimum is about 1e5 * occupancy_high.
     """
     _require_rayleigh(scenario, "critical bracket")
     nt, nr = scenario.nt, scenario.nr

@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -41,7 +41,7 @@ from .scenario import (
     serialize_scenario,
 )
 
-__all__ = ["GridAxis", "main"]
+__all__ = ["main"]
 
 DEFAULT_SCENARIO = ChannelScenario(
     snr_density=100.0,
@@ -53,32 +53,8 @@ DEFAULT_SCENARIO = ChannelScenario(
 )
 
 
-@dataclass(frozen=True)
-class GridAxis:
-    """One sweep axis: ``points`` values from lo to hi, log or linear spacing."""
-
-    lo: float
-    hi: float
-    points: int
-    log: bool = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("grid bounds must be finite")
-        if not self.lo < self.hi:
-            raise ValueError("grid bounds must be strictly increasing")
-        if self.points < 2:
-            raise ValueError("grids need at least two points")
-        if self.log and self.lo <= 0:
-            raise ValueError("log grids need positive bounds")
-
-    def values(self) -> np.ndarray:
-        if self.log:
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
-
-
-def _parse_axis(text: str) -> GridAxis:
+def _parse_axis(text: str) -> np.ndarray:
+    """The n values from lo to hi of the sweep axis ``lo:hi:n[:log|lin]``, log-spaced by default."""
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise argparse.ArgumentTypeError(f"expected lo:hi:n[:log|lin], got {text!r}")
@@ -86,15 +62,21 @@ def _parse_axis(text: str) -> GridAxis:
         lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    log = True
-    if len(parts) == 4:
-        if parts[3] not in ("log", "lin"):
-            raise argparse.ArgumentTypeError("spacing must be 'log' or 'lin'")
-        log = parts[3] == "log"
+    if parts[3:] not in ([], ["log"], ["lin"]):
+        raise argparse.ArgumentTypeError("spacing must be 'log' or 'lin'")
+    log = parts[3:] != ["lin"]
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("grid bounds must be finite")
+    if not lo < hi:
+        raise argparse.ArgumentTypeError("grid bounds must be strictly increasing")
+    if points < 2:
+        raise argparse.ArgumentTypeError("grids need at least two points")
+    if log and lo <= 0:
+        raise argparse.ArgumentTypeError("log grids need positive bounds")
     try:
-        return GridAxis(lo, hi, points, log)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        return np.geomspace(lo, hi, points) if log else np.linspace(lo, hi, points)
+    except (ValueError, IndexError):  # more points than numpy can index
+        raise MemoryError(f"{points} points") from None
 
 
 def _load_scenario(path: Optional[str]) -> ChannelScenario:
@@ -191,17 +173,17 @@ def _sweep_axes(args):
     if args.db_grid is not None:
         if args.delta_grid is not None or args.b_grid is not None:
             raise ValueError("give either a dB grid or (delta, B) axes, not both")
-        return np.ones(1), args.db_grid.values()
+        return np.ones(1), args.db_grid
     if args.b_grid is None:
         raise ValueError("no sweep axes given" if args.delta_grid is None
                          else "a delta grid needs a bandwidth grid")
-    deltas = args.delta_grid.values() if args.delta_grid else np.ones(1)
-    return deltas, args.b_grid.values()
+    return (np.ones(1) if args.delta_grid is None else args.delta_grid), args.b_grid
 
 
 def cmd_bounds(args) -> int:
     scenario = _load_scenario(args.scenario)
     rayleigh = scenario.fading.kind == "rayleigh"
+    upper_column = ["R_UB"] if rayleigh else []
     if args.penalty_factor is not None and not rayleigh:
         raise ValueError("--penalty-factor sets R_UB, which exists only for Rayleigh fading, "
                          f"not {scenario.fading.label}")
@@ -225,17 +207,13 @@ def cmd_bounds(args) -> int:
     with np.errstate(all="ignore"):
         corners = np.multiply.outer([deltas.min(), deltas.max()], [bands.min(), bands.max()])
         ends = np.array([corners.min(), corners.max()])
-        _require_finite(["R_LB", "R_UB", "gap"] if rayleigh else ["R_LB", "gap"],
-                        kernels(ends), ends)
+        _require_finite(["R_LB", *upper_column, "gap"], kernels(ends), ends)
     # delta is a fraction of time.  A positive delta*B can hide two negative
     # axes, but with every delta > 0 every B is > 0 too.
     if not (deltas.min() > 0 and deltas.max() <= 1):
         option = "--delta" if args.delta is not None else "--delta-grid"
         raise ValueError(f"{option} is a duty cycle and must lie in (0, 1]")
-    header = ["delta", "B", "deltaB", "R_LB", "R_LB_plot"]
-    if rayleigh:
-        header.append("R_UB")
-    header += ["C_inf", "gap"]
+    header = ["delta", "B", "deltaB", "R_LB", "R_LB_plot", *upper_column, "C_inf", "gap"]
     scale = _freq_scale(args.unit)
     if args.unit == "mhz":  # B and delta*B in hertz are the user's, written as given
         low = ends[:1]  # the smallest delta*B, at the smallest delta and B
@@ -309,25 +287,22 @@ def cmd_critical(args) -> int:
 
 def cmd_alpha(args) -> int:
     scenario = _load_scenario(args.scenario)
-    snr = args.snr
-    p_list = args.p
-    axis = args.bctc_grid or GridAxis(1e2, 1e8, 25, log=True)
     suffix = "_over_logLc" if args.normalize else ""
     header = ["BcTc", f"alpha_max{suffix}", f"alpha_max_over_2{suffix}"]
-    header += [f"alpha_min_p{p:g}{suffix}" for p in p_list]
+    header += [f"alpha_min_p{p:g}{suffix}" for p in args.p]
     header += [f"alpha_plus{suffix}", f"alpha_minus{suffix}"]
     # Equal column names would be equal keys of one JSON row object.
     if len(set(header)) < len(header):
         raise ValueError("--p values must differ in their first 6 significant digits")
 
     # alpha_min is the only value that depends on epsilon.
-    epsilons = [bounds.epsilon_for_error_pct(p, snr) for p in p_list]
+    epsilons = [bounds.epsilon_for_error_pct(p, args.snr) for p in args.p]
     rows = []
-    for lc in axis.values().tolist():
+    for lc in args.bctc_grid.tolist():
         # Tc = 1 s makes the row's Bc*Tc the printed BcTc exactly.
         variant = replace(scenario, coherence_time=1.0, coherence_bandwidth=lc)
         norm = math.log(lc) if args.normalize else 1.0
-        brackets = [bounds.alpha_brackets(variant, snr, eps) for eps in epsilons]
+        brackets = [bounds.alpha_brackets(variant, args.snr, eps) for eps in epsilons]
         ab = brackets[0]
         row = [lc, ab.alpha_max / norm, ab.alpha_max / 2.0 / norm]
         row += [b.alpha_min / norm for b in brackets]
@@ -436,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_alpha.add_argument("--snr", type=float, required=True, help="per-dof SNR in (0, 1)")
     p_alpha.add_argument("--p", type=_percentages,
                          default=[1.0, 10.0], help="error percentages, comma separated")
-    p_alpha.add_argument("--bctc-grid", type=_parse_axis, default=None,
+    p_alpha.add_argument("--bctc-grid", type=_parse_axis, default="1e2:1e8:25",
                          metavar="LO:HI:N[:log|lin]")
     p_alpha.add_argument("--normalize", action="store_true",
                          help="divide alpha columns by ln(BcTc)")
@@ -463,8 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         # ScenarioError is a ValueError: bad files and bad parameter domains
@@ -472,7 +447,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # A grid too large to allocate fails before --out opens.
+        # A grid axis too large to allocate fails in the parser, before --out opens.
         print(f"error: grid too large: {exc}", file=sys.stderr)
         return 2
 

@@ -84,10 +84,7 @@ __all__ = [
     "CheckRecord",
     "empirical_kurtosis",
     "trace_identity_expected",
-    "trace_identity_check",
-    "coherent_term_mc",
     "penalty_sandwich",
-    "bound_sandwich_sweep",
     "run_verification_suite",
 ]
 
@@ -459,17 +456,19 @@ def _channel_draw(scenario: ChannelScenario, occupancies: list, cfg: McConfig, t
 
 
 def coherent_term_mc(scenario: ChannelScenario, occupancy: float, cfg: McConfig) -> McEstimate:
-    """Estimate the coherent term delta*B * E[ln det(I + rho * H H^H)].
+    """Estimate the coherent term delta*B * E[ln det(I + rho * H H^H)], rho = P/(dB * Nt * N0).
 
-    rho = P/(dB * Nt * N0); the estimate must exceed its quadratic expansion
-    ``bounds._coherent_term`` up to Monte-Carlo error.
+    Kept only for the benchmark's span tracer, which looks it up by name.
     """
     [estimate], _ = _channel_draw(scenario, [occupancy], cfg, _TAG_COHERENT)
     return estimate
 
 
 def trace_identity_check(scenario: ChannelScenario, cfg: McConfig) -> McEstimate:
-    """Estimate E[tr((H H^H)^2)] over per-subcarrier channel blocks."""
+    """Estimate E[tr((H H^H)^2)] over per-subcarrier channel blocks.
+
+    Kept only for the benchmark's span tracer, which looks it up by name.
+    """
     tag = (_TAG_TRACE, scenario.nt, scenario.nr, scenario.fading.kind)
     _, traces = _channel_draw(scenario, [], cfg, tag)
     return traces[(scenario.nt, scenario.nr)]
@@ -570,8 +569,7 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
     K-point psi.
     """
     bounds._check_occupancy(occupancy)
-    if scenario.fading.kind != "rayleigh":
-        raise ValueError("penalty sandwich is defined for Rayleigh fading")
+    bounds._require_rayleigh(scenario, "penalty sandwich")
     l_c = integer_coherence_length(scenario.coherence_product)
     if k_samples % l_c != 0:
         raise ValueError("k_samples must be divisible by the integer coherence length")
@@ -680,9 +678,11 @@ def _sandwich_record(scenario: ChannelScenario, occupancy: float, coherent: McEs
 
 
 def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig) -> list:
-    """One :func:`_sandwich_record` per occupancy of a dB grid, all from one draw of H."""
-    if scenario.fading.kind != "rayleigh":
-        raise ValueError("bound sandwich is defined for Rayleigh fading")
+    """One :func:`_sandwich_record` per occupancy of a dB grid, all from one draw of H.
+
+    Kept only for the benchmark's span tracer, which looks it up by name.
+    """
+    bounds._require_rayleigh(scenario, "bound sandwich")
     grid = [float(occupancy) for occupancy in grid]
     estimates, _ = _channel_draw(scenario, grid, cfg, _TAG_COHERENT)
     return [_sandwich_record(scenario, x, estimate, cfg.trials)

@@ -27,27 +27,16 @@ from widecap.channel import (
 from widecap.cli import main
 from widecap.mcverify import (
     McConfig,
-    coherent_term_mc,
     empirical_kurtosis,
     penalty_sandwich,
-    trace_identity_check,
     trace_identity_expected,
 )
 from widecap.scenario import ChannelScenario, FadingFamily
 
+from test_mcverify import coherent_estimate, scenario, trace_estimate
+
 SEED = 42
 TRIALS = 100_000
-
-
-def scenario(snr, nt, nr, lc, fading=None):
-    return ChannelScenario(
-        snr_density=snr,
-        coherence_time=1e-3,
-        coherence_bandwidth=lc / 1e-3,
-        nt=nt,
-        nr=nr,
-        fading=fading or FadingFamily.rayleigh(),
-    )
 
 
 def report(index, name, ok, detail=""):
@@ -183,7 +172,7 @@ def test_criterion_5_proof_step_mc_suite():
     check("kurtosis nakagami(2)", empirical_kurtosis(FadingFamily.nakagami(2.0), cfg), 1.5)
 
     for nt, nr in ((1, 1), (2, 2), (2, 1)):
-        est = trace_identity_check(scenario(100.0, nt, nr, 1e3), cfg)
+        est = trace_estimate(scenario(100.0, nt, nr, 1e3), cfg)
         check(f"trace {nt}x{nr}", est, trace_identity_expected(nt, nr, 2.0))
 
     rng = np.random.default_rng(SEED)
@@ -199,7 +188,7 @@ def test_criterion_5_proof_step_mc_suite():
 
     s = scenario(100.0, 1, 1, 1e3)
     occupancy = optimal_occupancy(s).occupancy_optimal
-    coherent = coherent_term_mc(s, occupancy, cfg)
+    coherent = coherent_estimate(s, occupancy, cfg)
     quad = _coherent_term(s, occupancy)
     if coherent.mean < quad - 4 * coherent.std_error:
         failures.append("coherent expansion")

@@ -20,11 +20,12 @@ from widecap.bounds import (
     epsilon_for_error_pct,
     optimal_occupancy,
     peak_gap,
-    rate_derivative_terms,
     rate_lower_bound,
     rate_upper_bound,
 )
 from widecap.scenario import ChannelScenario, FadingFamily, kurtosis
+
+from test_mcverify import scenario
 
 # Frozen 50-digit reference evaluations of the closed forms.
 RLB_100_1X1_LC1E3_AT_100 = -0.69087547793152205852
@@ -40,17 +41,6 @@ FADINGS = [
     FadingFamily.nakagami(2.0),
     FadingFamily.nakagami(0.5),
 ]
-
-
-def scenario(snr=100.0, nt=1, nr=1, lc=1e3, fading=None):
-    return ChannelScenario(
-        snr_density=snr,
-        coherence_time=1e-3,
-        coherence_bandwidth=lc / 1e-3,
-        nt=nt,
-        nr=nr,
-        fading=fading or FadingFamily.rayleigh(),
-    )
 
 
 def brent_maximizer(s, lo, hi):
@@ -76,14 +66,26 @@ def closed_form_bracket(s):
     return low, high
 
 
+def derivative_terms(s, occupancy):
+    """The three terms of d(R_LB)/d(dB) / C_inf: (quadratic, log, rational).
+
+    The oracle of the stationarity condition t1 - t2 + t3 = 0 at the maximizer.
+    """
+    snr, nt, lc, x = s.snr_density, s.nt, s.coherence_product, occupancy
+    t1 = snr * shape(s) / (2.0 * x * x * nt)
+    t2 = (nt / (snr * lc)) * math.log1p(snr * lc / (x * nt))
+    t3 = 1.0 / (x * (1.0 + snr * lc / (nt * x)))
+    return t1, t2, t3
+
+
 def slope(s, occupancy):
-    t1, t2, t3 = rate_derivative_terms(s, occupancy)
+    t1, t2, t3 = derivative_terms(s, occupancy)
     return t1 - t2 + t3
 
 
 def stationarity_residual(s, occupancy):
     """|t1 - t2 + t3| relative to the largest derivative term at ``occupancy``."""
-    t1, t2, t3 = rate_derivative_terms(s, occupancy)
+    t1, t2, t3 = derivative_terms(s, occupancy)
     return abs(t1 - t2 + t3) / max(abs(t1), abs(t2), abs(t3))
 
 

@@ -28,7 +28,7 @@ from widecap.bounds import (
     rate_upper_bound,
 )
 from widecap.channel import unit_fading_power
-from widecap.cli import _BLOCK, DEFAULT_SCENARIO, GridAxis, _build_parser, main
+from widecap.cli import _BLOCK, DEFAULT_SCENARIO, _build_parser, _parse_axis, main
 from widecap.scenario import parse_scenario, serialize_scenario
 
 FLAT_2X2 = """
@@ -69,22 +69,22 @@ def csv_rows(text):
 
 
 class TestGridAxis:
+    """``_parse_axis``, the parser of every grid option: its values and its refusals."""
+
     def test_values(self):
-        axis = GridAxis(1.0, 100.0, 3)
-        assert list(axis.values()) == pytest.approx([1.0, 10.0, 100.0])
-        lin = GridAxis(0.0, 1.0, 3, log=False)
-        assert list(lin.values()) == pytest.approx([0.0, 0.5, 1.0])
+        assert list(_parse_axis("1:100:3")) == pytest.approx([1.0, 10.0, 100.0])
+        assert list(_parse_axis("0:1:3:lin")) == pytest.approx([0.0, 0.5, 1.0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GridAxis(2.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            GridAxis(1.0, 2.0, 1)
-        with pytest.raises(ValueError):
-            GridAxis(0.0, 2.0, 5, log=True)
-        for lo, hi in ((1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)):
-            with pytest.raises(ValueError, match="grid bounds must be finite"):
-                GridAxis(lo, hi, 5, log=False)
+        with pytest.raises(argparse.ArgumentTypeError, match="strictly increasing"):
+            _parse_axis("2:1:5")
+        with pytest.raises(argparse.ArgumentTypeError, match="at least two points"):
+            _parse_axis("1:2:1")
+        with pytest.raises(argparse.ArgumentTypeError, match="log grids need positive bounds"):
+            _parse_axis("0:2:5:log")
+        for lo, hi in (("1", "inf"), ("-inf", "1"), ("nan", "1"), ("1", "nan")):
+            with pytest.raises(argparse.ArgumentTypeError, match="grid bounds must be finite"):
+                _parse_axis(f"{lo}:{hi}:5:lin")
 
     def test_sweep_spec_validation(self, tmp_path, scenario_file, capsys):
         for options, message in [
@@ -285,6 +285,10 @@ class TestBoundsByteIdentity:
         assert out == table
 
 
+# An axis that numpy cannot allocate.
+UNALLOCATABLE = "1e6:1e9:1000000000000000"
+
+
 class TestBoundsUsageErrors:
     @pytest.mark.parametrize("options", [
         ["--delta-grid", "0:1:3:lin", "--b-grid", "1:1e6:3"],
@@ -296,7 +300,7 @@ class TestBoundsUsageErrors:
         ["--delta", "1", "--bandwidth", "inf"],
         ["--b-grid", "1e6:inf:3"],
         ["--db-grid", "1e6:1e400:3"],  # the upper bound overflows to inf
-        ["--db-grid", "1e6:1e9:1000000000000000"],  # numpy cannot allocate the axis
+        ["--db-grid", UNALLOCATABLE],
     ])
     def test_no_output_on_error(self, tmp_path, scenario_file, options, capsys):
         out = tmp_path / "never.csv"
@@ -307,8 +311,33 @@ class TestBoundsUsageErrors:
             assert capsys.readouterr().err.endswith("error: argument " + options[0]
                                                     + ": grid bounds must be finite\n")
         else:
-            assert capsys.readouterr().err.startswith("error: ")
+            prefix = "error: grid too large: " if UNALLOCATABLE in options else "error: "
+            assert capsys.readouterr().err.startswith(prefix)
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, option", [
+        (["bounds"], "--db-grid"), (["bounds"], "--b-grid"),
+        (["bounds", "--b-grid", "1e6:1e7:3"], "--delta-grid"),
+        (["alpha", "--snr", "0.01"], "--bctc-grid"),
+    ])
+    @pytest.mark.parametrize("points", [10**20, 2**63])  # beyond what numpy can index
+    def test_unindexable_axis(self, tmp_path, scenario_file, command, option, points, capsys):
+        out = tmp_path / "never.csv"
+        code = main([*command, "--scenario", scenario_file, option, f"1e6:1e9:{points}",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: grid too large: {points} points\n"
+        assert not out.exists()
+
+    def test_axis_is_refused_before_the_scenario(self, tmp_path, capsys):
+        # The parser allocates each axis, so that refusal comes before any
+        # fault that the command finds.
+        out = tmp_path / "never.csv"
+        code = main(["bounds", "--scenario", str(tmp_path / "missing.txt"),
+                     "--db-grid", UNALLOCATABLE, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: grid too large: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", [
@@ -505,13 +534,12 @@ class TestBoundsFiniteRule:
         scenario = parse_scenario(text)
         lo, hi = 10.0 ** lo_exp, 10.0 ** min(lo_exp + decades, 308.25)
         assume(lo < hi)  # a subnormal lo rounds a short span away
-        axis = GridAxis(lo, hi, points)
-        argv = ["--db-grid", f"{axis.lo!r}:{axis.hi!r}:{points}"]
+        argv = ["--db-grid", f"{lo!r}:{hi!r}:{points}"]
         if fading != "rayleigh":
             penalty_factor = None
         if penalty_factor is not None:
             argv += ["--penalty-factor", repr(penalty_factor)]
-        finite = _scalar_rates_finite(scenario, axis.values().tolist(),
+        finite = _scalar_rates_finite(scenario, _parse_axis(argv[1]).tolist(),
                                       1.0 if penalty_factor is None else penalty_factor)
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as directory:

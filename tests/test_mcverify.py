@@ -22,16 +22,14 @@ from widecap.mcverify import (
     _min_tap_power,
     _pilot_lags,
     _pilot_power,
+    _sandwich_record,
     _within,
-    bound_sandwich_sweep,
-    coherent_term_mc,
     empirical_kurtosis,
     gram_logdet,
     penalty_sandwich,
     run_verification_suite,
     small_gram,
     toeplitz_logdet,
-    trace_identity_check,
     trace_identity_expected,
 )
 from widecap.bounds import _coherent_term, _penalty_cap, optimal_occupancy, rate_lower_bound
@@ -103,6 +101,24 @@ def moments(values, cross=()) -> mcverify._Moments:
     """The moments of ``values`` (rows, n) as one part, which keeps numpy's two-pass bits."""
     values = np.array(values, dtype=float, ndmin=2)
     return merged_moments(values, [values.shape[1]], cross)
+
+
+def coherent_estimate(s, occupancy, cfg) -> McEstimate:
+    """The coherent term at one occupancy, from the coherent check's stream of H."""
+    [estimate], _ = _channel_draw(s, [occupancy], cfg, mcverify._TAG_COHERENT)
+    return estimate
+
+
+def trace_estimate(s, cfg) -> McEstimate:
+    """E[tr((H H^H)^2)] of the scenario's block, from a stream of H that the suite does not draw."""
+    tag = (mcverify._TAG_TRACE, s.nt, s.nr, s.fading.kind)
+    return _channel_draw(s, [], cfg, tag)[1][(s.nt, s.nr)]
+
+
+def sandwich_records(s, grid, cfg) -> list:
+    """The bound-sandwich record at each occupancy of ``grid``, from the coherent check's stream."""
+    estimates, _ = _channel_draw(s, grid, cfg, mcverify._TAG_COHERENT)
+    return [_sandwich_record(s, x, estimate, cfg.trials) for x, estimate in zip(grid, estimates)]
 
 
 def kurtosis_estimate(x) -> McEstimate:
@@ -282,13 +298,13 @@ class TestMcConfig:
 class TestTraceIdentity:
     @pytest.mark.parametrize("nt,nr,expected", [(1, 1, 2.0), (2, 2, 16.0), (2, 1, 6.0)])
     def test_rayleigh_cases(self, nt, nr, expected):
-        est = trace_identity_check(scenario(nt=nt, nr=nr), CFG)
+        est = trace_estimate(scenario(nt=nt, nr=nr), CFG)
         assert trace_identity_expected(nt, nr, 2.0) == expected
         assert_within(est, expected)
 
     def test_rice_case(self):
         fading = FadingFamily.rice(1.0)
-        est = trace_identity_check(scenario(nt=2, nr=2, fading=fading), CFG)
+        est = trace_estimate(scenario(nt=2, nr=2, fading=fading), CFG)
         assert_within(est, trace_identity_expected(2, 2, kurtosis(fading)))
 
 
@@ -301,7 +317,7 @@ class TestCoherentTerm:
     def test_dominates_quadratic_expansion(self):
         s = scenario(snr=1e7, nt=2, nr=2)
         occupancy = optimal_occupancy(s).occupancy_optimal
-        est = coherent_term_mc(s, occupancy, CFG)
+        est = coherent_estimate(s, occupancy, CFG)
         quad = _coherent_term(s, occupancy)
         assert est.mean >= quad - 4.0 * est.std_error
 
@@ -311,8 +327,8 @@ class TestCoherentTerm:
         s = scenario(snr=100.0)
         occupancy = optimal_occupancy(s).occupancy_optimal
         c_inf = s.wideband_limit
-        est1 = coherent_term_mc(s, occupancy, CFG)
-        est2 = coherent_term_mc(s, 2 * occupancy, CFG)
+        est1 = coherent_estimate(s, occupancy, CFG)
+        est2 = coherent_estimate(s, 2 * occupancy, CFG)
         deficit1 = c_inf - est1.mean
         deficit2 = c_inf - est2.mean
         slack = 4.0 * (est1.std_error + est2.std_error)
@@ -434,7 +450,7 @@ class TestPenaltySandwich:
 
     def test_requires_rayleigh(self):
         bad = ChannelScenario(1.0, 1.0, 8.0, 1, 1, FadingFamily.rice(1.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Rayleigh"):
             penalty_sandwich(bad, occupancy=32.0, k_samples=32, cfg=SMALL)
 
 
@@ -507,7 +523,7 @@ class TestLogDetKernels:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         cfg = McConfig(trials=10_000, base_seed=1)
-        coherent_term_mc(scenario(nt=2, nr=3), 1e3, cfg)
+        coherent_estimate(scenario(nt=2, nr=3), 1e3, cfg)
         penalty_sandwich(desk_scenario(nt=2, nr=2), occupancy=32.0, k_samples=32, cfg=cfg)
 
 
@@ -535,14 +551,14 @@ class TestOccupancyDomain:
     @pytest.mark.parametrize("occupancy, message", CASES)
     def test_coherent_term(self, occupancy, message):
         with pytest.raises(ValueError, match=message):
-            coherent_term_mc(scenario(), occupancy, SMALL)
+            coherent_estimate(scenario(), occupancy, SMALL)
 
 
 class TestBoundSandwichSweep:
     def test_three_point_grid(self):
         s = scenario(snr=100.0)
         opt = optimal_occupancy(s).occupancy_optimal
-        records = bound_sandwich_sweep(s, [opt / 10, opt, 10 * opt], SMALL)
+        records = sandwich_records(s, [opt / 10, opt, 10 * opt], SMALL)
         assert len(records) == 3
         for record in records:
             bound = record.bound_values
@@ -554,14 +570,13 @@ class TestBoundSandwichSweep:
     def test_peak_point_reaches_lemma_gap(self):
         s = scenario(snr=100.0)
         opt = optimal_occupancy(s)
-        [record] = bound_sandwich_sweep(s, [opt.occupancy_optimal_exact], SMALL)
+        [record] = sandwich_records(s, [opt.occupancy_optimal_exact], SMALL)
         floor = opt.peak_rate_lower - 4.0 * record.std_error
         assert record.estimate >= floor
 
     def test_empty_grid(self):
         # No points, but the draw still gives its trace identity, the same
         # estimate as under any grid.
-        assert bound_sandwich_sweep(scenario(), [], SMALL) == []
         estimates, traces = _channel_draw(scenario(), [], SMALL, mcverify._TAG_COHERENT)
         assert (estimates, list(traces)) == ([], [(1, 1)])
         assert traces == _channel_draw(scenario(), [1e3, 1e5], SMALL, mcverify._TAG_COHERENT)[1]
@@ -585,7 +600,7 @@ class TestSharedCoherentDraw:
     def test_single_occupancy_bits(self, options, optimum, mean, std_error):
         s = scenario(snr=1e7, **options)
         assert optimal_occupancy(s).occupancy_optimal_exact.hex() == optimum
-        estimate = coherent_term_mc(s, float.fromhex(optimum), SMALL)
+        estimate = coherent_estimate(s, float.fromhex(optimum), SMALL)
         assert estimate.mean.hex() == mean
         assert estimate.std_error.hex() == std_error
 
@@ -593,7 +608,7 @@ class TestSharedCoherentDraw:
         s = scenario(snr=1e7, nt=2, nr=3)
         grid = [1e6, 3e7, 1e9]
         estimates, _ = _channel_draw(s, grid, SMALL, mcverify._TAG_COHERENT)
-        assert estimates == [coherent_term_mc(s, x, SMALL) for x in grid]
+        assert estimates == [coherent_estimate(s, x, SMALL) for x in grid]
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_shared_sweep_matches_independent_draws(self, seed):
@@ -601,7 +616,7 @@ class TestSharedCoherentDraw:
         opt = optimal_occupancy(s).occupancy_optimal_exact
         cfg = McConfig(trials=100_000, base_seed=seed)
         grid = [opt * factor for factor in (0.1, 1.0, 10.0)]
-        records = bound_sandwich_sweep(s, grid, cfg)
+        records = sandwich_records(s, grid, cfg)
         for index, (x, shared) in enumerate(zip(grid, records)):
             [independent], _ = _channel_draw(s, [x], cfg, ("independent", index))
             gap = shared.estimate - (independent.mean - float(_penalty_cap(s, x)))
@@ -623,14 +638,18 @@ class TestSharedCoherentDraw:
         assert middle.std_error == coherent.std_error
 
     def test_non_rayleigh_coherent_check_and_trace_share_one_draw(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the suite drew the scenario's own law twice")
+        laws = []
 
-        monkeypatch.setattr(mcverify, "trace_identity_check", refuse)
-        monkeypatch.setattr(mcverify, "coherent_term_mc", refuse)
+        def counted(s, *args, **kwargs):
+            laws.append(s.fading.label)
+            return _channel_draw(s, *args, **kwargs)
+
+        monkeypatch.setattr(mcverify, "_channel_draw", counted)
         s = scenario(snr=1e7, nt=2, nr=2, fading=FadingFamily.rice(1.0))
         cfg = McConfig(10_000, 7)
         records, coherent, middle, cap = self._coherent_and_middle(s, cfg)
+        # One Rayleigh draw and one of the scenario's own law.
+        assert laws == ["rayleigh", "rice:1.0"]
         optimum = coherent.params["occupancy"]
         [own], own_traces = _channel_draw(s, [optimum], cfg, mcverify._TAG_COHERENT)
         assert (coherent.estimate, coherent.std_error) == (own.mean, own.std_error)
@@ -671,7 +690,7 @@ class TestSharedRayleighDraws:
         s = scenario(snr=snr, nt=nt, nr=nr)
         records = {r.check: r for r in run_verification_suite(s, cfg)}
         pairs = [(records[f"trace_identity[{t}x{r}:rayleigh]"],
-                  trace_identity_check(scenario(nt=t, nr=r), cfg), 0.0)
+                  trace_estimate(scenario(nt=t, nr=r), cfg), 0.0)
                  for t, r in dict.fromkeys([(nt, nr), (1, 1), (2, 2), (2, 1)])]
         sweep = [r for r in records.values() if r.check.startswith("bound_sandwich")]
         for index, record in enumerate(sweep):
@@ -691,7 +710,7 @@ class TestSharedRayleighDraws:
         cfg = McConfig(10_000, 42)
         s = scenario(snr=1e7, nt=nt, nr=nr)
         sweep = [r for r in run_verification_suite(s, cfg) if r.check.startswith("bound_sandwich")]
-        standalone = bound_sandwich_sweep(s, [r.params["occupancy"] for r in sweep], cfg)
+        standalone = sandwich_records(s, [r.params["occupancy"] for r in sweep], cfg)
         assert [r.as_dict() for r in sweep] == [r.as_dict() for r in standalone]
 
     def test_rayleigh_param_gives_the_canonical_records(self):
