@@ -13,6 +13,7 @@ closed forms never imports or compiles it.
 """
 
 import importlib
+import os
 
 from .bounds import (
     AlphaBracket,
@@ -37,6 +38,13 @@ from .scenario import (
 )
 
 __version__ = "0.19.0"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the threads of ``verify`` and the repr helper
+    of ``bounds`` run only when there are two."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 
 # Lazily served name -> the submodule that defines it (a submodule maps to itself).
 _LAZY = {

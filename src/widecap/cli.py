@@ -12,27 +12,31 @@ hertz unless ``--unit mhz`` rescales the display.  ``bounds`` evaluates its
 grid in fixed blocks of points, one kernel call per block, and writes each
 block's rows as it goes, so its memory does not grow with the grid size.  It
 formats each distinct delta, B and C_inf value once, not once per row; the
-bytes are those of formatting every cell.  Every command validates its
-input, and refuses output that overflows float64 or a frequency that
-underflows it, before ``--out`` is opened, so a usage error creates no file;
-all but ``bounds`` compute their whole output first.  Exit codes: 0 success,
-1 verification failure, 2 usage or scenario errors.
+bytes are those of formatting every cell.  On a grid of more than eight
+blocks with two usable CPUs, a helper interpreter (``widecap._reprhelper``)
+formats most of each later block's float cells, a few blocks ahead, while
+this process formats the rest and writes; the bytes do not change.  Every
+command validates its input, and refuses output that overflows float64 or a
+frequency that underflows it, before ``--out`` is opened, so a usage error
+creates no file; all but ``bounds`` compute their whole output first.
+Exit codes: 0 success, 1 verification failure, 2 usage or scenario errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from . import __version__, bounds
+from . import __version__, _usable_cpus, bounds
 from .scenario import (
     ChannelScenario,
     FadingFamily,
@@ -159,6 +163,27 @@ def _penalty_factor(text: str) -> float:
 # Grid points per kernel call and per write.  Small enough that the memory of
 # a block stays well below the interpreter's, whatever the grid size.
 _BLOCK = 512
+# Blocks evaluated ahead of the one being written, so that the repr helper
+# has queued work and rarely waits for the next frame.
+_AHEAD = 4
+# Share of each block's float cells formatted here while a helper formats the
+# rest: less than half, since this process also evaluates and writes the rows.
+_OWN_SHARE = 1 / 3
+# Leading blocks of a sweep formatted wholly here, which takes about as long as
+# a helper takes to start (20 ms on a 2-core VM); only a longer sweep starts one.
+_SOLO_BLOCKS = 8
+
+
+def _repr_helper(points: int):
+    """A started :class:`widecap._reprhelper.Helper`, for a sweep longer than its
+    solo blocks with two usable CPUs, or a context giving None."""
+    if points > _SOLO_BLOCKS * _BLOCK and _usable_cpus() > 1:
+        from ._reprhelper import Helper
+
+        helper = Helper.start()
+        if helper is not None:
+            return helper
+    return nullcontext()
 
 
 def _sweep_axes(args):
@@ -229,33 +254,47 @@ def cmd_bounds(args) -> int:
     unit_delta = bool(np.all(deltas == 1.0))
     c_inf_text = repr(c_inf)
 
-    def blocks():
-        for start in range(0, points, _BLOCK):
-            index = np.arange(start, min(start + _BLOCK, points))
-            row, col = index // nb, index % nb
-            bandwidth = bands[col]
-            occupancy = deltas[row] * bandwidth
-            lower, *rest = kernels(occupancy)
-            if band_text is None:
-                band = _reprs(bandwidth * scale)
-            else:
-                band = band_text[col].tolist()
-            lower_text = _reprs(lower)
-            columns = [
-                delta_text[row].tolist(),
-                band,
-                band if unit_delta else _reprs(occupancy * scale),
-                lower_text,
-                # max(lower, 0.0) of each row: keeps -0.0.
-                ["0.0" if clamp else text
-                 for clamp, text in zip((0.0 > lower).tolist(), lower_text)],
-            ]
-            *upper, gap = map(_reprs, rest)
-            columns += upper + [[c_inf_text] * index.size, gap]
-            yield columns
+    def evaluate(start, helper):
+        """A block's rows, columns, R_LB, the float cells that this process
+        formats, and the helper sent the rest, if any."""
+        index = np.arange(start, min(start + _BLOCK, points))
+        row, col = index // nb, index % nb
+        bandwidth = bands[col]
+        occupancy = deltas[row] * bandwidth
+        lower, *rest = kernels(occupancy)
+        floats = [bandwidth * scale] if band_text is None else []
+        floats += [] if unit_delta else [occupancy * scale]
+        values = np.concatenate(floats + [lower, *rest])
+        if start < _SOLO_BLOCKS * _BLOCK:
+            helper = None
+        split = int(values.size * _OWN_SHARE) if helper else values.size
+        if helper:
+            helper.submit(values[split:])
+        return row, col, lower, values[:split], helper
 
-    with _output(args.out) as out:
-        _write_blocks(out, header, blocks(), args.format)
+    def assemble(row, col, lower, own, helper):
+        """The block's string columns, in header order."""
+        cells = _reprs(own) + (helper.result() if helper else [])
+        columns = [cells[i:i + row.size] for i in range(0, len(cells), row.size)]
+        band = columns.pop(0) if band_text is None else band_text[col].tolist()
+        delta_b = band if unit_delta else columns.pop(0)
+        lower_text, *upper, gap = columns
+        # max(lower, 0.0) of each row: keeps -0.0.
+        plot = ["0.0" if clamp else text for clamp, text in zip((0.0 > lower).tolist(), lower_text)]
+        return [delta_text[row].tolist(), band, delta_b, lower_text, plot, *upper,
+                [c_inf_text] * row.size, gap]
+
+    def blocks(helper):
+        pending = collections.deque()
+        for start in range(0, points, _BLOCK):
+            pending.append(evaluate(start, helper))
+            if len(pending) > _AHEAD:
+                yield assemble(*pending.popleft())
+        while pending:
+            yield assemble(*pending.popleft())
+
+    with _output(args.out) as out, _repr_helper(points) as helper:
+        _write_blocks(out, header, blocks(helper), args.format)
     return 0
 
 
@@ -295,6 +334,10 @@ def cmd_alpha(args) -> int:
     if len(set(header)) < len(header):
         raise ValueError("--p values must differ in their first 6 significant digits")
 
+    # Each row is a scenario with Bc*Tc = BcTc, which must exceed 1.
+    low = args.bctc_grid[args.bctc_grid <= 1]
+    if low.size:
+        raise ValueError(f"--bctc-grid values must be > 1, got {low[0].item()!r}")
     # alpha_min is the only value that depends on epsilon.
     epsilons = [bounds.epsilon_for_error_pct(p, args.snr) for p in args.p]
     rows = []

@@ -66,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bounds
+from . import _usable_cpus, bounds
 from .channel import (
     block_idft_matrix,
     circulant_eigenvalues,
@@ -152,10 +152,6 @@ def _keep_freed_chunk_memory():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _each_chunk(cfg: McConfig, tag, body):

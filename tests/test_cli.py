@@ -4,7 +4,10 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import struct
 import sys
 import tempfile
 import warnings
@@ -17,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import widecap
-from widecap import mcverify
+from widecap import _reprhelper, cli, mcverify
 from widecap.bounds import (
     alpha_brackets,
     critical_bracket,
@@ -261,7 +264,15 @@ BYTE_IDENTITY_CASES = [
 
 
 class TestBoundsByteIdentity:
-    """Block-wise output equals the point-by-point table, byte for byte."""
+    """Block-wise output equals the point-by-point table, byte for byte, with the
+    repr helper formatting part of every block after the first."""
+
+    CPUS = 2
+
+    @pytest.fixture(autouse=True)
+    def usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: self.CPUS)
+        monkeypatch.setattr(cli, "_SOLO_BLOCKS", 1)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("fading, options, pairs, kwargs", BYTE_IDENTITY_CASES)
@@ -283,6 +294,145 @@ class TestBoundsByteIdentity:
         code, out = run(tmp_path, "bounds", "--scenario", str(path), *options, "--format", fmt)
         assert code == 0
         assert out == table
+
+
+class TestBoundsByteIdentityInProcess(TestBoundsByteIdentity):
+    """The same tables with one usable CPU: every block formatted in-process."""
+
+    CPUS = 1
+
+
+# Values whose reprs take each form: signed zero, subnormal, the smallest
+# normal, the switches to and from exponent notation, and the largest finite.
+REPR_EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 0.1, 9999999999999998.0, 1e16,
+              1.7976931348623157e308]
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every repr helper that bounds starts, with two usable CPUs and a helper
+    for every block after the first."""
+    started = []
+    start = _reprhelper.Helper.start.__func__
+
+    def recording_start(cls):
+        helper = start(cls)
+        started.append(helper)
+        return helper
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_SOLO_BLOCKS", 1)
+    monkeypatch.setattr(_reprhelper.Helper, "start", classmethod(recording_start))
+    return started
+
+
+def ended(helper):
+    process = helper._process
+    return process.poll() is not None and process.stdin.closed and process.stdout.closed
+
+
+class TestReprHelper:
+    """The helper interpreter that formats part of each block of a long sweep."""
+
+    POINTS = 2 * _BLOCK + 7
+    SWEEP = ["--db-grid", f"1e4:1e12:{POINTS}"]
+
+    def bounds(self, scenario_file, *options):
+        return main(["bounds", "--scenario", scenario_file, *self.SWEEP, *options])
+
+    def table(self):
+        return scalar_table(FLAT_2X2, occupancies(grid(1e4, 1e12, self.POINTS)), "csv")
+
+    def test_protocol(self):
+        frames = [REPR_EDGES, [], REPR_EDGES[::-1]]
+        request = b"".join(struct.pack("=Q", len(values)) + struct.pack(f"={len(values)}d", *values)
+                           for values in frames)
+        done = subprocess.run([sys.executable, "-I", "-S", _reprhelper.__file__], input=request,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0 and done.stderr == b""
+        replies, reply = [], done.stdout
+        while reply:
+            (size,), reply = struct.unpack("=Q", reply[:8]), reply[8:]
+            replies.append(reply[:size].decode("ascii"))
+            reply = reply[size:]
+        assert replies == ["\n".join(map(repr, values)) for values in frames]
+
+    def test_no_deadlock_on_frames_larger_than_a_pipe(self, tmp_path, scenario_file):
+        # Blocks of 66 000 points: each frame to the helper holds two thirds of
+        # their 264 000 float cells (1.4 MB), and each reply about 3.3 MB.  A
+        # fresh interpreter under a timeout, so that a deadlock fails the test
+        # instead of hanging it.
+        code = (
+            "import sys\n"
+            "from widecap import cli\n"
+            "cli._BLOCK, cli._SOLO_BLOCKS = 66_000, 1\n"
+            "argv = ['bounds', '--scenario', sys.argv[1], '--db-grid', '1e4:1e12:140000',\n"
+            "        '--out']\n"
+            "for cpus, out in ((2, sys.argv[2]), (1, sys.argv[3])):\n"
+            "    cli._usable_cpus = lambda: cpus\n"
+            "    assert cli.main(argv + [out]) == 0\n")
+        paths = [str(tmp_path / name) for name in ("helper.csv", "in_process.csv")]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-c", code, scenario_file, *paths], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
+
+    def test_ends_after_success(self, tmp_path, scenario_file, helpers):
+        code, text = run(tmp_path, "bounds", "--scenario", scenario_file, *self.SWEEP)
+        assert code == 0 and text == self.table()
+        assert len(helpers) == 1 and ended(helpers[0])
+        assert helpers[0]._process.returncode == 0
+
+    def test_helper_dying_mid_stream_is_an_error(self, tmp_path, scenario_file, helpers,
+                                                 monkeypatch, capsys):
+        submit = _reprhelper.Helper.submit
+
+        def killing_submit(self, values):
+            submit(self, values)
+            self._process.kill()
+
+        monkeypatch.setattr(_reprhelper.Helper, "submit", killing_submit)
+        assert self.bounds(scenario_file, "--out", str(tmp_path / "out.csv")) == 2
+        assert capsys.readouterr().err == "error: repr helper stopped with exit code -9\n"
+        assert ended(helpers[0])
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_ends_when_the_output_fails(self, tmp_path, scenario_file, helpers, capsys):
+        # The writes fill the buffer of a full device mid-stream.
+        assert self.bounds(scenario_file, "--out", "/dev/full") == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 28]")
+        assert ended(helpers[0])
+
+    def test_ends_after_an_interrupt(self, tmp_path, scenario_file, helpers, monkeypatch):
+        reprs = cli._reprs
+        calls = []
+
+        def interrupted(values):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return reprs(values)
+
+        monkeypatch.setattr(cli, "_reprs", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.bounds(scenario_file, "--out", str(tmp_path / "out.csv"))
+        assert ended(helpers[0])
+
+    @pytest.mark.parametrize("fault", ["popen", "no-executable", "frozen"])
+    def test_formats_in_process_without_a_helper(self, tmp_path, scenario_file, helpers,
+                                                 monkeypatch, fault):
+        if fault == "popen":
+            def refused(*args, **kwargs):
+                raise OSError("no processes")
+            monkeypatch.setattr(subprocess, "Popen", refused)
+        elif fault == "no-executable":
+            monkeypatch.setattr(sys, "executable", "")
+        else:
+            monkeypatch.setattr(sys, "frozen", True, raising=False)
+        code, text = run(tmp_path, "bounds", "--scenario", scenario_file, *self.SWEEP)
+        assert code == 0 and text == self.table()
+        assert helpers == [None]
 
 
 # An axis that numpy cannot allocate.
@@ -704,6 +854,19 @@ class TestAlphaCommand:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err == "error: alpha_max overflows float64 for this scenario\n"
+
+    @pytest.mark.parametrize("grid, value", [("0:10:3:lin", "0.0"), ("1:10:3:lin", "1.0"),
+                                             ("-2:2:5:lin", "-2.0")])
+    def test_refuses_bctc_grid_at_or_below_one(self, tmp_path, scenario_file, grid, value,
+                                               capsys):
+        # Up to 0.19.0 the message named the scenario field of the first row
+        # (coherence_bandwidth, or the coherence product), not the option.
+        out = tmp_path / "never.csv"
+        code = main(["alpha", "--scenario", scenario_file, "--snr", "0.01",
+                     f"--bctc-grid={grid}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --bctc-grid values must be > 1, got {value}\n"
+        assert not out.exists()
 
     def test_percentages_must_be_numbers(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "never.csv"
