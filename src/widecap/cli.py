@@ -14,8 +14,9 @@ block's rows as it goes, so its memory does not grow with the grid size.  It
 formats each distinct delta, B and C_inf value once, not once per row; the
 bytes are those of formatting every cell.  On a grid of more than eight
 blocks with two usable CPUs, a helper interpreter (``widecap._reprhelper``)
-formats most of each later block's float cells, a few blocks ahead, while
-this process formats the rest and writes; the bytes do not change.  Every
+formats part of each later block's float cells, a few blocks ahead, while
+this process formats the rest and writes.  The split moves block by block
+toward the side that waits, and the bytes do not depend on it.  Every
 command validates its input, and refuses output that overflows float64 or a
 frequency that underflows it, before ``--out`` is opened, so a usage error
 creates no file; all but ``bounds`` compute their whole output first.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import collections
 import functools
+import itertools
 import json
 import math
 import sys
@@ -113,14 +115,23 @@ def _write_blocks(out, header, blocks, fmt: str):
         for columns in blocks:
             out.write("\n".join(map(",".join, zip(*columns))) + "\n")
         return
-    fields = ",\n".join(f"    {json.dumps(name)}: %s" for name in header)
-    row, lead = "  {\n" + fields + "\n  }", "[\n"
+    # A row is its key prefixes and cells interleaved, then "\n  }".  Each row
+    # opens with ",\n", which the first row of all trades for "[\n".
+    keys = [f"    {json.dumps(name)}: " for name in header]
+    prefixes = [",\n  {\n" + keys[0]] + [",\n" + key for key in keys[1:]]
+    lead = "[\n"
     for columns in blocks:
-        # One string per row, joined: formatting a whole block in one % call
-        # grows its buffer by reallocation, which fragments the heap and
-        # raised peak RSS.
-        out.write(lead + ",\n".join([row % values for values in zip(*columns)]))
-        lead = ",\n"
+        # One join per block sizes its string once.  Formatting the block with
+        # one % call grows the string by reallocation instead, which
+        # fragments the heap and raised peak RSS.
+        rows = len(columns[0])
+        pieces = []
+        for prefix, column in zip(prefixes, columns):
+            pieces += [itertools.repeat(prefix, rows), column]
+        pieces.append(itertools.repeat("\n  }", rows))
+        text = "".join(itertools.chain.from_iterable(zip(*pieces)))
+        out.write(lead + text[2:] if lead else text)
+        lead = ""
     out.write("\n]\n")
 
 
@@ -167,8 +178,10 @@ _BLOCK = 512
 # has queued work and rarely waits for the next frame.
 _AHEAD = 4
 # Share of each block's float cells formatted here while a helper formats the
-# rest: less than half, since this process also evaluates and writes the rows.
-_OWN_SHARE = 1 / 3
+# rest.  It starts below half, since this process also evaluates and writes
+# the rows, and moves one step per block within its bounds: up when this
+# process had to wait for the helper's reply, down when the reply was there.
+_SHARE_START, _SHARE_STEP, _SHARE_MIN, _SHARE_MAX = 1 / 3, 0.01, 0.1, 0.9
 # Leading blocks of a sweep formatted wholly here, which takes about as long as
 # a helper takes to start (20 ms on a 2-core VM); only a longer sweep starts one.
 _SOLO_BLOCKS = 8
@@ -253,6 +266,7 @@ def cmd_bounds(args) -> int:
     # delta = 1.0 makes delta*B*scale equal B*scale bit for bit.
     unit_delta = bool(np.all(deltas == 1.0))
     c_inf_text = repr(c_inf)
+    share = _SHARE_START
 
     def evaluate(start, helper):
         """A block's rows, columns, R_LB, the float cells that this process
@@ -267,14 +281,19 @@ def cmd_bounds(args) -> int:
         values = np.concatenate(floats + [lower, *rest])
         if start < _SOLO_BLOCKS * _BLOCK:
             helper = None
-        split = int(values.size * _OWN_SHARE) if helper else values.size
+        split = int(values.size * share) if helper else values.size
         if helper:
             helper.submit(values[split:])
         return row, col, lower, values[:split], helper
 
     def assemble(row, col, lower, own, helper):
         """The block's string columns, in header order."""
-        cells = _reprs(own) + (helper.result() if helper else [])
+        nonlocal share
+        cells = _reprs(own)
+        if helper:
+            step = -_SHARE_STEP if helper.ready() else _SHARE_STEP
+            share = min(max(share + step, _SHARE_MIN), _SHARE_MAX)
+            cells += helper.result()
         columns = [cells[i:i + row.size] for i in range(0, len(cells), row.size)]
         band = columns.pop(0) if band_text is None else band_text[col].tolist()
         delta_b = band if unit_delta else columns.pop(0)

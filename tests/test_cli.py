@@ -357,6 +357,22 @@ class TestReprHelper:
             reply = reply[size:]
         assert replies == ["\n".join(map(repr, values)) for values in frames]
 
+    @pytest.mark.parametrize("fault", ["reader-gone", "frame-cut-short"])
+    def test_exits_quietly_when_a_pipe_breaks(self, fault):
+        # A reader that is gone, or a frame cut short, is what the helper sees
+        # of a parent that was killed; stderr is shared with the parent's.
+        frame = struct.pack("=Q", 200_000) + bytes(8 * 200_000)
+        helper = subprocess.Popen([sys.executable, "-I", "-S", _reprhelper.__file__],
+                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE)
+        if fault == "reader-gone":
+            helper.stdout.close()
+        else:
+            frame = frame[:-4]
+        reply, errors = helper.communicate(frame, timeout=60)
+        assert errors == b"" and not reply
+        assert helper.returncode == (1 if fault == "reader-gone" else 0)
+
     def test_no_deadlock_on_frames_larger_than_a_pipe(self, tmp_path, scenario_file):
         # Blocks of 66 000 points: each frame to the helper holds two thirds of
         # their 264 000 float cells (1.4 MB), and each reply about 3.3 MB.  A
@@ -433,6 +449,42 @@ class TestReprHelper:
         code, text = run(tmp_path, "bounds", "--scenario", scenario_file, *self.SWEEP)
         assert code == 0 and text == self.table()
         assert helpers == [None]
+
+
+class TestShareFeedback:
+    """The share of each block formatted in-process moves one step per block, up
+    when the helper's reply was not there yet and down when it was, and stops
+    at its bounds; the bytes do not depend on it."""
+
+    BLOCK = 64
+    POINTS = 90 * BLOCK + 13  # 91 blocks, the helper's from the second on
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("ready, bound", [(False, "_SHARE_MAX"), (True, "_SHARE_MIN")],
+                             ids=["never-ready", "always-ready"])
+    def test_share_reaches_its_bound(self, tmp_path, scenario_file, helpers, monkeypatch, fmt,
+                                     ready, bound):
+        submitted = []
+        submit = _reprhelper.Helper.submit
+
+        def recording_submit(self, values):
+            submitted.append(values.size)
+            submit(self, values)
+
+        monkeypatch.setattr(_reprhelper.Helper, "submit", recording_submit)
+        monkeypatch.setattr(_reprhelper.Helper, "ready", lambda self: ready)
+        monkeypatch.setattr(cli, "_BLOCK", self.BLOCK)
+        code, text = run(tmp_path, "bounds", "--scenario", scenario_file,
+                         "--db-grid", f"1e4:1e12:{self.POINTS}", "--format", fmt)
+        assert code == 0
+        assert text == scalar_table(FLAT_2X2, occupancies(grid(1e4, 1e12, self.POINTS)), fmt)
+        assert ended(helpers[0])
+        cells = 4 * self.BLOCK  # B, R_LB, R_UB and gap of each point
+        own = [cells - size for size in submitted[:-1]]  # the last block is shorter
+        assert len(own) == 89
+        assert own[0] == int(cells * cli._SHARE_START)
+        assert own == sorted(own, reverse=ready)
+        assert own[-1] == int(cells * getattr(cli, bound))
 
 
 # An axis that numpy cannot allocate.
