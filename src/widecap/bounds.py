@@ -21,6 +21,7 @@ through.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -55,16 +56,17 @@ _SERIES_Y = 2.0
 _S_SERIES = tuple(1.0 / (2 * n + 3) for n in range(25, -1, -1))
 
 
-def _check_occupancy(occupancy):
-    # Two reductions and no temporary arrays: this runs on every kernel call.
-    # min and max propagate nan, which fails the first comparison.  The
-    # initial values (float, so integer input is converted) let an empty
-    # array pass.
+def _check_occupancy(occupancy) -> np.ndarray:
+    # The occupancies as a float array, after two reductions and no temporary
+    # arrays: this runs on every kernel call.  min and max propagate nan, which
+    # fails the first comparison.  The initial values (float, so integer input
+    # is converted) let an empty array pass.
     occupancy = np.asarray(occupancy, dtype=float)
-    if not occupancy.min(initial=math.inf) > 0:
+    if not np.minimum.reduce(occupancy, None, initial=math.inf) > 0:
         raise ValueError("occupancy must be > 0")
-    if not occupancy.max(initial=0.0) < math.inf:
+    if not np.maximum.reduce(occupancy, None, initial=0.0) < math.inf:
         raise ValueError("occupancy must be finite")
+    return occupancy
 
 
 def _require_rayleigh(scenario: ChannelScenario, what: str):
@@ -77,23 +79,34 @@ def _shape(scenario: ChannelScenario) -> float:
     return kurtosis(scenario.fading) - 2.0 + scenario.nt + scenario.nr
 
 
-def _coherent_term(scenario: ChannelScenario, occupancy):
-    """Coherent term C_inf * [1 - P*K/(2*dB*Nt*N0)] of the lower bound.
-
-    It is the quadratic expansion of dB * E[ln det(I + P/(dB*Nt*N0) * H H^H)],
-    which the Monte-Carlo suite's ``coherent_expansion`` record bounds from below.
-    """
-    s = scenario.snr_density
+def _lower_terms(scenario: ChannelScenario, occupancy: np.ndarray):
+    """Coherent term C_inf * [1 - P*K/(2*dB*Nt*N0)] and penalty cap
+    dB*Nt*Nr/(Bc*Tc) * ln(1 + P*Bc*Tc/(dB*Nt*N0)) of R_LB, as new arrays, at
+    a float array of occupancies of at least one dimension.  The coherent term
+    is the quadratic expansion of dB * E[ln det(I + P/(dB*Nt*N0) * H H^H)],
+    which the Monte-Carlo ``coherent_expansion`` record bounds from below."""
+    s, lc = scenario.snr_density, scenario.coherence_product
+    occupancy_nt = occupancy * float(scenario.nt)
     # Halving the numerator, not doubling the denominator, is exact and keeps
     # 2*dB*Nt from overflowing at the largest occupancies.
-    return scenario.wideband_limit * (1.0 - 0.5 * (s * _shape(scenario)) / (occupancy * scenario.nt))
+    coherent = np.divide(0.5 * (s * _shape(scenario)), occupancy_nt)
+    np.subtract(1.0, coherent, out=coherent)
+    np.multiply(scenario.wideband_limit, coherent, out=coherent)
+    log_term = np.divide(s * lc, occupancy_nt)
+    np.log1p(log_term, out=log_term)
+    np.multiply(occupancy_nt, float(scenario.nr), out=occupancy_nt)
+    np.divide(occupancy_nt, lc, out=occupancy_nt)
+    return coherent, np.multiply(occupancy_nt, log_term, out=occupancy_nt)
 
 
-def _penalty_cap(scenario: ChannelScenario, occupancy):
-    """Channel-uncertainty penalty cap dB*Nt*Nr/(Bc*Tc) * ln(1 + P*Bc*Tc/(dB*Nt*N0))."""
-    nt, lc = scenario.nt, scenario.coherence_product
-    log_term = np.log1p(scenario.snr_density * lc / (occupancy * nt))
-    return (occupancy * nt * scenario.nr / lc) * log_term
+def _coherent_term(scenario: ChannelScenario, occupancy: float) -> float:
+    """The coherent term of :func:`_lower_terms` at one occupancy."""
+    return float(_lower_terms(scenario, np.array([occupancy], dtype=float))[0][0])
+
+
+def _penalty_cap(scenario: ChannelScenario, occupancy: float) -> float:
+    """The penalty cap of :func:`_lower_terms` at one occupancy."""
+    return float(_lower_terms(scenario, np.array([occupancy], dtype=float))[1][0])
 
 
 def _closed_form_optimum(scenario: ChannelScenario) -> float:
@@ -114,11 +127,13 @@ def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float | np.ndarray
     formula, the value is -inf or nan although the true one may be finite;
     this is not checked here, and ``widecap bounds`` refuses any grid whose
     table holds a non-finite value.  P/N0, Tc, Bc and Bc*Tc are always
-    finite: :class:`ChannelScenario` refuses others.  An array of
-    occupancies gives an array of rates of its shape.
+    finite: :class:`ChannelScenario` refuses others.  A scalar occupancy
+    gives an ``np.float64``, and an array an array of its shape.
     """
-    _check_occupancy(occupancy)
-    return _coherent_term(scenario, occupancy) - _penalty_cap(scenario, occupancy)
+    occupancy = _check_occupancy(occupancy)
+    coherent, cap = _lower_terms(scenario, occupancy if occupancy.ndim else occupancy.reshape(1))
+    rates = np.subtract(coherent, cap, out=coherent)
+    return rates if occupancy.ndim else rates[0]  # a scalar: the one point's np.float64
 
 
 def rate_upper_bound(scenario: ChannelScenario, occupancy,
@@ -133,21 +148,24 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy,
     o(1/B) remainder is dropped.  Raises ValueError unless every occupancy is
     finite and > 0.  Limits: as for :func:`rate_lower_bound`, an overflow
     inside the formula gives nan or -inf, which ``widecap bounds`` refuses.
-    An array of occupancies gives an array of rates of its shape.
+    A scalar gives an ``np.float64``, and an array an array of its shape.
     """
     _require_rayleigh(scenario, "upper bound")
     if not 0 < penalty_factor <= 1:
         raise ValueError("penalty_factor must be in (0, 1]")
-    _check_occupancy(occupancy)
-    s = scenario.snr_density
-    nt = scenario.nt
-    lc = scenario.coherence_product
-    bracket = (
-        1.0
-        - 0.5 * s / occupancy
-        - (occupancy * nt / (s * lc)) * np.log1p(s * lc * penalty_factor / (occupancy * nt))
-    )
-    return scenario.wideband_limit * bracket
+    occupancy = _check_occupancy(occupancy)
+    points = occupancy if occupancy.ndim else occupancy.reshape(1)
+    s, lc = scenario.snr_density, scenario.coherence_product
+    penalty = points * float(scenario.nt)
+    log_term = np.divide(s * lc * penalty_factor, penalty)
+    np.log1p(log_term, out=log_term)
+    np.divide(penalty, s * lc, out=penalty)
+    np.multiply(penalty, log_term, out=penalty)
+    bracket = np.divide(0.5 * s, points)
+    np.subtract(1.0, bracket, out=bracket)
+    np.subtract(bracket, penalty, out=bracket)
+    rates = np.multiply(scenario.wideband_limit, bracket, out=bracket)
+    return rates if occupancy.ndim else rates[0]  # a scalar: the one point's np.float64
 
 
 @dataclass(frozen=True)
@@ -333,20 +351,18 @@ def optimal_occupancy(scenario: ChannelScenario) -> CriticalBracket:
     asymptote of the peak of R_LB, not a bound at every Lc (1x1 Rayleigh, P/N0 = 100,
     Lc = 1000: 87.4242, above the peak R_LB of 87.1812).
     """
-    return CriticalBracket(
-        occupancy_optimal=_closed_form_optimum(scenario),
-        occupancy_optimal_exact=_exact_optimum(scenario),
-        peak_rate_lower=scenario.wideband_limit * (1.0 - peak_gap(scenario)),
-    )
+    return CriticalBracket(_closed_form_optimum(scenario), _exact_optimum(scenario),
+                           scenario.wideband_limit * (1.0 - peak_gap(scenario)))
 
 
+@functools.lru_cache(maxsize=256)
 def critical_coefficients(nt: int, nr: int):
     """Normalized critical occupancies (units of P/(delta*N0)*sqrt(Lc/ln Lc)).
 
-    Returns (low_exact, low_approx, high_exact, high_approx).  The exact
-    values are 1/sqrt(Omega-+) with sqrt(Omega-+) = sqrt(Nt)*(sqrt(u) -+
-    sqrt(u-1)) and u = (Nr/Nt + 1)*ln(pi); the approximations widen them to
-    1/(2*sqrt((Nt+Nr)*ln pi)) and 2*sqrt((Nt+Nr)*ln pi)/Nt.
+    Returns (low_exact, low_approx, high_exact, high_approx), memoized per
+    (Nt, Nr).  The exact values are 1/sqrt(Omega-+) with sqrt(Omega-+) =
+    sqrt(Nt)*(sqrt(u) -+ sqrt(u-1)) and u = (Nr/Nt + 1)*ln(pi); the
+    approximations widen them to 1/(2*sqrt((Nt+Nr)*ln pi)) and 2*sqrt((Nt+Nr)*ln pi)/Nt.
     """
     u = (nr / nt + 1.0) * LN_PI
     root = math.sqrt(u - 1.0)
@@ -376,8 +392,7 @@ def critical_bracket(scenario: ChannelScenario) -> CriticalBracket:
         raise ValueError("coherence product below pi**(4/(Nt+Nr))")
     scale = scenario.snr_density * math.sqrt(lc / math.log(lc))
     low_exact, low_approx, high_exact, high_approx = critical_coefficients(nt, nr)
-    # Positional: dataclasses.replace(optimum, ...) made this 10 us call 3 us slower (2x2,
-    # 2-core x86 VM).
+    # Positional: dataclasses.replace(optimum, ...) made this call 3 us slower (2x2, x86).
     optimum = optimal_occupancy(scenario)
     return CriticalBracket(optimum.occupancy_optimal, optimum.occupancy_optimal_exact,
                            optimum.peak_rate_lower, scale * low_approx, scale * high_approx,
@@ -424,15 +439,14 @@ def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> Alp
     two_l = 2.0 * _log_inverse_snr(snr)
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    nt, nr = scenario.nt, scenario.nr
+    nt, n = scenario.nt, scenario.nt + scenario.nr
     lc = scenario.coherence_product
     log_lc = math.log(lc)
-    alpha_max = math.log((nt + nr) ** 2 / nt**2 * lc) / two_l
+    alpha_max = math.log(n**2 / nt**2 * lc) / two_l
     return AlphaBracket(
-        alpha_max=alpha_max,
-        alpha_min=max(alpha_max - epsilon, alpha_max / 2.0),
-        alpha_plus=alpha_max - math.log((nt + nr) * log_lc / (4.0 * LN_PI)) / two_l,
-        alpha_minus=alpha_max - math.log(4.0 * LN_PI * (nt + nr) ** 3 / nt**2 * log_lc) / two_l,
+        alpha_max, max(alpha_max - epsilon, alpha_max / 2.0),
+        alpha_max - math.log(n * log_lc / (4.0 * LN_PI)) / two_l,
+        alpha_max - math.log(4.0 * LN_PI * n**3 / nt**2 * log_lc) / two_l,
     )
 
 

@@ -298,8 +298,9 @@ def cmd_bounds(args) -> int:
         band = columns.pop(0) if band_text is None else band_text[col].tolist()
         delta_b = band if unit_delta else columns.pop(0)
         lower_text, *upper, gap = columns
-        # max(lower, 0.0) of each row: keeps -0.0.
-        plot = ["0.0" if clamp else text for clamp, text in zip((0.0 > lower).tolist(), lower_text)]
+        plot = lower_text.copy()  # max(lower, 0.0) of each row: keeps -0.0
+        for i in np.flatnonzero(0.0 > lower).tolist():
+            plot[i] = "0.0"
         return [delta_text[row].tolist(), band, delta_b, lower_text, plot, *upper,
                 [c_inf_text] * row.size, gap]
 

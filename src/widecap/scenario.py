@@ -9,6 +9,7 @@ boundary.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -73,6 +74,7 @@ class FadingFamily:
             raise ValidationError(f"{self.label}: the parameter and its kurtosis must be finite")
 
     @classmethod
+    @functools.cache  # one Rayleigh family, made once
     def rayleigh(cls) -> "FadingFamily":
         return cls(RAYLEIGH)
 
@@ -132,23 +134,25 @@ class ChannelScenario:
     fading: FadingFamily
 
     def __post_init__(self):
-        if not self.snr_density > 0:
+        snr_density, tc, bc = self.snr_density, self.coherence_time, self.coherence_bandwidth
+        if not snr_density > 0:
             raise ValidationError("snr_density must be > 0")
-        if self.snr_density < sys.float_info.min:
-            raise ValidationError(f"snr_density {self.snr_density!r} is subnormal: it must be "
+        if snr_density < sys.float_info.min:
+            raise ValidationError(f"snr_density {snr_density!r} is subnormal: it must be "
                                   f">= {sys.float_info.min!r}, the smallest normal float64")
-        if not self.coherence_time > 0:
+        if not tc > 0:
             raise ValidationError("coherence_time must be > 0")
-        if not self.coherence_bandwidth > 0:
+        if not bc > 0:
             raise ValidationError("coherence_bandwidth must be > 0")
         if not (isinstance(self.nt, int) and self.nt >= 1):
             raise ValidationError("nt must be a positive integer")
         if not (isinstance(self.nr, int) and self.nr >= 1):
             raise ValidationError("nr must be a positive integer")
-        if not self.coherence_product > 1:
+        if not (product := bc * tc) > 1:  # the coherence product, read once
             raise ValidationError("coherence product <= 1")
-        for name in ("snr_density", "coherence_time", "coherence_bandwidth", "coherence_product"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in (("snr_density", snr_density), ("coherence_time", tc),
+                            ("coherence_bandwidth", bc), ("coherence_product", product)):
+            if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite")
 
     @property
@@ -192,17 +196,17 @@ def _parse_fading(text: str) -> FadingFamily:
 def _parse_flat(text: str) -> dict:
     fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+        key, equals, value = raw.partition("#")[0].partition("=")
+        key = key.strip()
+        if key and not equals:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        if not equals:
+            continue
         if key not in _KEYS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = value
+        fields[key] = value.strip()
     return fields
 
 

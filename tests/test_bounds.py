@@ -261,6 +261,106 @@ class TestRateUpperBound:
         assert np.all(rate_lower_bound(s, grid) <= rate_upper_bound(s, grid, pf))
 
 
+def lower_oracle(s, occupancy):
+    """R_LB as the expressions of 0.19.0 wrote it, one ufunc per operation."""
+    snr, nt, lc = s.snr_density, s.nt, s.coherence_product
+    coherent = s.wideband_limit * (1.0 - 0.5 * (snr * shape(s)) / (occupancy * nt))
+    log_term = np.log1p(snr * lc / (occupancy * nt))
+    return coherent - (occupancy * nt * s.nr / lc) * log_term
+
+
+def upper_oracle(s, occupancy, penalty_factor):
+    """R_UB as the expressions of 0.19.0 wrote it."""
+    snr, nt, lc = s.snr_density, s.nt, s.coherence_product
+    bracket = (
+        1.0
+        - 0.5 * snr / occupancy
+        - (occupancy * nt / (snr * lc)) * np.log1p(snr * lc * penalty_factor / (occupancy * nt))
+    )
+    return s.wideband_limit * bracket
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+kernel_occupancies = st.lists(st.floats(1e-3, 1e12), max_size=12)
+
+
+class TestKernelOracle:
+    """The kernels run in place, each element in the oracle's operation order."""
+
+    @staticmethod
+    def shaped(values, layout):
+        if layout == "list":
+            return values
+        array = np.array(values, dtype=float)
+        return array.reshape(2, -1) if layout == "2-D" and array.size % 2 == 0 else array
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=kernel_occupancies, layout=st.sampled_from(["list", "1-D", "2-D"]),
+           fading=st.sampled_from(FADINGS), nt=st.integers(1, 8), nr=st.integers(1, 8),
+           log_snr=st.floats(0.0, 9.0), log_lc=st.floats(0.5, 8.0))
+    def test_lower_bound_matches_oracle(self, values, layout, fading, nt, nr, log_snr, log_lc):
+        s = scenario(snr=10.0 ** log_snr, nt=nt, nr=nr, lc=10.0 ** log_lc, fading=fading)
+        occupancy = self.shaped(values, layout)
+        expected = lower_oracle(s, np.asarray(occupancy, dtype=float))
+        assert same_bits(rate_lower_bound(s, occupancy), expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=kernel_occupancies, layout=st.sampled_from(["list", "1-D", "2-D"]),
+           nt=st.integers(1, 8), nr=st.integers(1, 8), log_snr=st.floats(0.0, 9.0),
+           log_lc=st.floats(0.5, 8.0),
+           penalty_factor=st.floats(0.0, 1.0, exclude_min=True))
+    def test_upper_bound_matches_oracle(self, values, layout, nt, nr, log_snr, log_lc,
+                                        penalty_factor):
+        s = scenario(snr=10.0 ** log_snr, nt=nt, nr=nr, lc=10.0 ** log_lc)
+        occupancy = self.shaped(values, layout)
+        expected = upper_oracle(s, np.asarray(occupancy, dtype=float), penalty_factor)
+        assert same_bits(rate_upper_bound(s, occupancy, penalty_factor), expected)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(x=st.floats(1e-3, 1e12), fading=st.sampled_from(FADINGS),
+           penalty_factor=st.floats(0.0, 1.0, exclude_min=True))
+    def test_scalar_is_the_array_element(self, x, fading, penalty_factor):
+        s = scenario(snr=1e7, nt=2, nr=3, lc=1e4, fading=fading)
+        element = rate_lower_bound(s, np.array([x]))[0]
+        for scalar in (x, np.float64(x), np.array(x)):
+            value = rate_lower_bound(s, scalar)
+            assert type(value) is np.float64
+            assert same_bits(value, element)
+            assert same_bits(value, lower_oracle(s, x))
+        if fading.kind == "rayleigh":
+            element = rate_upper_bound(s, np.array([x]), penalty_factor)[0]
+            for scalar in (x, np.float64(x), np.array(x)):
+                value = rate_upper_bound(s, scalar, penalty_factor)
+                assert type(value) is np.float64
+                assert same_bits(value, element)
+
+    @pytest.mark.parametrize("occupancy", [[], np.empty((0, 3)), [[1e3, 1e4], [1e5, 1e6]]])
+    def test_empty_and_nested_lists_keep_their_shape(self, occupancy):
+        s = scenario()
+        for value, expected in ((rate_lower_bound(s, occupancy),
+                                 lower_oracle(s, np.asarray(occupancy, dtype=float))),
+                                (rate_upper_bound(s, occupancy),
+                                 upper_oracle(s, np.asarray(occupancy, dtype=float), 1.0))):
+            assert isinstance(value, np.ndarray) and same_bits(value, expected)
+
+    @pytest.mark.parametrize("occupancy, message", [
+        ([1e3, -1.0], "occupancy must be > 0"),
+        ([[1e3], [math.nan]], "occupancy must be > 0"),
+        (np.array(0.0), "occupancy must be > 0"),
+        ([1e3, math.inf], "occupancy must be finite"),
+        (np.array([[math.inf]]), "occupancy must be finite"),
+    ])
+    def test_refusals_keep_their_messages(self, occupancy, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rate_lower_bound(scenario(), occupancy)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rate_upper_bound(scenario(), occupancy)
+
+
 class TestOptimalOccupancy:
     def test_remark_values(self):
         assert optimal_occupancy(
@@ -553,6 +653,22 @@ class TestCriticalBracket:
     def test_requires_rayleigh(self):
         with pytest.raises(ValueError):
             critical_bracket(scenario(fading=FadingFamily.rice(2.0)))
+
+    def test_calls_optimal_occupancy_once_through_the_module(self, monkeypatch):
+        # The benchmark's span tracer wraps bounds.optimal_occupancy, so
+        # critical_bracket must look it up there, once per call.
+        calls = []
+        original = bounds.optimal_occupancy
+
+        def counted(s):
+            calls.append(s)
+            return original(s)
+
+        s = scenario(snr=1e7, nt=2, nr=2)
+        expected = critical_bracket(s)
+        monkeypatch.setattr(bounds, "optimal_occupancy", counted)
+        assert critical_bracket(s) == expected
+        assert calls == [s]
 
     def test_fields(self):
         # Up to 0.13.0 it also held nt and nr, read only by construction-time

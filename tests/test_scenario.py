@@ -1,14 +1,17 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widecap.bounds import critical_coefficients
 from widecap.scenario import (
     ChannelScenario,
     FadingFamily,
     ParseError,
     ValidationError,
+    _parse_flat,
     kurtosis,
     parse_scenario,
     serialize_scenario,
@@ -208,6 +211,37 @@ class TestParsing:
             parse_scenario(FLAT_DOC.replace("rayleigh", "weibull"))
         with pytest.raises(ParseError):
             parse_scenario(FLAT_DOC.replace("rayleigh", "rice:abc"))
+
+    def test_flat_skips_blank_and_comment_lines(self):
+        text = ("\n   \n# a comment = 1\n  # indented = 2\n"
+                "nt = 2 # two\nnr=3#\nfading =  rayleigh  \n")
+        assert _parse_flat(text) == {"nt": "2", "nr": "3", "fading": "rayleigh"}
+
+    @pytest.mark.parametrize("text, message", [
+        ("nt = 2\nfoo # x=1\n", "line 2: expected 'key = value', got 'foo # x=1'"),
+        ("\n = 3\n", "line 2: unknown key ''"),
+        ("nt = 2\n\nnt = 3\n", "line 3: duplicate key 'nt'"),
+        ("# head\nbogus = 1\n", "line 2: unknown key 'bogus'"),
+        ("nt=1=2\nnt = 2\n", "line 2: duplicate key 'nt'"),
+    ], ids=["no-equals", "empty-key", "duplicate", "unknown", "second-equals-in-value"])
+    def test_flat_refusals_keep_their_messages(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            _parse_flat(text)
+
+    def test_value_keeps_text_after_the_first_equals(self):
+        assert _parse_flat("fading = rice:1 = x # note\n") == {"fading": "rice:1 = x"}
+
+    def test_rayleigh_is_one_instance(self):
+        rayleigh = FadingFamily.rayleigh()
+        assert rayleigh is FadingFamily.rayleigh()
+        assert rayleigh == FadingFamily("rayleigh", 3.0)
+        assert hash(rayleigh) == hash(FadingFamily("rayleigh", 3.0))
+        assert parse_scenario(FLAT_DOC).fading is rayleigh
+
+    def test_critical_coefficients_memo_matches_uncached(self):
+        for nt in range(1, 17):
+            for nr in range(1, 17):
+                assert critical_coefficients(nt, nr) == critical_coefficients.__wrapped__(nt, nr)
 
     def test_round_trip_example(self):
         scenario = parse_scenario(FLAT_DOC)
