@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenario import RAYLEIGH, ChannelScenario, kurtosis
+from .scenario import RAYLEIGH, ChannelScenario
 
 __all__ = [
     "CriticalBracket",
@@ -55,16 +55,23 @@ LN_PI = math.log(math.pi)
 _SERIES_Y = 2.0
 _S_SERIES = tuple(1.0 / (2 * n + 3) for n in range(25, -1, -1))
 
+# On a per-scenario sweep a ufunc's attribute lookup and keyword parsing are
+# a measurable share of a kernel call: the kernels call these aliases and pass
+# ``out`` positionally.
+_asarray, _divide, _log1p = np.asarray, np.divide, np.log1p
+_multiply, _subtract = np.multiply, np.subtract
+_min_reduce, _max_reduce = np.minimum.reduce, np.maximum.reduce
+
 
 def _check_occupancy(occupancy) -> np.ndarray:
     # The occupancies as a float array, after two reductions and no temporary
     # arrays: this runs on every kernel call.  min and max propagate nan, which
     # fails the first comparison.  The initial values (float, so integer input
     # is converted) let an empty array pass.
-    occupancy = np.asarray(occupancy, dtype=float)
-    if not np.minimum.reduce(occupancy, None, initial=math.inf) > 0:
+    occupancy = _asarray(occupancy, float)
+    if not _min_reduce(occupancy, None, initial=math.inf) > 0:
         raise ValueError("occupancy must be > 0")
-    if not np.maximum.reduce(occupancy, None, initial=0.0) < math.inf:
+    if not _max_reduce(occupancy, None, initial=0.0) < math.inf:
         raise ValueError("occupancy must be finite")
     return occupancy
 
@@ -74,11 +81,6 @@ def _require_rayleigh(scenario: ChannelScenario, what: str):
         raise ValueError(f"{what} is only available for Rayleigh fading")
 
 
-def _shape(scenario: ChannelScenario) -> float:
-    """K = kappa-2+Nt+Nr, the fourth-moment factor of the coherent term."""
-    return kurtosis(scenario.fading) - 2.0 + scenario.nt + scenario.nr
-
-
 def _lower_terms(scenario: ChannelScenario, occupancy: np.ndarray):
     """Coherent term C_inf * [1 - P*K/(2*dB*Nt*N0)] and penalty cap
     dB*Nt*Nr/(Bc*Tc) * ln(1 + P*Bc*Tc/(dB*Nt*N0)) of R_LB, as new arrays, at
@@ -86,17 +88,17 @@ def _lower_terms(scenario: ChannelScenario, occupancy: np.ndarray):
     is the quadratic expansion of dB * E[ln det(I + P/(dB*Nt*N0) * H H^H)],
     which the Monte-Carlo ``coherent_expansion`` record bounds from below."""
     s, lc = scenario.snr_density, scenario.coherence_product
-    occupancy_nt = occupancy * float(scenario.nt)
+    occupancy_nt = _multiply(occupancy, float(scenario.nt))
     # Halving the numerator, not doubling the denominator, is exact and keeps
     # 2*dB*Nt from overflowing at the largest occupancies.
-    coherent = np.divide(0.5 * (s * _shape(scenario)), occupancy_nt)
-    np.subtract(1.0, coherent, out=coherent)
-    np.multiply(scenario.wideband_limit, coherent, out=coherent)
-    log_term = np.divide(s * lc, occupancy_nt)
-    np.log1p(log_term, out=log_term)
-    np.multiply(occupancy_nt, float(scenario.nr), out=occupancy_nt)
-    np.divide(occupancy_nt, lc, out=occupancy_nt)
-    return coherent, np.multiply(occupancy_nt, log_term, out=occupancy_nt)
+    coherent = _divide(0.5 * (s * scenario.moment_factor), occupancy_nt)
+    _subtract(1.0, coherent, coherent)
+    _multiply(scenario.wideband_limit, coherent, coherent)
+    log_term = _divide(s * lc, occupancy_nt)
+    _log1p(log_term, log_term)
+    _multiply(occupancy_nt, float(scenario.nr), occupancy_nt)
+    _divide(occupancy_nt, lc, occupancy_nt)
+    return coherent, _multiply(occupancy_nt, log_term, occupancy_nt)
 
 
 def _coherent_term(scenario: ChannelScenario, occupancy: float) -> float:
@@ -112,7 +114,8 @@ def _penalty_cap(scenario: ChannelScenario, occupancy: float) -> float:
 def _closed_form_optimum(scenario: ChannelScenario) -> float:
     """(dB)* ~= P/(N0*Nt) * sqrt(Bc*Tc/ln(Bc*Tc) * K)."""
     lc = scenario.coherence_product
-    return (scenario.snr_density / scenario.nt) * math.sqrt(lc / math.log(lc) * _shape(scenario))
+    return (scenario.snr_density / scenario.nt) * math.sqrt(
+        lc / math.log(lc) * scenario.moment_factor)
 
 
 def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float | np.ndarray:
@@ -132,7 +135,7 @@ def rate_lower_bound(scenario: ChannelScenario, occupancy) -> float | np.ndarray
     """
     occupancy = _check_occupancy(occupancy)
     coherent, cap = _lower_terms(scenario, occupancy if occupancy.ndim else occupancy.reshape(1))
-    rates = np.subtract(coherent, cap, out=coherent)
+    rates = _subtract(coherent, cap, coherent)
     return rates if occupancy.ndim else rates[0]  # a scalar: the one point's np.float64
 
 
@@ -156,19 +159,19 @@ def rate_upper_bound(scenario: ChannelScenario, occupancy,
     occupancy = _check_occupancy(occupancy)
     points = occupancy if occupancy.ndim else occupancy.reshape(1)
     s, lc = scenario.snr_density, scenario.coherence_product
-    penalty = points * float(scenario.nt)
-    log_term = np.divide(s * lc * penalty_factor, penalty)
-    np.log1p(log_term, out=log_term)
-    np.divide(penalty, s * lc, out=penalty)
-    np.multiply(penalty, log_term, out=penalty)
-    bracket = np.divide(0.5 * s, points)
-    np.subtract(1.0, bracket, out=bracket)
-    np.subtract(bracket, penalty, out=bracket)
-    rates = np.multiply(scenario.wideband_limit, bracket, out=bracket)
+    penalty = _multiply(points, float(scenario.nt))
+    log_term = _divide(s * lc * penalty_factor, penalty)
+    _log1p(log_term, log_term)
+    _divide(penalty, s * lc, penalty)
+    _multiply(penalty, log_term, penalty)
+    bracket = _divide(0.5 * s, points)
+    _subtract(1.0, bracket, bracket)
+    _subtract(bracket, penalty, bracket)
+    rates = _multiply(scenario.wideband_limit, bracket, bracket)
     return rates if occupancy.ndim else rates[0]  # a scalar: the one point's np.float64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CriticalBracket:
     """Optimal occupancy, peak rate and the critical-occupancy bracket.
 
@@ -189,6 +192,17 @@ class CriticalBracket:
     occupancy_low_exact: Optional[float] = None
     occupancy_high_exact: Optional[float] = None
 
+    def __init__(self, occupancy_optimal, occupancy_optimal_exact, peak_rate_lower,
+                 occupancy_low=None, occupancy_high=None, occupancy_low_exact=None,
+                 occupancy_high_exact=None):
+        d = self.__dict__  # filled directly, as ChannelScenario's is
+        d["occupancy_optimal"] = occupancy_optimal
+        d["occupancy_optimal_exact"] = occupancy_optimal_exact
+        d["peak_rate_lower"] = peak_rate_lower
+        d["occupancy_low"], d["occupancy_high"] = occupancy_low, occupancy_high
+        d["occupancy_low_exact"] = occupancy_low_exact
+        d["occupancy_high_exact"] = occupancy_high_exact
+
 
 def peak_gap(scenario: ChannelScenario) -> float:
     """Gap Delta of the peak-rate lower bound from the wideband limit.
@@ -197,7 +211,7 @@ def peak_gap(scenario: ChannelScenario) -> float:
     as the coherence product grows and does not depend on P/N0.
     """
     lc = scenario.coherence_product
-    return math.sqrt(math.log(lc) / lc * _shape(scenario) * LN_PI)
+    return math.sqrt(math.log(lc) / lc * scenario.moment_factor * LN_PI)
 
 
 def rate_derivative_terms(scenario: ChannelScenario, occupancy: float):
@@ -211,7 +225,7 @@ def rate_derivative_terms(scenario: ChannelScenario, occupancy: float):
     nt = scenario.nt
     lc = scenario.coherence_product
     x = occupancy
-    t1 = s * _shape(scenario) / (2.0 * x * x * nt)
+    t1 = s * scenario.moment_factor / (2.0 * x * x * nt)
     t2 = (nt / (s * lc)) * math.log1p(s * lc / (x * nt))
     t3 = 1.0 / (x * (1.0 + s * lc / (nt * x)))
     return t1, t2, t3
@@ -318,7 +332,7 @@ def _exact_optimum(scenario: ChannelScenario) -> float:
     lc = scenario.coherence_product
     if not lc > math.e:
         raise ValueError("coherence product must exceed e")
-    shape = _shape(scenario)
+    shape = scenario.moment_factor
     if not lc > shape:
         raise ValueError(
             f"coherence product {lc:g} must exceed kappa-2+Nt+Nr = {shape:g}: "
@@ -399,7 +413,7 @@ def critical_bracket(scenario: ChannelScenario) -> CriticalBracket:
                            scale * low_exact, scale * high_exact)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AlphaBracket:
     """Sublinear-exponent estimates from the two bracketing methods, stored raw.
 
@@ -414,6 +428,11 @@ class AlphaBracket:
     alpha_plus: float
     alpha_minus: float
 
+    def __init__(self, alpha_max, alpha_min, alpha_plus, alpha_minus):
+        d = self.__dict__  # filled directly, as ChannelScenario's is
+        d["alpha_max"], d["alpha_min"] = alpha_max, alpha_min
+        d["alpha_plus"], d["alpha_minus"] = alpha_plus, alpha_minus
+
 
 def _log_inverse_snr(snr: float) -> float:
     """ln(1/SNR) for an SNR in (0, 1), refusing one whose 1/SNR overflows float64."""
@@ -423,6 +442,34 @@ def _log_inverse_snr(snr: float) -> float:
     if not math.isfinite(inverse):
         raise ValueError(f"snr = {snr!r} is below about 5.6e-309, where 1/snr overflows float64")
     return math.log(inverse)
+
+
+@functools.lru_cache(maxsize=256)
+def _alpha_factors(nt: int, nr: int):
+    """(Nt+Nr, (Nt+Nr)^2/Nt^2, 4*ln(pi)*(Nt+Nr)^3/Nt^2), memoized per (Nt, Nr)."""
+    n = nt + nr
+    return n, n**2 / nt**2, 4.0 * LN_PI * n**3 / nt**2
+
+
+# The scenario of the last _alpha_logs call and its logarithms.  Holding the
+# scenario keeps it alive, so no new scenario can take its address and pass `is`.
+_alpha_memo = (None, None)
+
+
+def _alpha_logs(scenario: ChannelScenario):
+    """The numerators ln(n^2/Nt^2*Lc), ln(n*ln(Lc)/(4*ln pi)) and
+    ln(4*ln(pi)*n^3/Nt^2*ln(Lc)) of alpha_brackets, n = Nt+Nr, memoized for
+    the last scenario: a sweep calls alpha_brackets at several SNRs each."""
+    global _alpha_memo
+    held, logs = _alpha_memo
+    if held is not scenario:
+        n, max_factor, minus_factor = _alpha_factors(scenario.nt, scenario.nr)
+        lc = scenario.coherence_product
+        log_lc = math.log(lc)
+        logs = (math.log(max_factor * lc), math.log(n * log_lc / (4.0 * LN_PI)),
+                math.log(minus_factor * log_lc))
+        _alpha_memo = (scenario, logs)
+    return logs
 
 
 def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> AlphaBracket:
@@ -439,15 +486,10 @@ def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> Alp
     two_l = 2.0 * _log_inverse_snr(snr)
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    nt, n = scenario.nt, scenario.nt + scenario.nr
-    lc = scenario.coherence_product
-    log_lc = math.log(lc)
-    alpha_max = math.log(n**2 / nt**2 * lc) / two_l
-    return AlphaBracket(
-        alpha_max, max(alpha_max - epsilon, alpha_max / 2.0),
-        alpha_max - math.log(n * log_lc / (4.0 * LN_PI)) / two_l,
-        alpha_max - math.log(4.0 * LN_PI * n**3 / nt**2 * log_lc) / two_l,
-    )
+    log_max, log_plus, log_minus = _alpha_logs(scenario)
+    alpha_max = log_max / two_l
+    return AlphaBracket(alpha_max, max(alpha_max - epsilon, alpha_max / 2.0),
+                        alpha_max - log_plus / two_l, alpha_max - log_minus / two_l)
 
 
 def epsilon_for_error_pct(p: float, snr: float) -> float:

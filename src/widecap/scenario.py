@@ -108,7 +108,7 @@ def kurtosis(fading: FadingFamily) -> float:
     return 1.0 + 1.0 / fading.param
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChannelScenario:
     """Block-fading wideband MIMO setup.
 
@@ -124,6 +124,13 @@ class ChannelScenario:
         nt: number of transmit antennas.
         nr: number of receive antennas.
         fading: fading law of the channel coefficients.
+        coherence_product: Bc*Tc, the number of time-frequency units per fading block.
+        wideband_limit: infinite-bandwidth AWGN capacity Nr*P/N0 in nats/s.
+        moment_factor: K = kappa-2+Nt+Nr, the fourth-moment factor of the coherent term.
+
+    The last three are set in construction and are not dataclass fields:
+    ``==``, ``hash`` and ``repr`` read the six fields, and
+    ``dataclasses.replace`` derives them afresh.
     """
 
     snr_density: float
@@ -133,8 +140,10 @@ class ChannelScenario:
     nr: int
     fading: FadingFamily
 
-    def __post_init__(self):
-        snr_density, tc, bc = self.snr_density, self.coherence_time, self.coherence_bandwidth
+    def __init__(self, snr_density, coherence_time, coherence_bandwidth, nt, nr, fading):
+        # Fills __dict__ directly: a frozen dataclass's generated __init__
+        # calls object.__setattr__ once per field.
+        tc, bc = coherence_time, coherence_bandwidth
         if not snr_density > 0:
             raise ValidationError("snr_density must be > 0")
         if snr_density < sys.float_info.min:
@@ -144,26 +153,21 @@ class ChannelScenario:
             raise ValidationError("coherence_time must be > 0")
         if not bc > 0:
             raise ValidationError("coherence_bandwidth must be > 0")
-        if not (isinstance(self.nt, int) and self.nt >= 1):
+        if not (isinstance(nt, int) and nt >= 1):
             raise ValidationError("nt must be a positive integer")
-        if not (isinstance(self.nr, int) and self.nr >= 1):
+        if not (isinstance(nr, int) and nr >= 1):
             raise ValidationError("nr must be a positive integer")
-        if not (product := bc * tc) > 1:  # the coherence product, read once
+        if not (product := bc * tc) > 1:
             raise ValidationError("coherence product <= 1")
         for name, value in (("snr_density", snr_density), ("coherence_time", tc),
                             ("coherence_bandwidth", bc), ("coherence_product", product)):
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite")
-
-    @property
-    def coherence_product(self) -> float:
-        """Bc*Tc, the number of time-frequency units per fading block."""
-        return self.coherence_bandwidth * self.coherence_time
-
-    @property
-    def wideband_limit(self) -> float:
-        """Infinite-bandwidth AWGN capacity Nr*P/N0 in nats/s."""
-        return self.nr * self.snr_density
+        d = self.__dict__
+        d["snr_density"], d["coherence_time"], d["coherence_bandwidth"] = snr_density, tc, bc
+        d["nt"], d["nr"], d["fading"] = nt, nr, fading
+        d["coherence_product"], d["wideband_limit"] = product, nr * snr_density
+        d["moment_factor"] = kurtosis(fading) - 2.0 + nt + nr
 
 
 # Scenario-file keys.  snr_density_hz and snr_density_db_hz are mutually

@@ -1,6 +1,7 @@
 import math
+import pickle
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import mpmath
 import numpy as np
@@ -23,7 +24,13 @@ from widecap.bounds import (
     rate_lower_bound,
     rate_upper_bound,
 )
-from widecap.scenario import ChannelScenario, FadingFamily, kurtosis
+from widecap.scenario import (
+    ChannelScenario,
+    FadingFamily,
+    kurtosis,
+    parse_scenario,
+    serialize_scenario,
+)
 
 from test_mcverify import scenario
 
@@ -811,3 +818,124 @@ class TestEpsilonForErrorPct:
     @pytest.mark.parametrize("p, snr", [(5.6e-307, 1e-2), (1.0, 5.6e-309), (37.5, 0.3)])
     def test_accepted_inputs_keep_their_bits(self, p, snr):
         assert epsilon_for_error_pct(p, snr) == math.log(100.0 / p) / math.log(1.0 / snr)
+
+
+# The per-scenario calls of perfbench's atlas workload: its alpha cases
+# (per-dof SNR, p) and its occupancy factors around the exact optimum.
+ATLAS_CASES = ((1e-2, 1.0), (1e-2, 10.0), (1e-3, 1.0), (1e-3, 10.0))
+ATLAS_FACTORS = np.geomspace(1e-3, 1e3, 256)
+
+
+def atlas_row(text):
+    """One atlas row of the library: critical bracket, peak gap, four alpha cases, R_LB, R_UB."""
+    s = parse_scenario(text)
+    cb = critical_bracket(s)
+    row = [cb.occupancy_low, cb.occupancy_low_exact, cb.occupancy_optimal,
+           cb.occupancy_optimal_exact, cb.occupancy_high_exact, cb.occupancy_high,
+           cb.peak_rate_lower, peak_gap(s)]
+    for snr, p in ATLAS_CASES:
+        eps = epsilon_for_error_pct(p, snr)
+        ab = alpha_brackets(s, snr, eps)
+        row += [eps, ab.alpha_max, ab.alpha_min, ab.alpha_plus, ab.alpha_minus]
+    occupancy = cb.occupancy_optimal_exact * ATLAS_FACTORS
+    return np.concatenate([row, rate_lower_bound(s, occupancy), rate_upper_bound(s, occupancy)])
+
+
+def atlas_row_oracle(s):
+    """The atlas row as 0.19.0's expressions gave it, from the six fields alone.
+
+    Only the root y* of the exact optimum comes from the library, through
+    ``_optimum_y``, which takes K and Lc as plain floats.
+    """
+    snr, nt, nr = s.snr_density, s.nt, s.nr
+    lc, n = s.coherence_bandwidth * s.coherence_time, nt + nr
+    k, c_inf, log_lc = kurtosis(s.fading) - 2.0 + nt + nr, nr * snr, math.log(lc)
+    u = (nr / nt + 1.0) * LN_PI
+    root = math.sqrt(u - 1.0)
+    scale = snr * math.sqrt(lc / math.log(lc))
+    exact_scale = nt * bounds._optimum_y(k, lc)
+    exact = snr * lc / exact_scale if snr * lc < math.inf else snr * (lc / exact_scale)
+    gap = math.sqrt(math.log(lc) / lc * k * LN_PI)
+    row = [scale * (1.0 / (2.0 * math.sqrt((nt + nr) * LN_PI))),
+           scale * (1.0 / (math.sqrt(nt) * (math.sqrt(u) + root))),
+           (snr / nt) * math.sqrt(lc / math.log(lc) * k), exact,
+           scale * (1.0 / (math.sqrt(nt) * (math.sqrt(u) - root))),
+           scale * (2.0 * math.sqrt((nt + nr) * LN_PI) / nt), c_inf * (1.0 - gap), gap]
+    for snr_dof, p in ATLAS_CASES:
+        eps = math.log(100.0 / p) / math.log(1.0 / snr_dof)
+        two_l = 2.0 * math.log(1.0 / snr_dof)
+        alpha_max = math.log(n**2 / nt**2 * lc) / two_l
+        row += [eps, alpha_max, max(alpha_max - eps, alpha_max / 2.0),
+                alpha_max - math.log(n * log_lc / (4.0 * LN_PI)) / two_l,
+                alpha_max - math.log(4.0 * LN_PI * n**3 / nt**2 * log_lc) / two_l]
+    x = exact * ATLAS_FACTORS
+    lower = (c_inf * (1.0 - 0.5 * (snr * k) / (x * nt))
+             - (x * nt * nr / lc) * np.log1p(snr * lc / (x * nt)))
+    upper = c_inf * (1.0 - 0.5 * snr / x
+                     - (x * nt / (snr * lc)) * np.log1p(snr * lc * 1.0 / (x * nt)))
+    return np.concatenate([row, lower, upper])
+
+
+atlas_scenarios = st.builds(
+    lambda nt, nr, log_snr, log_lc, log_tc: ChannelScenario(
+        10.0 ** log_snr, 10.0 ** log_tc, 10.0 ** log_lc / 10.0 ** log_tc, nt, nr,
+        FadingFamily.rayleigh()),
+    st.integers(1, 8), st.integers(1, 8), st.floats(3.0, 9.0), st.floats(2.0, 8.0),
+    st.floats(-4.0, -1.0))
+
+
+class TestAtlasOracle:
+    """The atlas path (parse, bracket, gap, alpha, kernels), every bit of a row."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(a=atlas_scenarios, b=atlas_scenarios, bc_factor=st.floats(1.5, 10.0))
+    def test_rows_match_oracle(self, a, b, bc_factor):
+        # A, B, A and a copy of A with another Bc, in turn: a memo that kept
+        # an earlier scenario's values would fail on the second or later.
+        changed = replace(a, coherence_bandwidth=a.coherence_bandwidth * bc_factor)
+        for s in (a, b, a, changed):
+            assert same_bits(atlas_row(serialize_scenario(s)), atlas_row_oracle(s))
+
+
+class TestRecords:
+    """The records keep their dataclass semantics with a hand-written __init__."""
+
+    RECORDS = [
+        (ChannelScenario(1e7, 1e-3, 1e6, 2, 3, FadingFamily.rice(1.0)),
+         ["snr_density", "coherence_time", "coherence_bandwidth", "nt", "nr", "fading"],
+         "ChannelScenario(snr_density=10000000.0, coherence_time=0.001, "
+         "coherence_bandwidth=1000000.0, nt=2, nr=3, fading=FadingFamily(kind='rice', param=1.0))"),
+        (CriticalBracket(1.0, 2.0, 3.0, occupancy_high=4.0),
+         ["occupancy_optimal", "occupancy_optimal_exact", "peak_rate_lower", "occupancy_low",
+          "occupancy_high", "occupancy_low_exact", "occupancy_high_exact"],
+         "CriticalBracket(occupancy_optimal=1.0, occupancy_optimal_exact=2.0, "
+         "peak_rate_lower=3.0, occupancy_low=None, occupancy_high=4.0, "
+         "occupancy_low_exact=None, occupancy_high_exact=None)"),
+        (AlphaBracket(0.5, 0.25, 0.4, 0.3),
+         ["alpha_max", "alpha_min", "alpha_plus", "alpha_minus"],
+         "AlphaBracket(alpha_max=0.5, alpha_min=0.25, alpha_plus=0.4, alpha_minus=0.3)"),
+    ]
+
+    @pytest.mark.parametrize("record, names, text", RECORDS,
+                             ids=["ChannelScenario", "CriticalBracket", "AlphaBracket"])
+    def test_dataclass_semantics(self, record, names, text):
+        values = tuple(getattr(record, name) for name in names)
+        assert [f.name for f in fields(record)] == names
+        assert repr(record) == text
+        assert hash(record) == hash(values)
+        assert record == type(record)(*values) == replace(record)
+        assert record != replace(record, **{names[1]: 7.5}) and record != values
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, names[0], 9.0)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and vars(copy) == vars(record)
+
+    def test_scenario_constants_are_derived_not_fields(self):
+        s = ChannelScenario(1e7, 1e-3, 1e6, 2, 3, FadingFamily.rayleigh())
+        derived = {"coherence_product", "wideband_limit", "moment_factor"}
+        assert not derived & {f.name for f in fields(s)}
+        assert (s.coherence_product, s.wideband_limit, s.moment_factor) == (1e6 * 1e-3, 3e7, 5.0)
+        t = replace(s, coherence_time=4e-3, nr=1, fading=FadingFamily.nakagami(4.0))
+        assert (t.coherence_product, t.wideband_limit, t.moment_factor) == (
+            1e6 * 4e-3, 1e7, 1.0 + 1.0 / 4.0 - 2.0 + 2 + 1)
+        assert replace(s, coherence_time=2e-3).coherence_product == 1e6 * 2e-3
