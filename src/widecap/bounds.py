@@ -444,32 +444,26 @@ def _log_inverse_snr(snr: float) -> float:
     return math.log(inverse)
 
 
-@functools.lru_cache(maxsize=256)
-def _alpha_factors(nt: int, nr: int):
-    """(Nt+Nr, (Nt+Nr)^2/Nt^2, 4*ln(pi)*(Nt+Nr)^3/Nt^2), memoized per (Nt, Nr)."""
+def _alpha_numerators(nt: int, nr: int, lc: float):
+    """The numerators ln(n^2/Nt^2*Lc), ln(n*ln(Lc)/(4*ln pi)) and ln(4*ln(pi)*n^3/Nt^2*ln(Lc))
+    of alpha_brackets, n = Nt+Nr, each a math.log: numpy's SIMD log can differ in the last bit."""
     n = nt + nr
-    return n, n**2 / nt**2, 4.0 * LN_PI * n**3 / nt**2
+    log_lc = math.log(lc)
+    return (math.log(n**2 / nt**2 * lc), math.log(n * log_lc / (4.0 * LN_PI)),
+            math.log(4.0 * LN_PI * n**3 / nt**2 * log_lc))
 
 
-# The scenario of the last _alpha_logs call and its logarithms.  Holding the
-# scenario keeps it alive, so no new scenario can take its address and pass `is`.
+def _alphas(logs, two_l):
+    """alpha_max, alpha+ and alpha- from the numerators (floats or array rows) and 2*ln(1/SNR)."""
+    log_max, log_plus, log_minus = logs
+    alpha_max = log_max / two_l
+    return alpha_max, alpha_max - log_plus / two_l, alpha_max - log_minus / two_l
+
+
+# The last scenario of alpha_brackets (a sweep calls it at several SNRs each) and its
+# numerators.  Holding it keeps it alive, so no new scenario takes its address and passes `is`.
+# It is read and stored as one tuple, so a race between threads only recomputes.
 _alpha_memo = (None, None)
-
-
-def _alpha_logs(scenario: ChannelScenario):
-    """The numerators ln(n^2/Nt^2*Lc), ln(n*ln(Lc)/(4*ln pi)) and
-    ln(4*ln(pi)*n^3/Nt^2*ln(Lc)) of alpha_brackets, n = Nt+Nr, memoized for
-    the last scenario: a sweep calls alpha_brackets at several SNRs each."""
-    global _alpha_memo
-    held, logs = _alpha_memo
-    if held is not scenario:
-        n, max_factor, minus_factor = _alpha_factors(scenario.nt, scenario.nr)
-        lc = scenario.coherence_product
-        log_lc = math.log(lc)
-        logs = (math.log(max_factor * lc), math.log(n * log_lc / (4.0 * LN_PI)),
-                math.log(minus_factor * log_lc))
-        _alpha_memo = (scenario, logs)
-    return logs
 
 
 def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> AlphaBracket:
@@ -483,13 +477,25 @@ def alpha_brackets(scenario: ChannelScenario, snr: float, epsilon: float) -> Alp
     Raises ValueError for an SNR outside (0, 1) or below about 5.6e-309,
     where 1/SNR overflows float64.
     """
+    global _alpha_memo
     two_l = 2.0 * _log_inverse_snr(snr)
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    log_max, log_plus, log_minus = _alpha_logs(scenario)
-    alpha_max = log_max / two_l
+    held, logs = _alpha_memo
+    if held is not scenario:
+        logs = _alpha_numerators(scenario.nt, scenario.nr, scenario.coherence_product)
+        _alpha_memo = scenario, logs
+    alpha_max, alpha_plus, alpha_minus = _alphas(logs, two_l)
     return AlphaBracket(alpha_max, max(alpha_max - epsilon, alpha_max / 2.0),
-                        alpha_max - log_plus / two_l, alpha_max - log_minus / two_l)
+                        alpha_plus, alpha_minus)
+
+
+def _alpha_grid(nt: int, nr: int, lcs: list, snr: float, epsilons: list):
+    """alpha_max, alpha+, alpha- and a list of alpha_min per epsilon, as arrays over ``lcs``."""
+    logs = np.array([_alpha_numerators(nt, nr, lc) for lc in lcs]).T
+    alpha_max, alpha_plus, alpha_minus = _alphas(logs, 2.0 * _log_inverse_snr(snr))
+    mins = [np.maximum(alpha_max - eps, alpha_max / 2.0) for eps in epsilons]
+    return alpha_max, alpha_plus, alpha_minus, mins
 
 
 def epsilon_for_error_pct(p: float, snr: float) -> float:

@@ -33,7 +33,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -354,24 +353,18 @@ def cmd_alpha(args) -> int:
     if len(set(header)) < len(header):
         raise ValueError("--p values must differ in their first 6 significant digits")
 
-    # Each row is a scenario with Bc*Tc = BcTc, which must exceed 1.
+    # Each row is evaluated at the BcTc it prints, which must exceed 1.
     low = args.bctc_grid[args.bctc_grid <= 1]
     if low.size:
         raise ValueError(f"--bctc-grid values must be > 1, got {low[0].item()!r}")
-    # alpha_min is the only value that depends on epsilon.
     epsilons = [bounds.epsilon_for_error_pct(p, args.snr) for p in args.p]
-    rows = []
-    for lc in args.bctc_grid.tolist():
-        # Tc = 1 s makes the row's Bc*Tc the printed BcTc exactly.
-        variant = replace(scenario, coherence_time=1.0, coherence_bandwidth=lc)
-        norm = math.log(lc) if args.normalize else 1.0
-        brackets = [bounds.alpha_brackets(variant, args.snr, eps) for eps in epsilons]
-        ab = brackets[0]
-        row = [lc, ab.alpha_max / norm, ab.alpha_max / 2.0 / norm]
-        row += [b.alpha_min / norm for b in brackets]
-        row += [ab.alpha_plus / norm, ab.alpha_minus / norm]
-        rows.append(row)
-    values = np.array(rows).T
+    lcs = args.bctc_grid.tolist()
+    alpha_max, alpha_plus, alpha_minus, alpha_mins = bounds._alpha_grid(
+        scenario.nt, scenario.nr, lcs, args.snr, epsilons)
+    values = np.array([args.bctc_grid, alpha_max, alpha_max / 2.0, *alpha_mins, alpha_plus,
+                       alpha_minus])
+    if args.normalize:
+        values[1:] /= [math.log(lc) for lc in lcs]
     _require_finite(header, values)
     columns = [_reprs(column) for column in values]
     with _output(args.out) as out:

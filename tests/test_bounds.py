@@ -788,6 +788,43 @@ class TestAlphaBrackets:
         assert alpha_brackets(s, snr, 0.0).alpha_max == math.log(25 / 4 * lc) / two_l
 
 
+class TestAlphaGrid:
+    """bounds._alpha_grid, the array path of ``widecap alpha``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nt=st.integers(1, 16),
+        nr=st.integers(1, 16),
+        lcs=st.lists(st.floats(0.0, 300.0, exclude_min=True).map(lambda x: 10.0 ** x)
+                     .filter(lambda lc: lc > 1), min_size=2, max_size=6),
+        snr=st.floats(-300.0, math.log10(0.99)).map(lambda x: min(max(10.0 ** x, 1e-300), 0.99)),
+    )
+    # Bc*Tc values where numpy's SIMD log is not math.log (AVX-512, numpy 2.4.6).
+    @example(nt=2, nr=2, lcs=[1.0179759519038076, 1.0259519038076153, 1.5563527054108217,
+                              5879292778951.955], snr=0.01)
+    @example(nt=1, nr=8, lcs=[3.212921119843142e+54, 1.5164729458917836], snr=0.2)
+    def test_rows_keep_the_bits_of_alpha_brackets(self, nt, nr, lcs, snr):
+        # Each row is alpha_brackets on a scenario with that Bc*Tc, bit for
+        # bit.  On odd rows another scenario takes the identity memo between
+        # two calls; on even rows the calls after the first hit it.
+        epsilons = [epsilon_for_error_pct(p, snr) for p in (100.0, 1.0, 10.0)]
+        alpha_max, alpha_plus, alpha_minus, alpha_mins = bounds._alpha_grid(
+            nt, nr, lcs, snr, epsilons)
+        other = ChannelScenario(snr_density=1.0, coherence_time=1.0, coherence_bandwidth=7.0,
+                                nt=3, nr=1, fading=FadingFamily.rayleigh())
+        for k, lc in enumerate(lcs):
+            s = ChannelScenario(snr_density=1.0, coherence_time=1.0, coherence_bandwidth=lc,
+                                nt=nt, nr=nr, fading=FadingFamily.rayleigh())
+            for eps, alpha_min in zip(epsilons, alpha_mins):
+                bracket = alpha_brackets(s, snr, eps)
+                if k % 2:
+                    alpha_brackets(other, snr, eps)
+                got = [alpha_max[k], alpha_min[k], alpha_plus[k], alpha_minus[k]]
+                want = [bracket.alpha_max, bracket.alpha_min, bracket.alpha_plus,
+                        bracket.alpha_minus]
+                assert [float(v).hex() for v in got] == [v.hex() for v in want]
+
+
 class TestEpsilonForErrorPct:
     def test_full_error_gives_zero(self):
         assert epsilon_for_error_pct(100.0, 1e-2) == 0.0

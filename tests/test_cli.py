@@ -880,18 +880,24 @@ class TestAlphaCommand:
         ["--snr", "0.2", "--bctc-grid", "3:1e9:200", "--normalize"],
     ], ids=["huge-grid", "200-rows"])
     def test_bytes_do_not_depend_on_tc(self, tmp_path, options):
-        # Each row is evaluated at the BcTc it prints.  Up to 0.13.0 a row's
-        # Bc*Tc was (BcTc/Tc)*Tc: at Tc = 1e-3 the huge grid was refused
-        # because Bc = BcTc/Tc overflowed, and 8 of the 200 rows differed
-        # between Tc = 0.3 s and Tc = 1 s.
+        # Each row is evaluated at the BcTc it prints, and alpha reads only Nt
+        # and Nr of the scenario: Tc, P/N0 and the fading family move no byte.
+        # Up to 0.13.0 a row's Bc*Tc was (BcTc/Tc)*Tc: at Tc = 1e-3 the huge
+        # grid was refused because Bc = BcTc/Tc overflowed, and 8 of the 200
+        # rows differed between Tc = 0.3 s and Tc = 1 s.
+        variants = [FLAT_2X2.replace("coherence_time_s = 1e-3", f"coherence_time_s = {tc}")
+                    for tc in ("1e-3", "0.3", "1")]
+        variants += [FLAT_2X2.replace("snr_density_hz = 1e7", "snr_density_hz = 3.5e-2"),
+                     FLAT_2X2.replace("fading = rayleigh", "fading = rice:1.0")]
+        assert len(set(variants)) == len(variants)
         texts = []
-        for tc in ("1e-3", "0.3", "1"):
-            path = tmp_path / f"tc_{tc}.txt"
-            path.write_text(FLAT_2X2.replace("coherence_time_s = 1e-3", f"coherence_time_s = {tc}"))
+        for index, variant in enumerate(variants):
+            path = tmp_path / f"variant_{index}.txt"
+            path.write_text(variant)
             code, text = run(tmp_path, "alpha", "--scenario", str(path), *options)
             assert code == 0
             texts.append(text)
-        assert texts[0] == texts[1] == texts[2]
+        assert texts == [texts[0]] * len(variants)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_refuses_overflowing_alpha(self, tmp_path, fmt, capsys):
@@ -1087,6 +1093,9 @@ ALPHA_CASES = [
                  grid(1e2, 1e6, 9), False, id="p100"),
     pytest.param(["--normalize", "--p", "100,5", "--bctc-grid", "10:1e3:7:lin"], [100.0, 5.0],
                  grid(10, 1e3, 7, log=False), True, id="p100-normalize-lin"),
+    # 3 of these 500 BcTc give an np.log that is not math.log (AVX-512, numpy 2.4.6).
+    pytest.param(["--normalize", "--bctc-grid", "1.01:3:500:lin"], [1.0, 10.0],
+                 grid(1.01, 3, 500, log=False), True, id="normalize-lin500"),
 ]
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widecap.bounds import _alpha_factors, critical_coefficients
+from widecap.bounds import critical_coefficients
 from widecap.scenario import (
     ChannelScenario,
     FadingFamily,
@@ -242,11 +242,6 @@ class TestParsing:
         for nt in range(1, 17):
             for nr in range(1, 17):
                 assert critical_coefficients(nt, nr) == critical_coefficients.__wrapped__(nt, nr)
-
-    def test_alpha_factors_memo_matches_uncached(self):
-        for nt in range(1, 17):
-            for nr in range(1, 17):
-                assert _alpha_factors(nt, nr) == _alpha_factors.__wrapped__(nt, nr)
 
     def test_round_trip_example(self):
         scenario = parse_scenario(FLAT_DOC)
