@@ -5,9 +5,9 @@ seeded, reproducible estimate: channel kurtosis, the fourth-moment trace
 identity, the coherent log-det term against its quadratic expansion, and the
 channel-uncertainty penalty term against its closed-form chain ends.
 :func:`run_verification_suite` gates them (plus the deterministic channel
-identities) into the pass/fail records the CLI reports.  Every pass comes from
-one rule (:func:`_within`): low - 4*SE <= value <= high + 4*SE + slack, with a
-rounding floor of 4 ulps of the expected value on two-sided checks.
+identities) into the records the CLI reports, all built by :func:`_record`, whose
+one pass rule (:func:`_within`) is low - 4*SE <= value <= high + 4*SE + slack,
+with a rounding floor of 4 ulps of the expected value on two-sided checks.
 
 No Monte-Carlo log-det needs an eigendecomposition.  The penalty's
 ln det(I + T) with T Hermitian Toeplitz is a Levinson-Durbin recursion
@@ -533,7 +533,7 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
     """The record of the channel-uncertainty penalty between its two chain ends.
 
     It passes when the paired margin penalty - lower chain is >= 0 and the
-    penalty <= the upper chain, each within 4 of its own SEs (:func:`_within`);
+    penalty <= the upper chain, each within 4 of its own SEs (:func:`_record`);
     ``z`` is margin/SE, and ``bound_values`` holds both chain values.
 
     Per trial the penalty is (delta/Tc) * sum_v ln det(I + rho * Gram *
@@ -591,20 +591,16 @@ def penalty_sandwich(scenario: ChannelScenario, occupancy: float, k_samples: int
         out[0] = prefactor * nr * toeplitz_logdet(lags)
 
     moments = _draw(cfg, _TAG_PENALTY, 2, fill, cross=[(0, 1)])
-    penalty, margin = _estimate(moments, {0: 1.0}), _estimate(moments, {0: 1.0, 1: -1.0})
-    return CheckRecord(
-        check="penalty_sandwich",
-        params={"k_samples": k_samples, "nt": nt, "nr": nr, "trials": cfg.trials},
-        passed=(_within(margin.mean, margin.std_error, 0.0, math.inf)
-                and _within(penalty.mean, penalty.std_error, -math.inf, cap)),
-        estimate=penalty.mean, std_error=penalty.std_error, z=_z(margin.mean, margin.std_error),
-        bound_values={"lower_chain": float(moments.mean[1]), "upper_chain": cap},
-    )
+    return _record("penalty_sandwich",
+                   {"k_samples": k_samples, "nt": nt, "nr": nr, "trials": cfg.trials},
+                   _estimate(moments, {0: 1.0}), -math.inf, cap,
+                   {"lower_chain": float(moments.mean[1]), "upper_chain": cap},
+                   margin=_estimate(moments, {0: 1.0, 1: -1.0}))
 
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verification check in the machine-readable report."""
+    """One verification check in the machine-readable report, built by :func:`_record`."""
 
     check: str
     params: dict
@@ -645,9 +641,28 @@ def _within(value: float, std_error: float, low: float, high: float, slack: floa
     return low - tol <= value <= high + tol + slack
 
 
-def _z(offset: float, std_error: float) -> float:
-    """offset / SE, reported as 0.0 when SE is 0."""
-    return offset / std_error if std_error > 0 else 0.0
+def _record(check: str, params: dict, estimate, low: float, high: float, bound_values: dict,
+            slack: float = 0.0, margin: Optional[McEstimate] = None) -> CheckRecord:
+    """The one constructor of a :class:`CheckRecord`: ``estimate`` gated by :func:`_within`.
+
+    An :class:`McEstimate` is gated within 4 of its SE; a float is a
+    deterministic value, gated exactly and reported with std_error None.
+    ``margin`` (the penalty's paired margin) is a second gate, >= 0 within 4
+    of its own SE, and gives the record's z.  z is (value - low)/SE, 0.0 when
+    SE is 0, on a gate whose two ends are equal or whose only finite end is
+    low, and None on a two-ended gate and on a deterministic record.
+    """
+    mc = isinstance(estimate, McEstimate)
+    estimate, std_error = (estimate.mean, estimate.std_error) if mc else (estimate, None)
+    passed = _within(estimate, std_error or 0.0, low, high, slack)
+    value, se = estimate, std_error
+    if margin is not None:
+        value, se, low, high = margin.mean, margin.std_error, 0.0, math.inf
+        passed = _within(value, se, low, high) and passed
+    z = None
+    if se is not None and (low == high or math.isfinite(low) and high == math.inf):
+        z = (value - low) / se if se > 0 else 0.0
+    return CheckRecord(check, params, passed, estimate, std_error, z, bound_values)
 
 
 def _sandwich_record(scenario: ChannelScenario, occupancy: float, coherent: McEstimate,
@@ -664,13 +679,10 @@ def _sandwich_record(scenario: ChannelScenario, occupancy: float, coherent: McEs
     rate_upper = float(bounds.rate_upper_bound(scenario, occupancy, 1.0))
     snr_dof = scenario.snr_density / occupancy
     slack = occupancy * scenario.nr * snr_dof**3 / 3.0
-    return CheckRecord(
-        check=f"bound_sandwich[dB={occupancy:.6g}]",
-        params={"occupancy": occupancy, "trials": trials},
-        passed=_within(mc_value, coherent.std_error, rate_lower, rate_upper, slack),
-        estimate=mc_value, std_error=coherent.std_error,
-        bound_values={"rate_lower": rate_lower, "rate_upper": rate_upper, "upper_slack": slack},
-    )
+    return _record(f"bound_sandwich[dB={occupancy:.6g}]",
+                   {"occupancy": occupancy, "trials": trials},
+                   McEstimate(mc_value, coherent.std_error), rate_lower, rate_upper,
+                   {"rate_lower": rate_lower, "rate_upper": rate_upper, "upper_slack": slack}, slack)
 
 
 def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig) -> list:
@@ -683,17 +695,6 @@ def bound_sandwich_sweep(scenario: ChannelScenario, grid, cfg: McConfig) -> list
     estimates, _ = _channel_draw(scenario, grid, cfg, _TAG_COHERENT)
     return [_sandwich_record(scenario, x, estimate, cfg.trials)
             for x, estimate in zip(grid, estimates)]
-
-
-def _expected_record(check: str, params: dict, estimate: McEstimate, expected: float):
-    """The two-sided record of an estimate whose mean is known: ``expected`` within 4 SE.
-
-    The tolerance is at least 4 ulps of ``expected`` (:func:`_within`).
-    """
-    mean, se = estimate.mean, estimate.std_error
-    return CheckRecord(check=check, params=params, passed=_within(mean, se, expected, expected),
-                       estimate=mean, std_error=se, z=_z(mean - expected, se),
-                       bound_values={"expected": expected})
 
 
 def _channel_identity_checks(cfg: McConfig):
@@ -723,15 +724,12 @@ def _channel_identity_checks(cfg: McConfig):
     gap = filterbank_equivalence_check(symbols, taps)
     checks.append(("filterbank_equivalence", {"m_bins": m_bins, "l_symbols": l_symbols}, gap, 1e-9))
 
-    return [
-        CheckRecord(check=check, params=params, passed=_within(value, 0.0, -math.inf, limit),
-                    estimate=value, bound_values={"limit": limit})
-        for check, params, value, limit in checks
-    ]
+    return [_record(check, params, value, -math.inf, limit, {"limit": limit})
+            for check, params, value, limit in checks]
 
 
 def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
-    """All Monte-Carlo and channel-identity checks for one scenario, each gated by :func:`_within`.
+    """All Monte-Carlo and channel-identity checks for one scenario, each built by :func:`_record`.
 
     The one place that decides which draw gives each estimate (see the module
     docstring): one Rayleigh draw, one draw of the scenario's own law on other
@@ -762,22 +760,20 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
         [coherent], own = _channel_draw(scenario, [optimum], cfg, _TAG_COHERENT)
         traces[(nt, nr, scenario.fading)] = own[(nt, nr)]
 
-    records = [_expected_record(f"kurtosis[{f.label}]", {"fading": f.label, "trials": cfg.trials},
-                                empirical_kurtosis(f, cfg), kurtosis(f)) for f in fadings]
-    records += [_expected_record(f"trace_identity[{t}x{r}:{f.label}]",
-                                 {"nt": t, "nr": r, "fading": f.label, "trials": cfg.trials},
-                                 traces[t, r, f], trace_identity_expected(t, r, kurtosis(f)))
-                for t, r, f in antenna_cases]
+    known = [(f"kurtosis[{f.label}]", {"fading": f.label, "trials": cfg.trials},
+              empirical_kurtosis(f, cfg), kurtosis(f)) for f in fadings]
+    known += [(f"trace_identity[{t}x{r}:{f.label}]",
+               {"nt": t, "nr": r, "fading": f.label, "trials": cfg.trials},
+               traces[t, r, f], trace_identity_expected(t, r, kurtosis(f)))
+              for t, r, f in antenna_cases]
+    # Two-sided: low = high = the known mean.
+    records = [_record(check, params, estimate, mean, mean, {"expected": mean})
+               for check, params, estimate, mean in known]
     records += _channel_identity_checks(cfg)
 
     quad = bounds._coherent_term(scenario, optimum)
-    records.append(CheckRecord(
-        check="coherent_expansion",
-        params={"occupancy": optimum, "trials": cfg.trials},
-        passed=_within(coherent.mean, coherent.std_error, quad, math.inf),
-        estimate=coherent.mean, std_error=coherent.std_error,
-        z=_z(coherent.mean - quad, coherent.std_error), bound_values={"quadratic_lower": quad},
-    ))
+    records.append(_record("coherent_expansion", {"occupancy": optimum, "trials": cfg.trials},
+                           coherent, quad, math.inf, {"quadratic_lower": quad}))
 
     # Penalty sandwich runs at desk scale: one coherence block of K = 32
     # samples with an integer coherence length of 8, power set so rho*K = 1.

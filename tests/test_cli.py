@@ -1096,6 +1096,9 @@ ALPHA_CASES = [
     # 3 of these 500 BcTc give an np.log that is not math.log (AVX-512, numpy 2.4.6).
     pytest.param(["--normalize", "--bctc-grid", "1.01:3:500:lin"], [1.0, 10.0],
                  grid(1.01, 3, 500, log=False), True, id="normalize-lin500"),
+    # Two full 512-row blocks of alpha's writer and a partial third.
+    pytest.param(["--bctc-grid", "1e2:1e12:1300"], [1.0, 10.0], grid(1e2, 1e12, 1300), False,
+                 id="blocks1300"),
 ]
 
 

@@ -17,11 +17,11 @@ from widecap.mcverify import (
     McEstimate,
     _channel_draw,
     _estimate,
-    _expected_record,
     _lag_table,
     _min_tap_power,
     _pilot_lags,
     _pilot_power,
+    _record,
     _sandwich_record,
     _within,
     empirical_kurtosis,
@@ -888,11 +888,51 @@ class TestPassRule:
     @pytest.mark.parametrize("expected, passed", [(2.0, False), (1.0, True)])
     def test_zero_se_two_sided_record_needs_the_expected_value(self, expected, passed):
         # A constant power gives kurtosis exactly 1 with standard error 0.
-        record = _expected_record("kurtosis[rayleigh]", {"fading": "rayleigh", "trials": 37},
-                                  kurtosis_estimate(np.ones(37)), expected)
+        record = _record("kurtosis[rayleigh]", {"fading": "rayleigh", "trials": 37},
+                         kurtosis_estimate(np.ones(37)), expected, expected,
+                         {"expected": expected})
         assert (record.estimate, record.std_error) == (1.0, 0.0)
         assert record.passed is passed
         assert record.z == 0.0
+
+    # One record of each kind: its gate, the SE of its estimate (None for a
+    # deterministic float), the estimate at the gate's edge, the direction
+    # beyond that edge, and the z at the edge that README gives.
+    RECORD_KINDS = [
+        pytest.param({"low": 3.0, "high": 3.0}, 0.25, 4.0, math.inf, 4.0, id="two-sided"),
+        pytest.param({"low": 2.0, "high": math.inf}, 0.25, 1.0, -math.inf, -4.0,
+                     id="lower-bounded"),
+        pytest.param({"low": 1.0, "high": 2.0, "slack": 10.0}, 0.125, 12.5, math.inf, None,
+                     id="sandwich-with-slack"),
+        # The penalty's z is its margin's: 3.0 / 0.5.
+        pytest.param({"low": -math.inf, "high": 5.0, "margin": McEstimate(3.0, 0.5)}, 0.25, 6.0,
+                     math.inf, 6.0, id="penalty"),
+        pytest.param({"low": -math.inf, "high": 1e-9}, None, 1e-9, math.inf, None,
+                     id="deterministic"),
+    ]
+
+    @pytest.mark.parametrize("gate, se, edge, beyond, z", RECORD_KINDS)
+    def test_record_passes_at_its_edge_and_reports_its_z(self, gate, se, edge, beyond, z):
+        def record(value):
+            estimate = value if se is None else McEstimate(value, se)
+            return _record("check", {"trials": 1}, estimate, bound_values={"b": 1.0}, **gate)
+
+        at, past = record(edge), record(math.nextafter(edge, beyond))
+        assert at.passed is True
+        assert past.passed is False
+        assert (at.estimate, at.std_error, at.z) == (edge, se, z)
+        assert (at.check, at.params, at.bound_values) == ("check", {"trials": 1}, {"b": 1.0})
+
+    @pytest.mark.parametrize("penalty, margin, passed", [
+        (6.0, McEstimate(-0.5, 0.125), True),  # both at their edges
+        (6.0, McEstimate(math.nextafter(-0.5, -math.inf), 0.125), False),  # margin fails alone
+        (math.nextafter(6.0, math.inf), McEstimate(3.0, 0.5), False),  # penalty fails alone
+    ], ids=["both-at-edge", "margin-fails", "penalty-fails"])
+    def test_penalty_record_needs_both_gates(self, penalty, margin, passed):
+        record = _record("penalty_sandwich", {}, McEstimate(penalty, 0.25), -math.inf, 5.0, {},
+                         margin=margin)
+        assert record.passed is passed
+        assert record.z == margin.mean / margin.std_error
 
 
 class TestMonteCarloRecordPins:
@@ -987,7 +1027,7 @@ class TestSuite:
     def test_negative_control_fails_loudly(self):
         estimate = empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
         params = {"fading": "rayleigh", "trials": SMALL.trials}
-        record = _expected_record("kurtosis[rayleigh]", params, estimate, 2.5)
+        record = _record("kurtosis[rayleigh]", params, estimate, 2.5, 2.5, {"expected": 2.5})
         assert not record.passed
         assert abs(record.z) > 4.0
 
