@@ -41,8 +41,8 @@ __version__ = "0.19.0"
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: the threads of ``verify`` and the repr helper
-    of ``bounds`` run only when there are two."""
+    """CPUs this process may run on: the forked worker of ``verify`` and the repr
+    helper of ``bounds`` run only when there are two."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 

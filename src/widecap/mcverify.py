@@ -43,22 +43,26 @@ directly.
 
 Sampling is chunked with a fixed chunk size; every chunk draws from its own
 seed derived from (base_seed, check tag, chunk start) into a block of its own,
-and with two usable CPUs the chunks run on two threads (:func:`_each_chunk`).
-Each chunk reduces its block, on its own thread, to a count, row means and the
-centred co-moments its caller reads (:func:`_reduce`), and after the join the
-chunks' moments merge in chunk-start order, never in completion order
-(:meth:`_Moments.merge`).  So reports are byte-identical for any CPU count,
-and no array has one entry per trial.
+which it reduces to a count, row means and the centred co-moments its caller
+reads (:func:`_reduce`).  On Linux with two usable CPUs and enough chunks,
+:func:`run_verification_suite` forks one worker that runs the same suite: in
+every draw the worker reduces the odd chunks and this process the even ones,
+and the two swap their chunks' rows over two pipes (:class:`_Split`).  Both
+merge all rows in chunk-start order (:meth:`_Moments.merge`), so both hold
+the same moments, and reports are byte-identical for any CPU count.  No
+array has one entry per trial.
 """
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import functools
 import math
 import os
+import pickle
+import signal
 import struct
+import sys
 import threading
 import zlib
 from dataclasses import dataclass, field, replace
@@ -89,9 +93,14 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+# Fewest chunks per draw for which run_verification_suite forks a worker.  The
+# fork, its reaping and the copy-on-write faults that follow cost about 4 ms:
+# the split breaks even at about 10 chunks in a process that has run a suite
+# before and at about 13 in a fresh one (2-core x86 VM, Linux).
+_SPLIT_CHUNKS = 12
 _MIN_TRIALS = 10_000
-# 10 to 18 minutes of the default suite (0.6 to 1.07 us per trial at 1e6 trials,
-# 2-core x86 VM).
+# 6 to 9 minutes of the default suite (0.35 to 0.51 us per trial at 1e6 trials,
+# split between two processes on a 2-core x86 VM).
 _MAX_TRIALS = 10**9
 
 # Stream tags keep the draws of different checks independent.
@@ -152,49 +161,6 @@ def _keep_freed_chunk_memory():
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-
-
-def _each_chunk(cfg: McConfig, tag, body):
-    """Call body(rng, start, n) per chunk, here and, with two usable CPUs, on one helper thread.
-
-    Both threads pull chunk starts from one shared iterator, and each builds
-    its chunk's generator from the seed (base_seed, *tag, start), so the draws
-    do not depend on which thread runs a chunk.  An exception on either thread
-    stops both and is raised here after the join.
-    """
-    _keep_freed_chunk_memory()
-    entropy = tag if isinstance(tag, tuple) else (tag,)
-    entropy = tuple(_entropy_component(part) for part in entropy)
-    pending = iter(range(0, cfg.trials, _CHUNK))
-    errors = []
-
-    def work():
-        try:
-            for start in pending:
-                # default_rng's own generator, without its dispatch (10 us a chunk)
-                rng = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence((cfg.base_seed, *entropy, start))))
-                body(rng, start, min(_CHUNK, cfg.trials - start))
-        except BaseException as error:
-            errors.append(error)
-            for _ in pending:  # leave the other thread no chunk to start
-                pass
-
-    # The helper runs in a copy of the caller's context, so numpy's errstate
-    # (a context variable since numpy 2.0) holds there too.
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(work,)) \
-        if _usable_cpus() > 1 else None
-    if helper:
-        helper.start()
-    work()
-    if helper:
-        helper.join()
-        # join() returns before glibc frees the thread's malloc arena; a helper
-        # started before then gets a new one, 2.7 MB more resident (Linux).
-        while os.path.exists(f"/proc/self/task/{helper.native_id}"):
-            os.sched_yield()
-    if errors:
-        raise errors[0]
 
 
 def _reduce(block: np.ndarray, pairs: tuple, mean, residual, comoment):
@@ -260,31 +226,132 @@ class _Moments:
         return cls(int(total), mean, comoment, pairs)
 
 
+class _Split:
+    """One side of a suite that this process shares with one forked worker.
+
+    Each draw's chunks alternate between the two sides: the caller (parity
+    0) reduces the even ones and the worker (parity 1) the odd ones.  The
+    sides then swap their chunks' rows of moments over two pipes
+    (:meth:`share`), so both hold every row, merge them alike and take the
+    same path through the rest of the suite.
+    """
+
+    def __init__(self, parity: int, receive: int, send: int, worker: Optional[int] = None):
+        self.parity = parity
+        self._reader = open(receive, "rb")
+        self._send = send
+        self._worker = worker  # the worker's pid, on the caller's side until it is reaped
+
+    def share(self, table: np.ndarray, reduce_chunk) -> None:
+        """Call ``reduce_chunk(k)`` for this side's rows k of ``table``; take the other side's.
+
+        Each side stops at its first failing chunk, and a worker's failure
+        goes to the caller, pickled, in place of its rows.  The caller raises
+        the exception of the earliest failing chunk of either side, as the
+        serial loop would.  The worker sends before it reads and the caller
+        reads before it sends, so the swap cannot deadlock on a full pipe.
+        """
+        failure = None
+        for k in range(self.parity, len(table), 2):
+            try:
+                reduce_chunk(k)
+            except Exception as error:
+                failure = k, error
+                break
+        mine, theirs = table[self.parity::2], table[1 - self.parity::2]
+        if self.parity:
+            self._write(failure or (None, mine))
+            if failure:
+                raise failure[1]
+            theirs[...] = self._read()[1]
+            return
+        k, sent = self._read()
+        if k is not None and (failure is None or k < failure[0]):
+            raise sent
+        if failure:
+            raise failure[1]
+        theirs[...] = sent
+        self._write((None, mine))
+
+    def _write(self, message) -> None:
+        view = memoryview(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+        try:
+            while view:
+                view = view[os.write(self._send, view):]
+        except BrokenPipeError as error:
+            self._stopped(error)
+
+    def _read(self):
+        try:
+            return pickle.load(self._reader)
+        except (EOFError, pickle.UnpicklingError) as error:
+            self._stopped(error)
+
+    def _stopped(self, error: Exception):
+        """Raise ``error``, from a pipe the other side has closed; on the caller's
+        side, an OSError naming the worker's exit code instead, once it is reaped."""
+        if self._worker is None:
+            raise error
+        code = os.waitstatus_to_exitcode(os.waitpid(self._worker, 0)[1])
+        self._worker = None
+        raise OSError(f"verify worker stopped with exit code {code}") from None
+
+    def close(self) -> None:
+        """Close the pipes; on the caller's side, kill and reap the worker unless it is reaped."""
+        if self._worker is not None:
+            os.kill(self._worker, signal.SIGKILL)
+            os.waitpid(self._worker, 0)
+            self._worker = None
+        self._reader.close()
+        os.close(self._send)
+
+
+@dataclass(frozen=True)
+class _Shared(McConfig):
+    """The config of a suite whose draws share their chunks with the other side of ``split``."""
+
+    split: Optional[_Split] = None
+
+
 def _draw(cfg: McConfig, tag, rows: int, fill, cross=()) -> _Moments:
     """The moments of a (rows, trials) block that ``fill(rng, n, out)`` writes one chunk at a time.
 
-    Each chunk fills a (rows, n) block of its own and reduces it on its own
-    thread (:func:`_reduce`, with the co-moment pairs ``cross`` besides each
-    row's own), into its chunk's row of the per-chunk moments.  They merge
-    after the join in chunk-start order, never in completion order, so the
-    result does not depend on the CPU count or the chunk schedule.  Memory
+    Each chunk draws from its own generator, seeded by (base_seed, *tag,
+    chunk start), into a (rows, n) block of its own, and reduces it
+    (:func:`_reduce`, with the co-moment pairs ``cross`` besides each row's
+    own) into its row of a table of per-chunk moments.  The chunks run here
+    in order, or, under a :class:`_Shared` config, split with the other
+    process (:meth:`_Split.share`).  The rows merge in chunk-start order, so
+    the result does not depend on which process reduced which chunk.  Memory
     grows by 8 bytes per row, pair and 4096-trial chunk, not per trial.  The
-    only place that runs :func:`_each_chunk` or builds :class:`_Moments`.
+    only place that draws chunks or builds :class:`_Moments`.
     """
+    _keep_freed_chunk_memory()
+    entropy = tag if isinstance(tag, tuple) else (tag,)
+    entropy = tuple(_entropy_component(part) for part in entropy)
     pairs = tuple((i, i) for i in range(rows)) + tuple(cross)
     chunks = -(-cfg.trials // _CHUNK)
-    counts = np.empty(chunks)
-    means, residuals = np.empty((2, chunks, rows))
-    comoments = np.empty((chunks, len(pairs)))
+    # Per chunk: its count, row means, row residuals and co-moments.
+    table = np.empty((chunks, 1 + 2 * rows + len(pairs)))
+    counts, means = table[:, 0], table[:, 1:rows + 1]
+    residuals, comoments = table[:, rows + 1:2 * rows + 1], table[:, 2 * rows + 1:]
 
-    def reduce_chunk(rng, start, n):
+    def reduce_chunk(k):
+        start = k * _CHUNK
+        n = min(_CHUNK, cfg.trials - start)
+        # default_rng's own generator, without its dispatch (10 us a chunk)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((cfg.base_seed, *entropy, start))))
         block = np.empty((rows, n))
         fill(rng, n, block)
-        k = start // _CHUNK
         counts[k] = n
         _reduce(block, pairs, means[k], residuals[k], comoments[k])
 
-    _each_chunk(cfg, tag, reduce_chunk)
+    if isinstance(cfg, _Shared):
+        cfg.split.share(table, reduce_chunk)
+    else:
+        for k in range(chunks):
+            reduce_chunk(k)
     return _Moments.merge(counts, means, residuals, comoments, pairs)
 
 
@@ -513,9 +580,10 @@ def _pilot_lags(power: np.ndarray, scale: np.ndarray, table: np.ndarray) -> np.n
 
     ``table.T @ power`` runs in column blocks of at most ``_SERIAL_GEMM``
     multiply-adds (512 trials at K = 32, cols = 8), which OpenBLAS keeps on
-    the calling thread; a full-width product wakes OpenBLAS's own threads,
-    which compete with those of :func:`_each_chunk` (process CPU / wall time
-    0.98-1.00 blocked, 1.95-1.98 full-width; OpenBLAS 0.3.31 on 2 CPUs).
+    the calling thread; a full-width product starts OpenBLAS's own thread,
+    which competes for the two CPUs with the other process of a split suite
+    (with two threads of chunks: process CPU / wall time 0.98-1.00 blocked,
+    1.95-1.98 full-width; OpenBLAS 0.3.31 on 2 CPUs).
     """
     n = power.shape[1]
     parts = np.empty((table.shape[1], n))
@@ -730,6 +798,47 @@ def _channel_identity_checks(cfg: McConfig):
 
 def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
     """All Monte-Carlo and channel-identity checks for one scenario, each built by :func:`_record`.
+
+    On Linux, with two usable CPUs, no other Python thread running and at
+    least ``_SPLIT_CHUNKS`` chunks per draw, the suite runs in this process
+    and in one worker forked for it, each reducing half of every draw's
+    chunks (:class:`_Split`); otherwise every chunk runs here.  The records
+    are the same either way, and so is the exception of a failing chunk; a
+    worker that stops early raises OSError.  The worker is killed and reaped
+    before this returns or raises.
+    """
+    if (-(-cfg.trials // _CHUNK) < _SPLIT_CHUNKS or _usable_cpus() < 2
+            or not sys.platform.startswith("linux") or threading.active_count() > 1):
+        return _suite(scenario, cfg)
+    to_worker, to_caller = os.pipe(), os.pipe()
+    # Python 3.12 and later warn here (DeprecationWarning, hidden by default)
+    # when OpenBLAS's thread is alive.  The worker has one thread all the
+    # same: OpenBLAS's fork handler stops its pool first, and no other Python
+    # thread runs.
+    pid = os.fork()
+    if pid == 0:
+        # The worker runs the same suite and never returns from it: os._exit
+        # leaves without flushing inherited buffers or running atexit hooks.
+        code = 1
+        try:
+            os.close(to_worker[1])
+            os.close(to_caller[0])
+            split = _Split(1, to_worker[0], to_caller[1])
+            _suite(scenario, _Shared(cfg.trials, cfg.base_seed, split))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(to_worker[0])
+    os.close(to_caller[1])
+    split = _Split(0, to_caller[0], to_worker[1], pid)
+    try:
+        return _suite(scenario, _Shared(cfg.trials, cfg.base_seed, split))
+    finally:
+        split.close()
+
+
+def _suite(scenario: ChannelScenario, cfg: McConfig):
+    """The records of :func:`run_verification_suite`, drawn under ``cfg``.
 
     The one place that decides which draw gives each estimate (see the module
     docstring): one Rayleigh draw, one draw of the scenario's own law on other

@@ -1327,6 +1327,45 @@ class TestVerifyCommand:
         assert not out.exists()
 
 
+class TestVerifyInItsOwnProcess:
+    """``python -m widecap.cli verify`` at 50 000 trials (13 chunks per draw), which
+    forks its worker where two CPUs are usable, run as a command of its own."""
+
+    @staticmethod
+    def verify(*options):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        # A session of its own, so that its process group is the command and
+        # whatever it forked: once the command has been reaped, the group is
+        # empty unless a worker outlived it.
+        command = subprocess.Popen(
+            [sys.executable, "-m", "widecap.cli", "verify", "--trials", "50000", "--seed", "42",
+             *options, "--out", "-"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            out, err = command.communicate(timeout=120)
+        finally:
+            command.kill()
+            command.wait()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(command.pid, 0)
+        return command.returncode, out, err
+
+    def test_prints_one_report(self):
+        code, out, err = self.verify()
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["trials"] == 50_000 and report["all_pass"] is True
+
+    def test_failing_suite_prints_one_error(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text(scenario_text(1e7, 1.0, 1e12, 2, 2, "nakagami:1e-10"))
+        code, out, err = self.verify("--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: kurtosis[nakagami:1e-10]: the |h|^2 draws underflow float64 "
+                       "(their mean, cubed, is 0), so the estimate is undefined\n")
+
+
 class TestScenarioLimits:
     """Overflowing and infinite scenario values are usage errors (exit 2, no file)."""
 

@@ -1,8 +1,10 @@
 import itertools
 import math
 import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -219,28 +221,25 @@ class TestMomentMerge:
         kurtosis = mcverify._kurtosis(merged_moments(values[2:], sizes, [(0, 1)]))
         self.assert_two_pass(merged_moments(values, sizes, MERGE_CROSS), kurtosis, values)
 
-    def test_chunk_schedule_matches_two_pass(self, monkeypatch):
-        # The real schedule: 4096-trial chunks of 100 000 trials, on two threads.
+    def test_chunk_schedule_matches_two_pass(self):
+        # The real schedule: 4096-trial chunks of 100 000 trials, drawn in order.
         cfg = McConfig(100_000, 3)
-        monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 2)
-        values = np.empty((4, cfg.trials))
-
-        def keep(rng, start, n):
-            values[:, start:start + n] = merge_rows(rng, n)
+        drawn = []
 
         def fill(rng, n, out):
-            out[:] = merge_rows(rng, n)[-len(out):]
+            drawn.append(merge_rows(rng, n))
+            out[:] = drawn[-1][-len(out):]
 
-        mcverify._each_chunk(cfg, "merge", keep)
         merged = mcverify._draw(cfg, "merge", 4, fill, cross=MERGE_CROSS)
+        values = np.concatenate(drawn, axis=1)
         kurtosis = mcverify._kurtosis(mcverify._draw(cfg, "merge", 2, fill, cross=[(0, 1)]))
         self.assert_two_pass(merged, kurtosis, values)
 
     def test_memory_does_not_grow_with_trials(self, monkeypatch):
         # Up to 0.15.0 each check kept one float64 per trial and row: the
         # traced peak of this suite was 2.5 MB at 20 000 trials and 11.2 MB
-        # at 200 000.  One CPU, so the peak does not depend on how two
-        # threads' chunks overlap.
+        # at 200 000.  One CPU, so every chunk runs in this process, where
+        # tracemalloc sees it.
         monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 1)
         s = scenario(snr=1e7, nt=2, nr=2)
 
@@ -533,7 +532,7 @@ class TestOccupancyDomain:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled before validating the occupancy")
 
-        monkeypatch.setattr(mcverify, "_each_chunk", refuse)
+        monkeypatch.setattr(mcverify, "_draw", refuse)
 
     # The messages of bounds._check_occupancy: nan fails the "> 0" test first.
     CASES = [
@@ -773,66 +772,171 @@ class TestDeterminism:
 
         monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 1)
         serial = records()
-        # _each_chunk pulls chunk starts from iter(range(...)); run them last first.
-        monkeypatch.setattr(mcverify, "iter", reversed, raising=False)
+        split_small_suites(monkeypatch)
+        forks = count_forks(monkeypatch)
         assert records() == serial
-        monkeypatch.delattr(mcverify, "iter")
-        monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 2)
-        # Frequent thread switches stress the chunk iterator both threads share.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+        assert forks == [1]
+        assert_no_child()
+
+    @pytest.mark.parametrize("condition", ["one CPU", "not Linux", "another thread", "few chunks"])
+    def test_suite_runs_in_one_process_without_a_split(self, monkeypatch, condition):
+        split_small_suites(monkeypatch)
+        if condition == "one CPU":
+            monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 1)
+        if condition == "few chunks":
+            monkeypatch.setattr(mcverify, "_SPLIT_CHUNKS", 4)
+        if condition == "not Linux":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        forks = count_forks(monkeypatch)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait, args=(30,))
+        if condition == "another thread":
+            other.start()
         try:
-            assert records() == serial
+            records = small_suite()
         finally:
-            sys.setswitchinterval(interval)
+            done.set()
+            if other.is_alive():
+                other.join(30)
+        assert forks == [0]
+        assert all(record.passed for record in records)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_chunk_failure_reaches_the_caller(self, monkeypatch, cpus):
-        calls = itertools.count()
-
-        def fail_third(*args):
-            if next(calls) == 2:
-                raise RuntimeError("third draw failed")
-            return unit_fading_power(*args)
-
+        # Each process counts its own |h|^2 draws, one per chunk; the first
+        # kurtosis draw makes the first.
+        caller = os.getpid()
+        # {side: its draw that fails}, and the message raised: the earliest failing chunk's.
+        cases = [({"caller": 2}, "chunk 2 failed in the caller")] if cpus == 1 else [
+            ({"caller": 1}, "chunk 2 failed in the caller"),
+            ({"worker": 0}, "chunk 1 failed in the worker"),
+            ({"caller": 1, "worker": 0}, "chunk 1 failed in the worker"),
+            ({"caller": 0, "worker": 0}, "chunk 0 failed in the caller"),
+        ]
+        split_small_suites(monkeypatch)
         monkeypatch.setattr(mcverify, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(mcverify, "unit_fading_power", fail_third)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="third draw failed"):
-            empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
-        assert threading.active_count() == threads
+        for fail, message in cases:
+            calls = itertools.count()
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
-    def test_helper_has_left_the_os_on_return(self, monkeypatch):
-        # Else the next helper can start before glibc frees this one's arena.
-        # The gap shows when the CPUs are busy, so BLAS products run meanwhile.
-        workers, each_chunk, done = set(), mcverify._each_chunk, threading.Event()
-        main = threading.get_native_id()
+            def failing(*args):
+                side, call = "caller" if os.getpid() == caller else "worker", next(calls)
+                if fail.get(side) == call:
+                    chunk = call if cpus == 1 else 2 * call + (side == "worker")
+                    raise RuntimeError(f"chunk {chunk} failed in the {side}")
+                return unit_fading_power(*args)
 
-        def record(*args):
-            workers.add(threading.get_native_id())
+            monkeypatch.setattr(mcverify, "unit_fading_power", failing)
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                small_suite()
+            assert threading.active_count() == threads
+            assert_no_child()
+
+    def test_both_sides_hold_every_row(self):
+        # The two sides of a split on threads of one process: each reduces its
+        # own chunks, and both end with the whole table.
+        to_worker, to_caller = os.pipe(), os.pipe()
+        sides = [mcverify._Split(0, to_caller[0], to_worker[1]),
+                 mcverify._Split(1, to_worker[0], to_caller[1])]
+        tables = [np.full((5, 3), np.nan) for _ in sides]
+        reduced = [[], []]
+
+        def share(side):
+            def reduce_chunk(k):
+                reduced[side].append(k)
+                tables[side][k] = k
+
+            sides[side].share(tables[side], reduce_chunk)
+
+        worker = threading.Thread(target=share, args=(1,))
+        worker.start()
+        share(0)
+        worker.join(30)
+        assert not worker.is_alive()
+        for side in sides:
+            side.close()
+        assert reduced == [[0, 2, 4], [1, 3]]
+        for table in tables:
+            assert table.tolist() == [[k] * 3 for k in range(5)]
+
+    def test_worker_never_returns_from_the_suite(self, monkeypatch, tmp_path):
+        caller, close = os.getpid(), mcverify._Split.close
+
+        def late_close(self):
+            time.sleep(0.3)  # time for a worker that returned to show it
+            close(self)
+
+        split_small_suites(monkeypatch)
+        monkeypatch.setattr(mcverify._Split, "close", late_close)
+        try:
+            small_suite()
+        finally:
+            if os.getpid() != caller:  # only a worker that left the suite gets here
+                (tmp_path / "returned").touch()
+                os._exit(0)
+        assert not (tmp_path / "returned").exists()
+
+    @pytest.mark.parametrize("stop", ["exit", "signal"])
+    def test_worker_that_dies_raises_os_error(self, monkeypatch, stop):
+        caller = os.getpid()
+
+        def dying(*args):
+            if os.getpid() != caller:
+                if stop == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
             return unit_fading_power(*args)
 
-        def each_chunk_then_look(*args):
-            each_chunk(*args)
-            assert not any(os.path.exists(f"/proc/self/task/{h}") for h in workers - {main})
+        split_small_suites(monkeypatch)
+        monkeypatch.setattr(mcverify, "unit_fading_power", dying)
+        code = 3 if stop == "exit" else -signal.SIGKILL
+        with pytest.raises(OSError, match=f"^verify worker stopped with exit code {code}$"):
+            small_suite()
+        assert_no_child()
 
-        def load(a=np.ones((300, 300))):
-            while not done.is_set():
-                a @ a
+    def test_interrupt_in_the_caller_ends_the_worker(self, monkeypatch):
+        caller = os.getpid()
 
-        monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(mcverify, "unit_fading_power", record)
-        monkeypatch.setattr(mcverify, "_each_chunk", each_chunk_then_look)
-        loader = threading.Thread(target=load)
-        loader.start()
-        try:
-            for _ in range(50):
-                empirical_kurtosis(FadingFamily.rayleigh(), SMALL)
-        finally:
-            done.set()
-            loader.join()
-        assert workers - {main}
+        def interrupted(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return unit_fading_power(*args)
+
+        split_small_suites(monkeypatch)
+        monkeypatch.setattr(mcverify, "unit_fading_power", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            small_suite()
+        assert_no_child()
+
+
+def split_small_suites(monkeypatch):
+    """Two CPUs and a threshold that 10 000 trials (3 chunks per draw) reach:
+    the caller reduces chunks 0 and 2 of each draw, the worker chunk 1."""
+    monkeypatch.setattr(mcverify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mcverify, "_SPLIT_CHUNKS", 2)
+
+
+def small_suite() -> list:
+    """The suite's records for 2x2 Rayleigh at 10 000 trials, seed 42."""
+    return run_verification_suite(scenario(snr=1e7, nt=2, nr=2), McConfig(10_000, 42))
+
+
+def count_forks(monkeypatch) -> list:
+    """A one-item list that counts this process's calls of os.fork from now on."""
+    forks, fork = [0], os.fork
+
+    def counted():
+        forks[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestPassRule:
