@@ -12,28 +12,29 @@ hertz unless ``--unit mhz`` rescales the display.  ``bounds`` evaluates its
 grid in fixed blocks of points, one kernel call per block, and writes each
 block's rows as it goes, so its memory does not grow with the grid size.  It
 formats each distinct delta, B and C_inf value once, not once per row; the
-bytes are those of formatting every cell.  On a grid of more than eight
-blocks with two usable CPUs, a helper interpreter (``widecap._reprhelper``)
-formats part of each later block's float cells, a few blocks ahead, while
-this process formats the rest and writes.  The split moves block by block
-toward the side that waits, and the bytes do not depend on it.  Every
-command validates its input, and refuses output that overflows float64 or a
-frequency that underflows it, before ``--out`` is opened, so a usage error
-creates no file.  All but ``bounds`` compute their whole output first, and
-``alpha`` then formats and writes it block by block, like ``bounds``.
+bytes are those of formatting every cell.  On Linux, a grid of more than
+eight blocks with two usable CPUs forks one worker (``widecap._fork``) that
+makes the text of the odd blocks while this process makes the even ones and
+writes every block in order.  Both run the same code, so the bytes do not
+depend on the split.  Every command validates its input, and refuses output
+that overflows float64 or a frequency that underflows it, before ``--out`` is
+opened, so a usage error creates no file.  All but ``bounds`` compute their
+whole output first, and ``alpha`` then formats and writes it block by block,
+like ``bounds``.
 Exit codes: 0 success, 1 verification failure, 2 usage or scenario errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import functools
 import itertools
 import json
 import math
+import os
+import pickle
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from typing import Optional
 
 import numpy as np
@@ -107,20 +108,17 @@ def _reprs(values: np.ndarray) -> list:
     return list(map(repr, values.tolist()))
 
 
-def _write_blocks(out, header, blocks, fmt: str):
-    """Stream blocks of string columns (one list per header name) as CSV, or as
-    JSON with the bytes of ``json.dumps(list_of_row_dicts, indent=2)``."""
+def _row_text(header, fmt: str):
+    """The function that joins a block's string columns (one list per header
+    name) into the text of its rows: CSV lines, or JSON row objects, each led
+    by ",\n", for :func:`_write_blocks`."""
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for columns in blocks:
-            out.write("\n".join(map(",".join, zip(*columns))) + "\n")
-        return
-    # A row is its key prefixes and cells interleaved, then "\n  }".  Each row
-    # opens with ",\n", which the first row of all trades for "[\n".
+        return lambda columns: "\n".join(map(",".join, zip(*columns))) + "\n"
+    # A row is its key prefixes and cells interleaved, then "\n  }".
     keys = [f"    {json.dumps(name)}: " for name in header]
     prefixes = [",\n  {\n" + keys[0]] + [",\n" + key for key in keys[1:]]
-    lead = "[\n"
-    for columns in blocks:
+
+    def text(columns):
         # One join per block sizes its string once.  Formatting the block with
         # one % call grows the string by reallocation instead, which
         # fragments the heap and raised peak RSS.
@@ -129,7 +127,21 @@ def _write_blocks(out, header, blocks, fmt: str):
         for prefix, column in zip(prefixes, columns):
             pieces += [itertools.repeat(prefix, rows), column]
         pieces.append(itertools.repeat("\n  }", rows))
-        text = "".join(itertools.chain.from_iterable(zip(*pieces)))
+        return "".join(itertools.chain.from_iterable(zip(*pieces)))
+
+    return text
+
+
+def _write_blocks(out, header, texts, fmt: str):
+    """Write the texts of blocks of rows from ``_row_text(header, fmt)`` as CSV,
+    or as JSON with the bytes of ``json.dumps(list_of_row_dicts, indent=2)``."""
+    if fmt == "csv":
+        out.write(",".join(header) + "\n")
+        out.writelines(texts)
+        return
+    # The first row of all trades its leading ",\n" for "[\n".
+    lead = "[\n"
+    for text in texts:
         out.write(lead + text[2:] if lead else text)
         lead = ""
     out.write("\n]\n")
@@ -174,29 +186,44 @@ def _penalty_factor(text: str) -> float:
 # Grid points per kernel call and per write.  Small enough that the memory of
 # a block stays well below the interpreter's, whatever the grid size.
 _BLOCK = 512
-# Blocks evaluated ahead of the one being written, so that the repr helper
-# has queued work and rarely waits for the next frame.
-_AHEAD = 4
-# Share of each block's float cells formatted here while a helper formats the
-# rest.  It starts below half, since this process also evaluates and writes
-# the rows, and moves one step per block within its bounds: up when this
-# process had to wait for the helper's reply, down when the reply was there.
-_SHARE_START, _SHARE_STEP, _SHARE_MIN, _SHARE_MAX = 1 / 3, 0.01, 0.1, 0.9
-# Leading blocks of a sweep formatted wholly here, which takes about as long as
-# a helper takes to start (20 ms on a 2-core VM); only a longer sweep starts one.
+# Most blocks of a sweep made wholly in this process: only a longer sweep
+# forks a worker.  The fork and the reaping take about 2 ms.  In a fresh
+# process the split breaks even at 12 to 16 blocks, and from 8 to 16 blocks
+# either way is within a few ms of the other (2-core VM,
+# BENCH_0.19.0_bounds_worker.json).
 _SOLO_BLOCKS = 8
 
 
-def _repr_helper(points: int):
-    """A started :class:`widecap._reprhelper.Helper`, for a sweep longer than its
-    solo blocks with two usable CPUs, or a context giving None."""
-    if points > _SOLO_BLOCKS * _BLOCK and _usable_cpus() > 1:
-        from ._reprhelper import Helper
+def _blocks(block, count: int):
+    """``block(k)`` for each k < ``count``, in order.  A sweep of more than
+    ``_SOLO_BLOCKS`` blocks, where a worker may be forked, forks one that
+    makes the odd blocks and sends them over a pipe while this process makes
+    the even ones.  A worker that stops early raises OSError.  Close the
+    generator to end the worker early; it is killed and reaped on every
+    path."""
+    if count > _SOLO_BLOCKS:
+        from . import _fork
+    if count <= _SOLO_BLOCKS or not _fork.may_fork(_usable_cpus()):
+        yield from map(block, range(count))
+        return
 
-        helper = Helper.start()
-        if helper is not None:
-            return helper
-    return nullcontext()
+    def work(receive, send):
+        with open(send, "wb") as pipe:
+            for k in range(1, count, 2):
+                pickle.dump(block(k), pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+
+    with _fork.Worker("bounds", work) as worker, open(worker.receive, "rb") as pipe:
+        os.close(worker.send)  # nothing goes to the worker
+        for k in range(count):
+            if k % 2 == 0:
+                yield block(k)
+                continue
+            try:
+                text = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise worker.stopped() from None
+            yield text
 
 
 def _sweep_axes(args):
@@ -266,55 +293,27 @@ def cmd_bounds(args) -> int:
     # delta = 1.0 makes delta*B*scale equal B*scale bit for bit.
     unit_delta = bool(np.all(deltas == 1.0))
     c_inf_text = repr(c_inf)
-    share = _SHARE_START
+    row_text = _row_text(header, args.format)
 
-    def evaluate(start, helper):
-        """A block's rows, columns, R_LB, the float cells that this process
-        formats, and the helper sent the rest, if any."""
-        index = np.arange(start, min(start + _BLOCK, points))
+    def block(k):
+        """The text of the rows of block k."""
+        index = np.arange(k * _BLOCK, min((k + 1) * _BLOCK, points))
         row, col = index // nb, index % nb
         bandwidth = bands[col]
         occupancy = deltas[row] * bandwidth
-        lower, *rest = kernels(occupancy)
-        floats = [bandwidth * scale] if band_text is None else []
-        floats += [] if unit_delta else [occupancy * scale]
-        values = np.concatenate(floats + [lower, *rest])
-        if start < _SOLO_BLOCKS * _BLOCK:
-            helper = None
-        split = int(values.size * share) if helper else values.size
-        if helper:
-            helper.submit(values[split:])
-        return row, col, lower, values[:split], helper
-
-    def assemble(row, col, lower, own, helper):
-        """The block's string columns, in header order."""
-        nonlocal share
-        cells = _reprs(own)
-        if helper:
-            step = -_SHARE_STEP if helper.ready() else _SHARE_STEP
-            share = min(max(share + step, _SHARE_MIN), _SHARE_MAX)
-            cells += helper.result()
-        columns = [cells[i:i + row.size] for i in range(0, len(cells), row.size)]
-        band = columns.pop(0) if band_text is None else band_text[col].tolist()
-        delta_b = band if unit_delta else columns.pop(0)
-        lower_text, *upper, gap = columns
+        lower, *upper, gap = kernels(occupancy)
+        band = _reprs(bandwidth * scale) if band_text is None else band_text[col].tolist()
+        delta_b = band if unit_delta else _reprs(occupancy * scale)
+        lower_text = _reprs(lower)
         plot = lower_text.copy()  # max(lower, 0.0) of each row: keeps -0.0
         for i in np.flatnonzero(0.0 > lower).tolist():
             plot[i] = "0.0"
-        return [delta_text[row].tolist(), band, delta_b, lower_text, plot, *upper,
-                [c_inf_text] * row.size, gap]
+        return row_text([delta_text[row].tolist(), band, delta_b, lower_text, plot,
+                         *map(_reprs, upper), [c_inf_text] * row.size, _reprs(gap)])
 
-    def blocks(helper):
-        pending = collections.deque()
-        for start in range(0, points, _BLOCK):
-            pending.append(evaluate(start, helper))
-            if len(pending) > _AHEAD:
-                yield assemble(*pending.popleft())
-        while pending:
-            yield assemble(*pending.popleft())
-
-    with _output(args.out) as out, _repr_helper(points) as helper:
-        _write_blocks(out, header, blocks(helper), args.format)
+    texts = _blocks(block, -(-points // _BLOCK))
+    with _output(args.out) as out, closing(texts):
+        _write_blocks(out, header, texts, args.format)
     return 0
 
 
@@ -332,8 +331,8 @@ def cmd_critical(args) -> int:
     _require_finite(header, row, frequencies=6)
     with _output(args.out) as out:
         if args.format == "csv":
-            cells = _reprs(np.array(row))
-            _write_blocks(out, header, [[[cell] for cell in cells]], "csv")
+            columns = [[cell] for cell in _reprs(np.array(row))]
+            _write_blocks(out, header, [_row_text(header, "csv")(columns)], "csv")
         else:
             payload = dict(zip(header, row))
             payload["summary"] = (
@@ -368,10 +367,11 @@ def cmd_alpha(args) -> int:
         values[1:] /= [math.log(lc) for lc in lcs]
     _require_finite(header, values)
     # Formatted a block at a time, so no string column of the whole grid exists.
-    blocks = ([_reprs(column) for column in values[:, start:start + _BLOCK]]
-              for start in range(0, values.shape[1], _BLOCK))
+    row_text = _row_text(header, args.format)
+    texts = (row_text([_reprs(column) for column in values[:, start:start + _BLOCK]])
+             for start in range(0, values.shape[1], _BLOCK))
     with _output(args.out) as out:
-        _write_blocks(out, header, blocks, args.format)
+        _write_blocks(out, header, texts, args.format)
     return 0
 
 
@@ -394,7 +394,7 @@ def cmd_fig6(args) -> int:
     columns = [[str(nt) for nt, _ in antennas], [str(nr) for _, nr in antennas]]
     columns += [_reprs(column) for column in values]
     with _output(args.out) as out:
-        _write_blocks(out, header, [columns], args.format)
+        _write_blocks(out, header, [_row_text(header, args.format)(columns)], args.format)
     return 0
 
 

@@ -60,17 +60,14 @@ import functools
 import math
 import os
 import pickle
-import signal
 import struct
-import sys
-import threading
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from . import _usable_cpus, bounds
+from . import _fork, _usable_cpus, bounds
 from .channel import (
     block_idft_matrix,
     circulant_eigenvalues,
@@ -236,11 +233,12 @@ class _Split:
     same path through the rest of the suite.
     """
 
-    def __init__(self, parity: int, receive: int, send: int, worker: Optional[int] = None):
+    def __init__(self, parity: int, receive: int, send: int,
+                 worker: Optional[_fork.Worker] = None):
         self.parity = parity
         self._reader = open(receive, "rb")
         self._send = send
-        self._worker = worker  # the worker's pid, on the caller's side until it is reaped
+        self._worker = worker  # on the caller's side
 
     def share(self, table: np.ndarray, reduce_chunk) -> None:
         """Call ``reduce_chunk(k)`` for this side's rows k of ``table``; take the other side's.
@@ -289,19 +287,13 @@ class _Split:
 
     def _stopped(self, error: Exception):
         """Raise ``error``, from a pipe the other side has closed; on the caller's
-        side, an OSError naming the worker's exit code instead, once it is reaped."""
+        side, the OSError naming the worker's exit code instead."""
         if self._worker is None:
             raise error
-        code = os.waitstatus_to_exitcode(os.waitpid(self._worker, 0)[1])
-        self._worker = None
-        raise OSError(f"verify worker stopped with exit code {code}") from None
+        raise self._worker.stopped() from None
 
     def close(self) -> None:
-        """Close the pipes; on the caller's side, kill and reap the worker unless it is reaped."""
-        if self._worker is not None:
-            os.kill(self._worker, signal.SIGKILL)
-            os.waitpid(self._worker, 0)
-            self._worker = None
+        """Close the pipes."""
         self._reader.close()
         os.close(self._send)
 
@@ -807,34 +799,18 @@ def run_verification_suite(scenario: ChannelScenario, cfg: McConfig):
     worker that stops early raises OSError.  The worker is killed and reaped
     before this returns or raises.
     """
-    if (-(-cfg.trials // _CHUNK) < _SPLIT_CHUNKS or _usable_cpus() < 2
-            or not sys.platform.startswith("linux") or threading.active_count() > 1):
+    if -(-cfg.trials // _CHUNK) < _SPLIT_CHUNKS or not _fork.may_fork(_usable_cpus()):
         return _suite(scenario, cfg)
-    to_worker, to_caller = os.pipe(), os.pipe()
-    # Python 3.12 and later warn here (DeprecationWarning, hidden by default)
-    # when OpenBLAS's thread is alive.  The worker has one thread all the
-    # same: OpenBLAS's fork handler stops its pool first, and no other Python
-    # thread runs.
-    pid = os.fork()
-    if pid == 0:
-        # The worker runs the same suite and never returns from it: os._exit
-        # leaves without flushing inherited buffers or running atexit hooks.
-        code = 1
+
+    def work(receive, send):
+        _suite(scenario, _Shared(cfg.trials, cfg.base_seed, _Split(1, receive, send)))
+
+    with _fork.Worker("verify", work) as worker:
+        split = _Split(0, worker.receive, worker.send, worker)
         try:
-            os.close(to_worker[1])
-            os.close(to_caller[0])
-            split = _Split(1, to_worker[0], to_caller[1])
-            _suite(scenario, _Shared(cfg.trials, cfg.base_seed, split))
-            code = 0
+            return _suite(scenario, _Shared(cfg.trials, cfg.base_seed, split))
         finally:
-            os._exit(code)
-    os.close(to_worker[0])
-    os.close(to_caller[1])
-    split = _Split(0, to_caller[0], to_worker[1], pid)
-    try:
-        return _suite(scenario, _Shared(cfg.trials, cfg.base_seed, split))
-    finally:
-        split.close()
+            split.close()
 
 
 def _suite(scenario: ChannelScenario, cfg: McConfig):

@@ -87,20 +87,20 @@ def test_package_import_leaves_the_monte_carlo_stack_unloaded():
     assert not set(LAZY_MODULES) & set(modules)
 
 
-HELPER_MODULES = {"widecap._reprhelper", "subprocess"}
+FORK_MODULES = {"widecap._fork", "signal", "subprocess"}
 
 
-def test_cli_import_and_one_block_bounds_start_no_helper(tmp_path):
+def test_cli_import_and_one_block_bounds_fork_nothing(tmp_path):
     modules = fresh("import json, sys, widecap.cli\n"
                     "print(json.dumps(sorted(sys.modules)))")
-    assert not HELPER_MODULES & set(modules)
+    assert not FORK_MODULES & set(modules)
     code, modules = run_command(tmp_path, ["bounds", "--db-grid", "1e4:1e10:7"])
     assert code == 0
-    assert not HELPER_MODULES & set(modules)
+    assert not FORK_MODULES & set(modules)
 
 
-def test_long_bounds_with_two_cpus_starts_the_helper(tmp_path):
-    # Longer than the blocks formatted while a helper would start.
+def test_long_bounds_with_two_cpus_loads_the_fork_module(tmp_path):
+    # Longer than the blocks made wholly in-process.
     path = tmp_path / "scenario.txt"
     path.write_text(SCENARIO)
     argv = ["bounds", "--scenario", str(path), "--db-grid", "1e4:1e10:5000",
@@ -112,7 +112,7 @@ def test_long_bounds_with_two_cpus_starts_the_helper(tmp_path):
         f"code = cli.main({argv!r})\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n")
     assert code == 0
-    assert HELPER_MODULES <= set(modules)
+    assert {"widecap._fork", "signal"} <= set(modules)
 
 
 def test_lazy_names_are_the_submodules_own_objects():
